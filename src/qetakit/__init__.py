@@ -45,6 +45,7 @@ from .wronskian import (
     scale_by_matrix,
     vandermonde,
     wronskian,
+    wronskian_entry_precision,
     wronskian_vandermonde_expand,
 )
 from .identities import (

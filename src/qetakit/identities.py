@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .eta import eta_power, eta_series, jacobi_cube_series, \
-    pentagonal_sum_series, weber_series
+from .eta import WEBER_F2_EXPONENT, WEBER_F_EXPONENT, eta_power, \
+    eta_series, jacobi_cube_series, pentagonal_sum_series, weber_series
 from .minimal_models import chi_support, distinct_weights, make_model, \
     character_double_sum, normalized_character
 from .rationals import Rational, rat_str, rational
 from .series import PrecisionError, QSeries
-from .wronskian import vandermonde, wronskian
+from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 
 IDENTITY_NAMES = ("euler", "jacobi", "macdonald", "denominator",
                   "wronskian_raw", "wronskian_normalized", "weber")
@@ -301,20 +301,19 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
 
 
 def characters_for_wronskian(model, order, *, normalized=False):
-    """Characters of the model at enough precision that their Wronskian is
-    exact below ``order`` (retrying once if the pessimistic propagation
-    falls short)."""
+    """Characters of the model at the one common precision at which their
+    Wronskian is exact below ``order``.
+
+    A raw character starts at ``q^(h_bar)`` and a normalized one at
+    ``q^(h_bar + 1/24)``; :func:`wronskian_entry_precision` turns these
+    leading exponents into the precision, so nothing is built twice.
+    """
     build = normalized_character if normalized else character_double_sum
     labels = distinct_weights(model)
-    precision = rational(order) + 1
-    for _ in range(4):
-        entries = [build(model, lab, precision) for lab in labels]
-        w = wronskian(entries)
-        if w.precision >= order:
-            return entries
-        precision += rational(order) - w.precision
-    raise RuntimeError(f"could not reach Wronskian precision {order} "
-                       f"for {model}")
+    shift = Rational(1, 24) if normalized else Rational(0)
+    precision = wronskian_entry_precision(
+        [lab.h_bar + shift for lab in labels], order)
+    return [build(model, lab, precision) for lab in labels]
 
 
 def wronskian_of_characters(model, order, *, normalized=False):
@@ -324,15 +323,9 @@ def wronskian_of_characters(model, order, *, normalized=False):
 
 
 def _weber_wronskian(order):
-    precision = rational(order) + 1
-    for _ in range(4):
-        entries = [weber_series(w, precision) for w in ("f", "f1", "f2")]
-        w = wronskian(entries)
-        if w.precision >= order:
-            return w
-        precision += rational(order) - w.precision
-    raise RuntimeError("could not reach the requested Weber Wronskian "
-                       "precision")
+    precision = wronskian_entry_precision(
+        (WEBER_F_EXPONENT, WEBER_F_EXPONENT, WEBER_F2_EXPONENT), order)
+    return wronskian([weber_series(w, precision) for w in ("f", "f1", "f2")])
 
 
 def identity_lowest_exponent(name, *, k=None, s=None, t=None):
@@ -371,10 +364,10 @@ def verify_identity(name, *, k=None, s=None, t=None, order=20, window_pad=0):
     requires the constant to equal exactly 7/256.
     """
     order = rational(order)
+    base = identity_lowest_exponent(name, k=k, s=s, t=t)
     if name == "macdonald" and int(k) == 1:
         raise ValueError("macdonald with k = 1 is the pentagonal identity; "
                          "use verify_identity('euler')")
-    base = identity_lowest_exponent(name, k=k, s=s, t=t)
     if not order > base:
         raise ValueError(f"insufficient order {order} for {name}: the "
                          f"minimal admissible order must exceed {base}")

@@ -1,13 +1,24 @@
 """Wronskian and Vandermonde machinery over exact truncated series.
 
-The Wronskian here always uses the multiplicative derivative q d/dq.  The
-determinant is evaluated column by column with memoized row-subset minors, a
-division-free scheme that costs k * 2^(k-1) series products: it coincides
-with cofactor expansion for small k, never divides by a non-unit pivot, and
-keeps every intermediate minor on a single fractional exponent class.  The
-independent oracle :func:`wronskian_vandermonde_expand` recomputes the same
-determinant as a direct multi-sum over term tuples weighted by Vandermonde
-factors.
+The Wronskian here always uses the multiplicative derivative q d/dq.  It is
+evaluated by fraction-free (Bareiss) elimination in O(k^3) series products:
+
+* columns that share a leading exponent are reduced against each other,
+  ``y_j <- y_j - (c_j/c_i) y_i`` (a determinant-one column operation), until
+  every column has its own leading exponent ``l_i``;
+* writing ``y_i = q^(l_i) g_i``, row r of column i is ``(theta + l_i)^r g_i``,
+  so the constant terms form a Vandermonde matrix in the distinct ``l_i`` and
+  every elimination step finds a pivot with a nonzero constant term, a unit
+  of the series ring;
+* each step divides exactly by the previous pivot through one ``invert()``,
+  and ``W = +-(last pivot) * q^(l_1 + ... + l_k)``.
+
+Entries never start below q^0, so every product keeps the smaller relative
+precision ``P_i - l_i`` of its factors and the result is exact below
+``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
+(:func:`wronskian_entry_precision` inverts it).  The independent oracle
+:func:`wronskian_vandermonde_expand` recomputes the same determinant as a
+direct multi-sum over term tuples weighted by Vandermonde factors.
 """
 
 from __future__ import annotations
@@ -37,32 +48,101 @@ def theta_derivative_rows(entries, depth):
     return rows
 
 
+def _fraction_free_determinant(matrix, is_pivot, inverse):
+    """Determinant by Bareiss elimination with partial pivoting.
+
+    Step p takes the first row at or below p whose entry in column p passes
+    ``is_pivot`` and replaces the trailing block by 2x2 minors divided by
+    the previous pivot, multiplying by ``inverse(previous pivot)``; every
+    entry is a minor of the input, so the division is exact.  Returns None
+    when some step finds no pivot.
+    """
+    a = [list(row) for row in matrix]
+    k = len(a)
+    negate = False
+    scale = None
+    for p in range(k - 1):
+        r = next((r for r in range(p, k) if is_pivot(a[r][p])), None)
+        if r is None:
+            return None
+        if r != p:
+            a[p], a[r] = a[r], a[p]
+            negate = not negate
+        pivot_row = a[p]
+        pivot = pivot_row[p]
+        for row in a[p + 1:]:
+            lead = row[p]
+            for j in range(p + 1, k):
+                x = pivot * row[j] - lead * pivot_row[j]
+                row[j] = x if scale is None else x * scale
+        scale = inverse(pivot)
+    det = a[k - 1][k - 1]
+    return -det if negate else det
+
+
+def _has_constant_term(y):
+    # on series without negative exponents: a unit of the series ring
+    lead = y.lowest_term()
+    return lead is not None and lead[0] == 0
+
+
+def _distinct_leading_exponents(entries):
+    """Columns with pairwise distinct leading exponents and the same
+    Wronskian: each column is reduced against earlier ones with the same
+    leading exponent; a column may end up zero up to its precision."""
+    columns = []
+    column_at = {}
+    for y in entries:
+        lead = y.lowest_term()
+        while lead is not None and lead[0] in column_at:
+            x = columns[column_at[lead[0]]]
+            y = y - x * (lead[1] / x.lowest_term()[1])
+            lead = y.lowest_term()
+        if lead is not None:
+            column_at[lead[0]] = len(columns)
+        columns.append(y)
+    return columns
+
+
 def wronskian(entries):
-    """Determinant of the q d/dq derivative matrix of the given series."""
+    """Determinant of the q d/dq derivative matrix of the given series,
+    exact below ``sum_i l_i + min_i (P_i - l_i)`` for entries with leading
+    exponents ``l_i`` and precisions ``P_i``."""
     entries = list(entries)
     k = len(entries)
     if k == 0:
         raise ValueError("wronskian needs at least one series")
     if k == 1:
         return entries[0]
-    rows = theta_derivative_rows(entries, k)
-    # layer[mask] = minor using the row set `mask` and the columns placed so far
-    layer = {1 << r: rows[r][0] for r in range(k)}
-    for c in range(1, k):
-        new = {}
-        for mask, minor in layer.items():
-            for r in range(k):
-                bit = 1 << r
-                if mask & bit:
-                    continue
-                term = rows[r][c] * minor
-                if ((mask & (bit - 1)).bit_count() + c) & 1:
-                    term = -term
-                key = mask | bit
-                prev = new.get(key)
-                new[key] = term if prev is None else prev + term
-        layer = new
-    return layer[(1 << k) - 1]
+    columns = _distinct_leading_exponents(entries)
+    # a zero column counts as starting at its precision bound, so W is known
+    # to vanish below the sum of the leading exponents
+    lows = [y._low_exponent() for y in columns]
+    total_low = sum(lows, Rational(0))
+    if any(y.is_zero for y in columns):
+        return QSeries.zero(total_low)
+    rows = [[y.shift(-low) for y, low in zip(row, lows)]
+            for row in theta_derivative_rows(columns, k)]
+    det = _fraction_free_determinant(rows, _has_constant_term, QSeries.invert)
+    return det.shift(total_low)
+
+
+def wronskian_entry_precision(lows, order):
+    """Common precision at which series with leading exponents at least
+    ``lows`` have a Wronskian exact below ``order``.
+
+    Inverts the bound ``sum(lows) + min_i (P - lows[i])`` of
+    :func:`wronskian`; raising any leading exponent never lowers that bound,
+    so lower bounds are safe.  ``order`` must exceed ``sum(lows)``, the
+    leading exponent of the Wronskian.
+    """
+    lows = [rational(x) for x in lows]
+    order = rational(order)
+    total = sum(lows, Rational(0))
+    if not order > total:
+        raise ValueError(f"order {order} must exceed the Wronskian's "
+                         f"leading exponent {total}")
+    return order - total + max(lows)
 
 
 def wronskian_vandermonde_expand(entries):
@@ -142,25 +222,13 @@ def scale_by_matrix(matrix, entries):
 
 
 def matrix_determinant(matrix):
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix (fraction-free
+    elimination, as in :func:`wronskian`)."""
     k = len(matrix)
     if k == 0:
         return Rational(1)
     if any(len(row) != k for row in matrix):
         raise ValueError(f"matrix must be {k}x{k}")
-    rows = [[rational(x) for x in row] for row in matrix]
-    layer = {1 << r: rows[r][0] for r in range(k)}
-    for c in range(1, k):
-        new = {}
-        for mask, minor in layer.items():
-            for r in range(k):
-                bit = 1 << r
-                if mask & bit:
-                    continue
-                term = rows[r][c] * minor
-                if ((mask & (bit - 1)).bit_count() + c) & 1:
-                    term = -term
-                key = mask | bit
-                new[key] = new.get(key, Rational(0)) + term
-        layer = new
-    return layer[(1 << k) - 1]
+    det = _fraction_free_determinant(
+        [[rational(x) for x in row] for row in matrix], bool, lambda x: 1 / x)
+    return Rational(0) if det is None else det

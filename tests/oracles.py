@@ -83,3 +83,34 @@ def random_series(rng: random.Random, *, max_terms=5, allow_zero=True):
     if not allow_zero and series.is_zero:
         return QSeries.monomial(1, precision - 1, precision)
     return series
+
+
+def wronskian_subset_minor(entries):
+    """The q d/dq Wronskian by column-wise expansion over row-subset minors.
+
+    ``layer[mask]`` is the minor on the row set ``mask`` and the columns
+    placed so far; placing column c multiplies each minor by one entry of a
+    row outside its set, so the whole determinant costs k * (2^(k-1) - 1)
+    series products and never divides.
+    """
+    entries = list(entries)
+    k = len(entries)
+    rows = [entries]
+    for _ in range(k - 1):
+        rows.append([y.theta_derive() for y in rows[-1]])
+    layer = {1 << r: rows[r][0] for r in range(k)}
+    for c in range(1, k):
+        new = {}
+        for mask, minor in layer.items():
+            for r in range(k):
+                bit = 1 << r
+                if mask & bit:
+                    continue
+                term = rows[r][c] * minor
+                if ((mask & (bit - 1)).bit_count() + c) & 1:
+                    term = -term
+                key = mask | bit
+                prev = new.get(key)
+                new[key] = term if prev is None else prev + term
+        layer = new
+    return layer[(1 << k) - 1]

@@ -93,6 +93,11 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "macdonald", "--k", "1")
         assert code == 2 and "euler" in err
 
+    def test_macdonald_without_k_is_one_line_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "macdonald", "--order", "10")
+        assert code == 2 and out == ""
+        assert err == "qetakit: error: macdonald requires k\n"
+
     def test_invalid_model_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "denominator", "--s", "4",
                                "--t", "6")

@@ -4,14 +4,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
-                     character_double_sum, distinct_weights, eisenstein_g2,
-                     eta_series, make_model, matrix_determinant,
-                     normalized_character, rational, scale_by_matrix,
-                     vandermonde, wronskian, wronskian_vandermonde_expand)
+                     character_double_sum, characters_for_wronskian,
+                     distinct_weights, eisenstein_g2, eta_series, make_model,
+                     matrix_determinant, normalized_character, rational,
+                     scale_by_matrix, vandermonde, weber_series, wronskian,
+                     wronskian_entry_precision, wronskian_vandermonde_expand)
 
-from oracles import random_series
+from oracles import random_series, wronskian_subset_minor
+
+
+def assert_matches_oracles(vec):
+    """The kernel agrees with both oracles and reaches the Vandermonde
+    expansion's precision bound, sum of lows + min(P - low)."""
+    det = wronskian(vec)
+    exp = wronskian_vandermonde_expand(vec)
+    assert det.precision >= exp.precision
+    assert det.equal_up_to(exp, exp.precision)
+    sub = wronskian_subset_minor(vec)
+    assert det.equal_up_to(sub, min(det.precision, sub.precision))
+    return det
 
 
 class TestVandermonde:
@@ -79,8 +93,8 @@ class TestVandermondeExpansion:
                    for _ in range(3)]
             det = wronskian(vec)
             exp = wronskian_vandermonde_expand(vec)
-            bound = min(det.precision, exp.precision)
-            assert det.equal_up_to(exp, bound)
+            assert det.precision >= exp.precision
+            assert det.equal_up_to(exp, exp.precision)
 
     def test_monomial_vector_closed_form(self):
         a, b = rational("1/2"), rational("7/3")
@@ -92,6 +106,103 @@ class TestVandermondeExpansion:
         x = QSeries.from_terms([(0, 1), (1, -2), (3, 1)], 9)
         exp = wronskian_vandermonde_expand([x, x])
         assert exp.is_zero
+
+
+@st.composite
+def series_vectors(draw):
+    """1 to 4 series on a shared small grid, so leading exponents often
+    coincide; some entries are scaled copies of an earlier one."""
+    den = draw(st.sampled_from((1, 2, 3, 4)))
+    k = draw(st.integers(1, 4))
+    vec = []
+    for _ in range(k):
+        if vec and draw(st.booleans()):
+            base = draw(st.sampled_from(vec))
+            scale = Fraction(draw(st.integers(-3, 3)) or 1)
+            vec.append(scale * base)
+            continue
+        terms = draw(st.lists(
+            st.tuples(st.integers(-6, 12), st.integers(-3, 3)),
+            min_size=1, max_size=5))
+        top = max(e for e, _ in terms)
+        precision = Fraction(top + draw(st.integers(1, 6)), den)
+        vec.append(QSeries.from_terms(
+            [(Fraction(e, den), c) for e, c in terms], precision))
+    return vec
+
+
+class TestKernelAgainstOracles:
+    def test_random_vectors_k1_to_5(self):
+        rng = random.Random(21)
+        for k in range(1, 6):
+            for _ in range(8):
+                vec = [random_series(rng, max_terms=4, allow_zero=False)
+                       for _ in range(k)]
+                assert_matches_oracles(vec)
+
+    def test_shared_leading_exponent(self):
+        x = QSeries.from_terms([(Fraction(1, 3), 2), (Fraction(4, 3), -1),
+                                (3, 5)], 7)
+        y = QSeries.from_terms([(Fraction(1, 3), -3), (Fraction(7, 3), 1)], 6)
+        z = QSeries.from_terms([(Fraction(1, 3), 1), (2, 4)], 8)
+        det = assert_matches_oracles([x, y, z])
+        assert not det.is_zero
+
+    def test_duplicated_entries(self):
+        x = QSeries.from_terms([(0, 1), (1, -2), (Fraction(5, 2), 3)], 9)
+        y = QSeries.from_terms([(Fraction(1, 2), 1), (3, 1)], 9)
+        det = assert_matches_oracles([x, y, x])
+        assert det.is_zero
+        assert assert_matches_oracles([x, 3 * x]).is_zero
+
+    def test_column_zero_up_to_precision(self):
+        x = QSeries.from_terms([(0, 1), (2, 1)], 5)
+        y = QSeries.from_terms([(0, 1), (2, 1), (6, 1)], 8)
+        z = QSeries.from_terms([(1, 1)], 8)
+        det = assert_matches_oracles([x, y, z])
+        assert det.is_zero and det.precision == 6
+        assert assert_matches_oracles([QSeries.zero(4), z]).is_zero
+
+    def test_weber_triple(self):
+        vec = [weber_series(w, 6) for w in ("f", "f1", "f2")]
+        det = assert_matches_oracles(vec)
+        assert det.lowest_term() == (Rational(1, 2), Rational(7, 256))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(series_vectors())
+    def test_property_matches_oracles(self, vec):
+        assert_matches_oracles(vec)
+
+    def test_entry_precision_reaches_order(self):
+        for s, t in ((2, 5), (3, 4), (3, 5)):
+            model = make_model(s, t)
+            for normalized in (False, True):
+                vec = characters_for_wronskian(model, 6,
+                                               normalized=normalized)
+                assert wronskian(vec).precision >= 6
+                assert_matches_oracles(vec)
+        lows = [Rational(-1, 48), Rational(-1, 48), Rational(1, 24)]
+        assert wronskian_entry_precision(lows, 10) == 10 + Rational(1, 24)
+        with pytest.raises(ValueError, match="leading exponent 1/6"):
+            characters_for_wronskian(make_model(2, 5), Rational(1, 10))
+
+    def test_products_are_cubic_in_k(self, monkeypatch):
+        vec = characters_for_wronskian(make_model(4, 7), 10)
+        assert len(vec) == 9
+        products = 0
+        series_mul = QSeries.__mul__
+
+        def counting_mul(self, other):
+            nonlocal products
+            if isinstance(other, QSeries):
+                products += 1
+            return series_mul(self, other)
+
+        monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+        wronskian(vec)
+        monkeypatch.undo()
+        # the subset-minor expansion needs k * (2^(k-1) - 1) = 2295
+        assert 0 < products <= 9 ** 3
 
 
 class TestScaleByMatrix:
@@ -138,6 +249,13 @@ class TestMatrixDeterminant:
     def test_fractional(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
         assert matrix_determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+
+    def test_needs_row_exchange_and_singular(self):
+        assert matrix_determinant([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+        assert matrix_determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+        assert matrix_determinant([[0, 0], [0, 5]]) == 0
+        assert matrix_determinant([[Fraction(7, 3)]]) == Fraction(7, 3)
+        assert matrix_determinant([]) == 1
 
 
 class TestAbelCheck:
