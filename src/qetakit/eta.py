@@ -26,28 +26,35 @@ NAMED_SERIES = ("eta", "eta^M", "pentagonal_sum", "jacobi_cube_sum", "g2",
 
 
 @lru_cache(maxsize=None)
-def _euler_product_cached(order):
-    acc = QSeries.one(order)
-    i = 1
-    while i < order:
-        acc = acc * QSeries.from_terms([(0, 1), (i, -1)], order)
-        i += 1
+def _euler_product_cached(count):
+    # prod_{1 <= i < count} (1 - q^i), exact below the integer count
+    acc = QSeries.one(count)
+    for i in range(1, count):
+        acc = acc * QSeries(1, 0, {0: 1, i: -1}, count)
     return acc
+
+
+def _integer_count(order):
+    # the least integer at or above every exponent below order: a series
+    # exact below it, truncated to order, is exact below order
+    return largest_int_below(order) + 1
 
 
 def euler_product(order):
     """``prod_{i>=1} (1 - q^i)`` with all exponents < order exact."""
-    return _euler_product_cached(rational(order))
+    order = rational(order)
+    return _euler_product_cached(_integer_count(order)).truncate(order)
 
 
 @lru_cache(maxsize=None)
-def _euler_inverse_cached(order):
-    return _euler_product_cached(order).invert()
+def _euler_inverse_cached(count):
+    return _euler_product_cached(count).invert()
 
 
 def euler_inverse(order):
     """The partition generating function ``1/prod(1 - q^i)``, exact below order."""
-    return _euler_inverse_cached(rational(max(rational(order), 1)))
+    order = max(rational(order), 1)
+    return _euler_inverse_cached(_integer_count(order)).truncate(order)
 
 
 def eta_series(order):
@@ -163,8 +170,7 @@ def weber_series(which, order):
         acc = QSeries.one(rel)
         n = 0
         while Rational(2 * n + 1, 2) < rel:
-            acc = acc * QSeries.from_terms(
-                [(0, 1), (Rational(2 * n + 1, 2), sign)], rel)
+            acc = acc * QSeries(2, 0, {0: 1, 2 * n + 1: sign}, rel)
             n += 1
         return acc.shift(prefix)
     if key == "f2":
@@ -175,7 +181,7 @@ def weber_series(which, order):
         acc = QSeries.one(rel)
         n = 1
         while n < rel:
-            acc = acc * QSeries.from_terms([(0, 1), (n, 1)], rel)
+            acc = acc * QSeries(1, 0, {0: 1, n: 1}, rel)
             n += 1
         return acc.shift(prefix)
     raise ValueError(f"unknown Weber function {which!r} (use f, f1 or f2)")

@@ -1,10 +1,16 @@
-"""Exact rational scalars used everywhere in the package.
+"""Exact rational scalars: exponents, precision bounds, constants.
 
-gmpy2's ``mpq`` is used when available (markedly faster on big numerators);
-``fractions.Fraction`` is the stdlib fallback.  Both normalise to lowest terms
-with a positive denominator and print as ``p/q`` (``p`` alone when q = 1),
-which is the output convention of the whole package.  No floating point is
-ever accepted: a single rounding would invalidate exact verification.
+gmpy2's ``mpq`` is used when available; ``fractions.Fraction`` is the stdlib
+fallback.  Both normalise to lowest terms with a positive denominator and
+print as ``p/q`` (``p`` alone when q = 1), which is the output convention of
+the whole package.  No floating point is ever accepted: a single rounding
+would invalidate exact verification.
+
+Series coefficient arithmetic does not go through :data:`Rational`: a
+:class:`~qetakit.series.QSeries` keeps plain ``int`` numerators over one
+common denominator and converts to :data:`Rational` only where a coefficient
+leaves it (``coefficients``, ``terms()``, ``coefficient()``), and in the
+inverse of a series whose lowest numerator is not +-1.
 """
 
 from __future__ import annotations

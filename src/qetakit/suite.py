@@ -11,14 +11,21 @@ actually used.
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
-from .identities import identity_lowest_exponent, verify_identity
+from .identities import IDENTITY_NAMES, identity_lowest_exponent, \
+    verify_identity
 from .minimal_models import coprime_models
 from .rationals import rat_str, rational
 
 MODEL_IDENTITIES = ("denominator", "wronskian_raw", "wronskian_normalized")
+
+#: Parameter names a manifest job may carry.
+JOB_PARAMS = ("k", "s", "t")
+
+_ORDER_RE = re.compile(r"-?\d+(?:/0*[1-9]\d*)?")
 
 
 def adjusted_order(name, order, **params):
@@ -62,12 +69,46 @@ def load_manifest(path=None):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "version" not in doc or "jobs" not in doc:
-        raise ValueError("manifest must be an object with 'version' and 'jobs'")
+    if (not isinstance(doc, dict) or "version" not in doc
+            or not isinstance(doc.get("jobs"), list)):
+        raise ValueError("manifest must be an object with 'version' and a "
+                         "'jobs' list")
     for job in doc["jobs"]:
-        if "identity" not in job or "order" not in job:
-            raise ValueError(f"malformed manifest job: {job!r}")
+        validate_job(job)
     return doc
+
+
+def validate_job(job):
+    """Raise ValueError unless ``job`` names a known identity, carries
+    integer params among ``JOB_PARAMS`` that the identity accepts, and an
+    integer or ``"p/q"`` string order."""
+    if not isinstance(job, dict) or "identity" not in job or "order" not in job:
+        raise ValueError(f"malformed manifest job: {job!r}")
+    name = job["identity"]
+    if name not in IDENTITY_NAMES:
+        raise ValueError(f"manifest job {job!r}: unknown identity; known: "
+                         f"{', '.join(IDENTITY_NAMES)}")
+    params = job.get("params")
+    if params is None:
+        params = {}
+    elif not isinstance(params, dict):
+        raise ValueError(f"manifest job {job!r}: params must be an object")
+    for key, value in params.items():
+        if key not in JOB_PARAMS:
+            raise ValueError(f"manifest job {job!r}: unknown param {key!r}; "
+                             f"known: {', '.join(JOB_PARAMS)}")
+        if type(value) is not int:
+            raise ValueError(f"manifest job {job!r}: param {key!r} must be "
+                             "an integer")
+    order = job["order"]
+    if not (type(order) is int
+            or (isinstance(order, str) and _ORDER_RE.fullmatch(order))):
+        raise ValueError(f"manifest job {job!r}: order must be an integer "
+                         "or a 'p/q' string")
+    try:
+        identity_lowest_exponent(name, **params)
+    except ValueError as exc:
+        raise ValueError(f"manifest job {job!r}: {exc}") from None
 
 
 def run_job(job):

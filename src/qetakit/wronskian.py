@@ -10,8 +10,9 @@ evaluated by fraction-free (Bareiss) elimination in O(k^3) series products:
   so the constant terms form a Vandermonde matrix in the distinct ``l_i`` and
   every elimination step finds a pivot with a nonzero constant term, a unit
   of the series ring;
-* each step divides exactly by the previous pivot through one ``invert()``,
-  and ``W = +-(last pivot) * q^(l_1 + ... + l_k)``.
+* each step after the first divides exactly by the previous pivot through
+  one ``invert()`` (k - 2 in all), and
+  ``W = +-(last pivot) * q^(l_1 + ... + l_k)``.
 
 Entries never start below q^0, so every product keeps the smaller relative
 precision ``P_i - l_i`` of its factors and the result is exact below
@@ -54,13 +55,14 @@ def _fraction_free_determinant(matrix, is_pivot, inverse):
     Step p takes the first row at or below p whose entry in column p passes
     ``is_pivot`` and replaces the trailing block by 2x2 minors divided by
     the previous pivot, multiplying by ``inverse(previous pivot)``; every
-    entry is a minor of the input, so the division is exact.  Returns None
-    when some step finds no pivot.
+    entry is a minor of the input, so the division is exact.  The last
+    pivot divides nothing, so it is never inverted: a k x k determinant
+    takes k - 2 inverses.  Returns None when some step finds no pivot.
     """
     a = [list(row) for row in matrix]
     k = len(a)
     negate = False
-    scale = None
+    previous = None
     for p in range(k - 1):
         r = next((r for r in range(p, k) if is_pivot(a[r][p])), None)
         if r is None:
@@ -70,12 +72,13 @@ def _fraction_free_determinant(matrix, is_pivot, inverse):
             negate = not negate
         pivot_row = a[p]
         pivot = pivot_row[p]
+        scale = None if previous is None else inverse(previous)
         for row in a[p + 1:]:
             lead = row[p]
             for j in range(p + 1, k):
                 x = pivot * row[j] - lead * pivot_row[j]
                 row[j] = x if scale is None else x * scale
-        scale = inverse(pivot)
+        previous = pivot
     det = a[k - 1][k - 1]
     return -det if negate else det
 

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive: plain integer dict polynomials,
-bounded-part partition recursions, trial division.  None of it shares code
-with the package under test.
+bounded-part partition recursions, trial division, schoolbook series
+products and back-substitution inverses over ``Fraction``.  None of it
+shares code with the package under test; the series oracles use only the
+public ``QSeries`` constructor and coefficient views.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, gcd, lcm
 import random
 
 
@@ -114,3 +117,66 @@ def wronskian_subset_minor(entries):
                 new[key] = term if prev is None else prev + term
         layer = new
     return layer[(1 << k) - 1]
+
+
+def _low_exponent(x):
+    lead = x.lowest_term()
+    return x.precision if lead is None else Fraction(lead[0])
+
+
+def series_mul_fraction(x, y):
+    """``x * y`` by the schoolbook loop over ``Fraction`` coefficients.
+
+    Every pair of terms is multiplied on the lcm grid and summed below the
+    product's precision ``min(P_x + low_y, P_y + low_x)``; the result goes
+    through the public constructor.
+    """
+    from qetakit import QSeries
+
+    P = min(Fraction(x.precision) + _low_exponent(y),
+            Fraction(y.precision) + _low_exponent(x))
+    if x.is_zero or y.is_zero:
+        return QSeries.zero(P)
+    D = lcm(x.grid_denominator, y.grid_denominator)
+    fx = D // x.grid_denominator
+    fy = D // y.grid_denominator
+    smax = ceil(P * D) - 1
+    xs = [((x.offset + n) * fx, Fraction(c))
+          for n, c in x.coefficients.items()]
+    ys = sorted(((y.offset + n) * fy, Fraction(c))
+                for n, c in y.coefficients.items())
+    acc = {}
+    for sx, cx in xs:
+        for sy, cy in ys:
+            if sx + sy > smax:
+                break
+            acc[sx + sy] = acc.get(sx + sy, 0) + cx * cy
+    return QSeries(D, 0, acc, P)
+
+
+def series_invert_fraction(x):
+    """``1/x`` by back-substitution over ``Fraction`` coefficients on the
+    reduced stride of the steps; the precision of the result is
+    ``P - 2 * low``."""
+    from qetakit import QSeries
+
+    coeffs = {n: Fraction(c) for n, c in x.coefficients.items()}
+    if not coeffs:
+        raise ZeroDivisionError("series is zero up to its precision")
+    D, a = x.grid_denominator, x.offset
+    e = Fraction(a, D)
+    rel = Fraction(x.precision) - e
+    c0 = coeffs[0]
+    if len(coeffs) == 1:
+        return QSeries.monomial(1 / c0, -e, rel - e)
+    g = gcd(*coeffs)
+    count = ceil(rel * Fraction(D, g))
+    inner = sorted((n // g, c) for n, c in coeffs.items()
+                   if n and n // g < count)
+    w = [Fraction(0)] * count
+    w[0] = 1 / c0
+    for m in range(1, count):
+        total = sum(cj * w[m - j] for j, cj in inner if j <= m)
+        w[m] = -total / c0
+    return QSeries(D, -a, {m * g: w[m] for m in range(count) if w[m]},
+                   rel - e)

@@ -1,13 +1,17 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import qetakit
 from qetakit import (QSeries, VerificationReport, character_double_sum,
                      make_model, rational, weight_label)
 from qetakit.cli import main
-from qetakit.suite import load_manifest
+from qetakit.suite import load_manifest, validate_job
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +224,51 @@ class TestSuiteCommand:
                                str(path))
         assert code == 2 and "manifest" in err
 
+    @pytest.mark.parametrize("bad_job, message", [
+        ({"identity": "euler", "params": {"x": 1}, "order": "10"},
+         "unknown param 'x'"),
+        ({"identity": "euler", "params": {}, "order": 0.5},
+         "order must be an integer or a 'p/q' string"),
+    ])
+    def test_invalid_job_exits_2_before_any_job_runs(self, capsys, tmp_path,
+                                                     monkeypatch, bad_job,
+                                                     message):
+        ran = []
+        monkeypatch.setattr("qetakit.suite.run_job", ran.append)
+        manifest = {"version": "t", "jobs": [
+            {"identity": "jacobi", "params": {}, "order": "10"}, bad_job]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "verify", "suite", "--manifest",
+                                 str(path))
+        assert code == 2 and out == "" and ran == []
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("qetakit: error: manifest job") and message in err
+
+    @pytest.mark.parametrize("bad_job", [
+        "euler",
+        {"identity": "euler"},
+        {"identity": "nope", "order": "10"},
+        {"identity": "euler", "params": [], "order": "10"},
+        {"identity": "macdonald", "params": {"k": True}, "order": "10"},
+        {"identity": "macdonald", "params": {"k": 2.0}, "order": "10"},
+        {"identity": "macdonald", "params": {}, "order": "10"},
+        {"identity": "denominator", "params": {"s": 4, "t": 6}, "order": "9"},
+        {"identity": "euler", "order": True},
+        {"identity": "euler", "order": "0.5"},
+        {"identity": "euler", "order": "1/0"},
+        {"identity": "euler", "order": None},
+    ])
+    def test_validate_job_rejects(self, bad_job):
+        with pytest.raises(ValueError, match="manifest job"):
+            validate_job(bad_job)
+
+    def test_validate_job_accepts(self):
+        for job in load_manifest()["jobs"]:
+            validate_job(job)
+        validate_job({"identity": "euler", "order": 12})
+        validate_job({"identity": "weber", "params": None, "order": "-7/3"})
+
 
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
@@ -238,9 +287,15 @@ class TestOutputHandling:
 
 
 def test_console_entry_point():
+    # the child finds the package where this process imported it from, so
+    # the test also runs without an install or PYTHONPATH
+    package_root = os.path.dirname(os.path.dirname(qetakit.__file__))
+    path = os.pathsep.join(filter(None, (package_root,
+                                         os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qetakit.cli", "verify", "euler",
          "--order", "60"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "match=true" in proc.stdout

@@ -1,5 +1,7 @@
 """Named series builders: eta, classical sums, Eisenstein, Weber products."""
 
+import math
+
 import pytest
 
 from qetakit import (QSeries, Rational, eisenstein_g2, eta_power, eta_series,
@@ -142,3 +144,25 @@ def test_eta_order_precondition():
         eta_series(rational("1/24"))
     with pytest.raises(ValueError, match="1/24"):
         pentagonal_sum_series(rational("1/48"))
+
+
+def test_euler_cache_builds_once_per_integer_count():
+    from qetakit import eta
+
+    eta._euler_product_cached.cache_clear()
+    eta._euler_inverse_cached.cache_clear()
+    orders = [10 - Rational(m, 24) for m in range(24)]
+    for order in orders:
+        product = eta.euler_product(order)
+        top = math.ceil(order)
+        expected = QSeries.from_terms(euler_factors_poly(top, top).items(),
+                                      order)
+        assert product == expected
+        inverse = eta.euler_inverse(order)
+        assert inverse.precision == order
+        assert (product * inverse).equal_up_to(QSeries.one(order), order)
+    # 10 and every 10 - m/24 share the count 10: one build each
+    assert eta._euler_product_cached.cache_info().misses == 1
+    assert eta._euler_inverse_cached.cache_info().misses == 1
+    eta.euler_product(10 + Rational(1, 24))
+    assert eta._euler_product_cached.cache_info().misses == 2

@@ -1,0 +1,146 @@
+"""The integer coefficient kernel of QSeries against the Fraction oracles.
+
+Products and inverses must equal, exactly and in canonical form, what the
+schoolbook ``Fraction`` product and back-substitution of ``oracles`` give:
+same grid, offset, precision and coefficients.  The generated series mix
+grids, offsets and step strides, coefficients over different denominators,
+numerators beyond 2**64 and runs of one sign, and lengths on both sides of
+the schoolbook/Kronecker cutoff.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qetakit import QSeries
+from qetakit import series as series_module
+from qetakit.series import SCHOOLBOOK_TERMS
+
+from oracles import series_invert_fraction, series_mul_fraction
+
+BIG = 2 ** 64
+
+
+@st.composite
+def kernel_series(draw, min_terms=0, max_terms=3 * SCHOOLBOOK_TERMS,
+                  max_extra=40):
+    """A series on a random grid with a random step stride and density,
+    known up to at most ``max_extra`` past its top term.
+
+    The shape is drawn by hypothesis; the term values (numerators in runs
+    of one sign, small or beyond 2**64, over denominators that differ from
+    term to term) come from one drawn seed, which keeps generation cheap.
+    """
+    D = draw(st.sampled_from((1, 2, 3, 4, 6, 24)))
+    offset = draw(st.integers(-30, 30))
+    stride = draw(st.sampled_from((1, 1, 2, 3, 24)))
+    count = draw(st.integers(min_terms, max_terms))
+    magnitude = draw(st.sampled_from((9, 10 ** 6, BIG * 7)))
+    denominators = draw(st.sampled_from(((1,), (1, 2, 3, 7),
+                                         (1, 1, 2, 3, 7, BIG + 1))))
+    dense = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    slots = (range(count) if dense
+             else sorted(rng.sample(range(3 * count + 3), count)))
+    coeffs = {}
+    sign = 1
+    for slot in slots:
+        if rng.random() < 0.2:
+            sign = -sign
+        coeffs[offset + slot * stride] = Fraction(
+            sign * rng.randint(1, magnitude),
+            rng.choice(denominators))
+    top = max(coeffs, default=offset)
+    precision = Fraction(top, D) + Fraction(draw(st.integers(1, max_extra)),
+                                            draw(st.sampled_from((1, 2, D))))
+    return QSeries(D, 0, coeffs, precision)
+
+
+def assert_same_series(got, expected):
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert got.to_text() == expected.to_text()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kernel_series(), kernel_series())
+def test_product_matches_fraction_oracle(x, y):
+    assert_same_series(x * y, series_mul_fraction(x, y))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel_series(min_terms=SCHOOLBOOK_TERMS + 1),
+       kernel_series(min_terms=SCHOOLBOOK_TERMS + 1))
+def test_both_product_paths_agree(x, y):
+    expected = series_mul_fraction(x, y)
+    for cutoff in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "SCHOOLBOOK_TERMS", cutoff)
+            assert_same_series(x * y, expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_series(min_terms=2))
+def test_square_matches_fraction_oracle(x):
+    assert_same_series(x * x, series_mul_fraction(x, x))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kernel_series(min_terms=1, max_terms=2 * SCHOOLBOOK_TERMS,
+                    max_extra=4),
+       st.booleans())
+def test_inverse_matches_fraction_oracle(x, unit):
+    if unit:
+        # constant numerator +-1: the integer back-substitution
+        x = x * x.lowest_term()[1] ** -1
+    assert_same_series(x.invert(), series_invert_fraction(x))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kernel_series(), kernel_series(), st.fractions(max_denominator=9))
+def test_ring_results_are_canonical(x, y, c):
+    # the same series through the public constructor and through ring
+    # operations is == and hash-equal
+    for z in (x * y, x + y, (x + y) - y, c * x, x.theta_derive(),
+              x.shift(Fraction(1, 5))):
+        rebuilt = QSeries(z.grid_denominator, z.offset, dict(z.coefficients),
+                          z.precision)
+        assert_same_series(z, rebuilt)
+        assert_same_series(z, QSeries.from_terms(z.terms(), z.precision))
+    P = min(x.precision, y.precision)
+    assert_same_series((x + y) - y, x.truncate(P))
+
+
+@pytest.mark.parametrize("magnitude", [2 ** 5, 2 ** 33, 2 ** 5 - 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kronecker_digits_hold_the_largest_coefficient(magnitude, sign):
+    # 32 equal numerators on each side: the middle coefficient of the
+    # product reaches the digit bound 32 * magnitude**2 itself, which fills
+    # the top bit of a digit exactly when it is 2**(8w - 1)
+    n = 2 * SCHOOLBOOK_TERMS
+    x = QSeries(1, 0, dict.fromkeys(range(n), magnitude), 2 * n)
+    y = QSeries(1, 0, dict.fromkeys(range(n), sign * magnitude), 2 * n)
+    assert_same_series(x * y, series_mul_fraction(x, y))
+    assert_same_series(y * y, series_mul_fraction(y, y))
+    assert (x * y).coefficient(n - 1) == sign * n * magnitude ** 2
+
+
+def test_products_cut_by_precision():
+    # x has its terms up to q^40 but y is known only below q^3: the product
+    # is known below 3 + low(x) = 3
+    x = QSeries(1, 0, {n: BIG + n for n in range(41)}, 41)
+    y = QSeries(1, 0, {n: -(n + 1) for n in range(3)}, 3)
+    product = x * y
+    assert product.precision == 3
+    assert_same_series(product, series_mul_fraction(x, y))
+    assert product == x.truncate(3) * y
+
+
+def test_coefficients_view_is_read_only_fractions():
+    x = QSeries(2, 1, {0: Fraction(1, 3), 4: Fraction(-5, 6)}, 9)
+    assert dict(x.coefficients) == {0: Fraction(1, 3), 4: Fraction(-5, 6)}
+    assert len(x.coefficients) == 2 and 4 in x.coefficients
+    with pytest.raises(TypeError):
+        x.coefficients[0] = 1

@@ -204,6 +204,23 @@ class TestKernelAgainstOracles:
         # the subset-minor expansion needs k * (2^(k-1) - 1) = 2295
         assert 0 < products <= 9 ** 3
 
+    @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
+    def test_inverts_every_pivot_but_the_last(self, monkeypatch, s, t, k):
+        vec = characters_for_wronskian(make_model(s, t), 10)
+        assert len(vec) == k
+        inverts = 0
+        series_invert = QSeries.invert
+
+        def counting_invert(self):
+            nonlocal inverts
+            inverts += 1
+            return series_invert(self)
+
+        monkeypatch.setattr(QSeries, "invert", counting_invert)
+        wronskian(vec)
+        monkeypatch.undo()
+        assert inverts == k - 2
+
 
 class TestScaleByMatrix:
     def test_identity_matrix(self):
