@@ -8,9 +8,9 @@ the leading coefficients and then check all remaining coefficients exactly.
 """
 
 from qetakit import (Rational, eisenstein_g2, abel_log_derivative_check,
-                     characters_for_wronskian, eta_power, general_rhs,
-                     lattice_exponent, macdonald_rhs, macdonald_terms,
-                     make_model, chi_d, verify_identity,
+                     c_k_constant, characters_for_wronskian, eta_power,
+                     general_rhs, lattice_exponent, macdonald_rhs,
+                     macdonald_terms, make_model, chi_d, verify_identity,
                      wronskian_of_characters)
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,11 @@ print("\nassembled sum:", rhs)
 print("eta^6        :", eta_power(6, 8))
 for k in (2, 3, 4):
     print(verify_identity("macdonald", k=k, order=12).to_line())
+
+# The bridge: the k = 3 signed sum is the (2,7) model's sum times the
+# closed-form prefactor C_3 * (-1)^3.
+print("macdonald_rhs(3) == -C_3 * general_rhs((2,7)):",
+      macdonald_rhs(3, 6) == general_rhs(make_model(2, 7), 6) * -c_k_constant(3))
 
 # ---------------------------------------------------------------------------
 # The general family: one identity per minimal model.  The (2,3) case is the

@@ -29,6 +29,7 @@ from .minimal_models import (
     character_double_sum,
     character_product_2k1,
     chi_indicator,
+    chi_numerator,
     chi_support,
     coprime_models,
     distinct_weights,

@@ -100,8 +100,9 @@ def _structured_doc(version, reports, runtime):
 
 
 def _window_audit(identity, order, params):
-    """Re-enumerate lattice sums with padded windows; any change below the
-    order bound signals a window-derivation bug and aborts the run."""
+    """Compare a lattice sum as built (by Wronskian or by tuples, as the
+    headroom decides) with the tuple enumeration over padded windows; any
+    difference below the order signals a bug in either and aborts the run."""
     if identity == "macdonald":
         plain = macdonald_rhs(params["k"], order)
         padded = macdonald_rhs(params["k"], order, window_pad=4)
@@ -113,8 +114,9 @@ def _window_audit(identity, order, params):
         raise UsageError("--window-audit applies to the lattice-sum "
                          "identities (macdonald, denominator)")
     if plain != padded:
-        raise RuntimeError(f"window audit failed for {identity}: padded "
-                           "enumeration changed coefficients below the order")
+        raise RuntimeError(f"window audit failed for {identity}: the sum "
+                           "differs from the padded tuple enumeration below "
+                           "the order")
 
 
 def _cmd_verify(args):
@@ -189,8 +191,8 @@ def build_parser():
                           help="parallel worker processes for suites")
     p_verify.add_argument("--window-audit", action="store_true",
                           dest="window_audit",
-                          help="also re-enumerate lattice windows padded and "
-                               "require identical coefficients")
+                          help="also enumerate the lattice tuples over padded "
+                               "windows and require identical coefficients")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

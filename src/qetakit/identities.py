@@ -8,9 +8,26 @@ normalisation: the constant is fixed empirically from the leading nonzero
 coefficients, then every remaining coefficient below the requested order
 must match exactly against that single constant.
 
-All lattice windows are derived by exact integer search: a candidate value
-is enumerated when the minimal possible exponent of any tuple containing it
-still lies below the requested order, so no contributing tuple is missed.
+Each sum is built on one of two paths, chosen by its headroom (the order
+minus the sum's leading exponent):
+
+* At a headroom of :data:`LATTICE_DETERMINANT_HEADROOM` or more, the sum is
+  one Wronskian.  The Vandermonde of the squares is ``det[x_j^(i-1)]`` and
+  multilinear, so the k-fold sum is the k x k determinant whose row i,
+  column j is ``sum_v chi_j(v) v^(2(i-1)) q^(v^2/4st)``; that row is
+  ``(4st)^(i-1)`` times the (i-1)-th ``q d/dq`` derivative of the chi-form
+  numerator of label j, so the sum is ``(4st)^(k(k-1)/2)`` times the
+  Wronskian of those numerators.  The s = 2 sum is the (2, 2k+1) model's.
+* Below it, the tuples are enumerated, and they are also the independent
+  oracle of the Wronskian path (``general_terms``, ``macdonald_terms``).
+  All lattice windows are derived by exact integer search: a candidate
+  value is enumerated when the minimal possible exponent of any tuple
+  containing it still lies below the requested order, so no contributing
+  tuple is missed.
+
+The determinant costs O(k^3) series products even when few tuples
+contribute, while the tuple count grows like order^(k/2); the crossover
+constant is the measured headroom past which the determinant wins.
 """
 
 from __future__ import annotations
@@ -20,8 +37,8 @@ from typing import NamedTuple, Optional
 
 from .eta import WEBER_F2_EXPONENT, WEBER_F_EXPONENT, eta_power, \
     eta_series, jacobi_cube_series, pentagonal_sum_series, weber_series
-from .minimal_models import chi_support, distinct_weights, make_model, \
-    character_double_sum, normalized_character
+from .minimal_models import chi_numerator, chi_support, distinct_weights, \
+    make_model, character_double_sum, normalized_character
 from .rationals import Rational, rat_str, rational
 from .series import PrecisionError, QSeries
 from .wronskian import vandermonde, wronskian, wronskian_entry_precision
@@ -30,6 +47,15 @@ IDENTITY_NAMES = ("euler", "jacobi", "macdonald", "denominator",
                   "wronskian_raw", "wronskian_normalized", "weber")
 
 WEBER_RATIO = Rational(7, 256)
+
+#: A lattice sum whose headroom (order minus leading exponent) is at least
+#: this is built as one Wronskian of chi-form numerators; below it the
+#: tuples are enumerated, which is faster while few of them contribute.
+#: Swept over one model per k = 2..14 and the s = 2 models up to k = 9 at
+#: headrooms 8-24 (Python 3.11, 2-vCPU Intel Xeon), 16 gives the least
+#: total time; the determinant wins from 12-16 for s >= 3, while the s = 2
+#: sums with k >= 5 stay cheaper to enumerate up to headroom 20-40.
+LATTICE_DETERMINANT_HEADROOM = 16
 
 
 class LatticeTerm(NamedTuple):
@@ -137,6 +163,13 @@ def _coordinate_window(coeff_sq, coeff_lin, budget, pad):
     return values
 
 
+def _sum_terms(terms, order):
+    acc = {}
+    for term in terms:
+        acc[term.exponent] = acc.get(term.exponent, Rational(0)) + term.weight
+    return QSeries.from_terms(acc.items(), order)
+
+
 def macdonald_terms(k, order, window_pad=0):
     """Every lattice term with exponent below ``order``, without the
     closed-form prefactor; deterministic lexicographic enumeration."""
@@ -173,7 +206,15 @@ def macdonald_terms(k, order, window_pad=0):
 
 def macdonald_rhs(k, order, *, window_pad=0):
     """The full signed lattice sum for the s = 2 family, including the
-    closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``."""
+    closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``.
+
+    The prefactor-free sum equals the per-model sum of the (2, 2k+1) model
+    term for term (``|d_i|`` runs over the support of label
+    ``(1, k + 1 - i)``, so the columns come in reverse order, and the two
+    ``(-1)^(k(k-1)/2)`` signs cancel), so at a headroom of ``LATTICE_DETERMINANT_HEADROOM`` or more it
+    is that model's Wronskian form; below it, and whenever ``window_pad``
+    is set, the tuples of :func:`macdonald_terms` are summed.
+    """
     k = int(k)
     order = rational(order)
     base = Rational(2 * k * k - k, 24)
@@ -182,11 +223,9 @@ def macdonald_rhs(k, order, *, window_pad=0):
     prefactor = c_k_constant(k)
     if (k * (k - 1) // 2) % 2:
         prefactor = -prefactor
-    acc = {}
-    for term in macdonald_terms(k, order, window_pad):
-        acc[term.exponent] = acc.get(term.exponent, Rational(0)) + term.weight
-    return QSeries.from_terms(
-        ((e, prefactor * c) for e, c in acc.items()), order)
+    if not window_pad and order - base >= LATTICE_DETERMINANT_HEADROOM:
+        return _lattice_determinant(make_model(2, 2 * k + 1), order) * prefactor
+    return _sum_terms(macdonald_terms(k, order, window_pad), order) * prefactor
 
 
 # ----------------------------------------------------------------------
@@ -256,13 +295,41 @@ def general_terms(model, order, window_pad=0):
     return terms
 
 
+def _numerator_lows(model):
+    """Leading exponent ``min(support)^2 / (4st)`` of each chi-form
+    numerator, in ``distinct_weights`` order."""
+    st4 = 4 * model.s * model.t
+    return [Rational(min(plus | minus) ** 2, st4)
+            for plus, minus in (chi_support(model, lab)
+                                for lab in distinct_weights(model))]
+
+
+def _lattice_determinant(model, order):
+    """The per-model sum as ``(4st)^(k(k-1)/2)`` times the Wronskian of the
+    chi-form numerators, exact below ``order`` (which must exceed the sum
+    of their leading exponents)."""
+    lows = _numerator_lows(model)
+    precision = wronskian_entry_precision(lows, order)
+    numerators = [chi_numerator(model, lab, precision)
+                  for lab in distinct_weights(model)]
+    k = model.k
+    scale = (4 * model.s * model.t) ** (k * (k - 1) // 2)
+    return wronskian(numerators).truncate(order) * scale
+
+
 def general_rhs(model, order, *, window_pad=0):
-    """The per-model lattice sum as a series, exact below ``order``."""
+    """The per-model lattice sum as a series, exact below ``order``.
+
+    At a headroom (``order`` minus the sum's leading exponent) of
+    ``LATTICE_DETERMINANT_HEADROOM`` or more it is built as one Wronskian
+    of the chi-form numerators; below it, and whenever ``window_pad`` is
+    set, the tuples of :func:`general_terms` are summed.
+    """
     order = rational(order)
-    acc = {}
-    for term in general_terms(model, order, window_pad):
-        acc[term.exponent] = acc.get(term.exponent, Rational(0)) + term.weight
-    return QSeries.from_terms(acc.items(), order)
+    if (not window_pad and order - sum(_numerator_lows(model), Rational(0))
+            >= LATTICE_DETERMINANT_HEADROOM):
+        return _lattice_determinant(model, order)
+    return _sum_terms(general_terms(model, order, window_pad), order)
 
 
 # ----------------------------------------------------------------------

@@ -169,17 +169,14 @@ def character_double_sum(model, label, order):
     return ch.truncate(rel).shift(hbar)
 
 
-def character_chi_form(model, label, order):
-    """Graded character from the single-sum residue-indicator formula."""
-    order = rational(order)
-    _check_label(model, label)
-    hbar = label.h_bar
-    if not order > hbar:
-        raise ValueError(f"order must exceed the leading exponent {hbar}")
+def chi_numerator(model, label, precision):
+    """The chi-form numerator ``sum_{r >= 1} chi(r) q^(r^2/(4st))`` of a
+    label, with the residue-indicator signs, exact below ``precision``."""
+    precision = rational(precision)
     plus, minus = chi_support(model, label)
     st4 = 4 * model.s * model.t
     modulus = 2 * model.s * model.t
-    bound = (order + Rational(1, 24)) * st4
+    bound = precision * st4
     terms = []
     r = 1
     while r * r < bound:
@@ -189,7 +186,18 @@ def character_chi_form(model, label, order):
         elif rem in minus:
             terms.append((Rational(r * r, st4), -1))
         r += 1
-    numer = QSeries.from_terms(terms, order + Rational(1, 24))
+    return QSeries.from_terms(terms, precision)
+
+
+def character_chi_form(model, label, order):
+    """Graded character from the single-sum residue-indicator formula:
+    :func:`chi_numerator` divided by eta."""
+    order = rational(order)
+    _check_label(model, label)
+    hbar = label.h_bar
+    if not order > hbar:
+        raise ValueError(f"order must exceed the leading exponent {hbar}")
+    numer = chi_numerator(model, label, order + Rational(1, 24))
     eta_inv = eta_series(Rational(rat_ceil(order)) + Rational(1, 12)).invert()
     return (numer * eta_inv).truncate(order)
 

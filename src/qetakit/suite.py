@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from .identities import IDENTITY_NAMES, identity_lowest_exponent, \
@@ -128,5 +127,9 @@ def run_suite(manifest, jobs=1):
     entries = manifest["jobs"]
     if jobs <= 1 or len(entries) <= 1:
         return [run_job(job) for job in entries]
+    # imported here: the pool pulls in multiprocessing, which would add
+    # about a quarter to the import time of every serial run
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_job, entries))

@@ -120,6 +120,23 @@ class TestVerifyCommand:
                                "--t", "5", "--order", "10", "--window-audit")
         assert code == 0 and "match=true" in out
 
+    def test_window_audit_checks_the_determinant_path(self, capsys,
+                                                      monkeypatch):
+        # order 20 puts both sums above the crossover, where they are built
+        # as Wronskians; the audit compares them with padded tuples
+        import qetakit.identities as identities
+        for argv in (("macdonald", "--k", "3"),
+                     ("denominator", "--s", "3", "--t", "4")):
+            code, out, _ = run_cli(capsys, "verify", *argv, "--order", "20",
+                                   "--window-audit")
+            assert code == 0 and "match=true" in out
+        build = identities._lattice_determinant
+        monkeypatch.setattr(identities, "_lattice_determinant",
+                            lambda model, order: build(model, order) * 2)
+        code, _, err = run_cli(capsys, "verify", "denominator", "--s", "3",
+                               "--t", "4", "--order", "20", "--window-audit")
+        assert code == 2 and "window audit failed" in err
+
     def test_window_audit_wrong_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "euler", "--order", "40",
                                "--window-audit")
@@ -299,3 +316,19 @@ def test_console_entry_point():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "match=true" in proc.stdout
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_suite imports the pool only for a parallel suite, so plain
+    # imports and serial runs do not pay for multiprocessing
+    package_root = os.path.dirname(os.path.dirname(qetakit.__file__))
+    path = os.pathsep.join(filter(None, (package_root,
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qetakit; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,11 +2,14 @@
 
 import pytest
 
-from qetakit import (QSeries, Rational, c_k_constant, chi_d,
-                     empirical_constant, eta_power, eta_series, general_rhs,
-                     general_terms, identity_lowest_exponent,
-                     lattice_exponent, macdonald_rhs, macdonald_terms,
-                     make_model, rational, verify_identity)
+import qetakit.identities as identities
+from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
+                     coprime_models, distinct_weights, empirical_constant,
+                     eta_power, eta_series, general_rhs, general_terms,
+                     identity_lowest_exponent, lattice_exponent,
+                     macdonald_rhs, macdonald_terms, make_model, rational,
+                     verify_identity)
+from qetakit.identities import LATTICE_DETERMINANT_HEADROOM
 
 # empirically determined and order-stable; the closed-form prefactor is off
 # from the eta-power leading coefficient by exactly this sign
@@ -127,6 +130,117 @@ class TestGeneralSum:
             model = make_model(s, t)
             assert general_rhs(model, 12) == general_rhs(model, 12,
                                                          window_pad=3)
+
+
+def _summed(terms, order):
+    return QSeries.from_terms(((t.exponent, t.weight) for t in terms), order)
+
+
+def _macdonald_prefactor(k):
+    sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    return sign * c_k_constant(k)
+
+
+class TestLatticeDeterminant:
+    """The lattice sums as one Wronskian of chi-form numerators, against
+    tuple enumeration, which stays the independent oracle."""
+
+    @staticmethod
+    def _force(monkeypatch, path):
+        # a crossover of 0 sends every sum to the Wronskian, an unreachable
+        # one sends every sum to the tuples
+        monkeypatch.setattr(identities, "LATTICE_DETERMINANT_HEADROOM",
+                            0 if path == "wronskian" else 10 ** 9)
+
+    @pytest.mark.parametrize("headroom", (4, 17))
+    def test_general_sum_matches_tuples_on_every_small_model(
+            self, monkeypatch, headroom):
+        for model in coprime_models(40):
+            order = identity_lowest_exponent("denominator", s=model.s,
+                                             t=model.t) + headroom
+            expected = _summed(general_terms(model, order), order)
+            for path in ("tuples", "wronskian"):
+                self._force(monkeypatch, path)
+                assert general_rhs(model, order) == expected, (model, path)
+
+    @pytest.mark.parametrize("headroom", (4, 17))
+    def test_macdonald_sum_matches_its_own_lattice(self, monkeypatch,
+                                                   headroom):
+        for k in range(2, 7):
+            order = identity_lowest_exponent("macdonald", k=k) + headroom
+            expected = _summed(macdonald_terms(k, order), order) \
+                * _macdonald_prefactor(k)
+            for path in ("tuples", "wronskian"):
+                self._force(monkeypatch, path)
+                assert macdonald_rhs(k, order) == expected, (k, path)
+
+    @pytest.mark.parametrize("side", (-1, 1))
+    def test_macdonald_is_the_2_2k1_sum(self, side):
+        # on the shipped crossover, one unit below it and one above
+        for k in range(2, 6):
+            order = (identity_lowest_exponent("macdonald", k=k)
+                     + LATTICE_DETERMINANT_HEADROOM + side)
+            assert macdonald_rhs(k, order) == \
+                general_rhs(make_model(2, 2 * k + 1), order) \
+                * _macdonald_prefactor(k)
+
+    def test_headroom_selects_the_path(self, monkeypatch):
+        calls = {"general_terms": 0, "macdonald_terms": 0, "wronskian": 0}
+
+        def counted(name):
+            inner = getattr(identities, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(identities, name, counted(name))
+
+        def run(build, *args, **kwargs):
+            for name in calls:
+                calls[name] = 0
+            build(*args, **kwargs)
+            return dict(calls)
+
+        model = make_model(3, 5)
+        base = identity_lowest_exponent("denominator", s=3, t=5)
+        below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
+        above = base + LATTICE_DETERMINANT_HEADROOM
+        assert run(general_rhs, model, below) == \
+            {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
+        assert run(general_rhs, model, above) == \
+            {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
+        assert run(general_rhs, model, above, window_pad=2) == \
+            {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
+        base = identity_lowest_exponent("macdonald", k=3)
+        below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
+        above = base + LATTICE_DETERMINANT_HEADROOM
+        assert run(macdonald_rhs, 3, below) == \
+            {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
+        assert run(macdonald_rhs, 3, above) == \
+            {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
+        assert run(macdonald_rhs, 3, above, window_pad=2) == \
+            {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
+
+    def test_high_order_denominator(self):
+        # order 60 is far above the crossover for (5,7); its constant must
+        # be the one that tuple enumeration fixes at a low order
+        low = verify_identity("denominator", s=5, t=7, order=15)
+        high = verify_identity("denominator", s=5, t=7, order=60)
+        assert low.match and high.match
+        assert high.constant == low.constant
+
+    def test_chi_numerator_is_the_tuple_support(self):
+        model = make_model(3, 4)
+        order = rational("61/2")
+        for label in distinct_weights(model):
+            values = identities._chi_support_values(model, label, order * 48,
+                                                    0)
+            expected = QSeries.from_terms(
+                ((Rational(v * v, 48), sign) for v, sign in values), order)
+            assert chi_numerator(model, label, order) == expected
 
 
 class TestEmpiricalConstant:
