@@ -50,6 +50,7 @@ from .wronskian import (
     wronskian_vandermonde_expand,
 )
 from .identities import (
+    IDENTITIES,
     IDENTITY_NAMES,
     LatticeTerm,
     VerificationReport,
@@ -60,6 +61,7 @@ from .identities import (
     general_rhs,
     general_terms,
     identity_lowest_exponent,
+    identity_params,
     lattice_exponent,
     macdonald_rhs,
     macdonald_terms,

@@ -7,11 +7,13 @@ Subcommands::
     qetakit verify <identity> [--k K | --s S --t T] --order Q
     qetakit verify suite [--manifest PATH | --max-st N] --order Q [--jobs J]
 
-Orders are exact rationals (``p/q``).  Series are emitted in the text
-interchange format; verification reports stream as one line each, or as a
-single JSON document with ``--format structured``.  Exit status is 0 iff
-every requested verification matched.  The ``QETAKIT_OUTPUT_DIR`` environment
-variable relocates relative ``--output`` paths.
+Orders are exact rationals (an integer or ``p/q``, as in manifests).  Series
+are emitted in the text interchange format; verification reports stream as
+one line each, or as a single JSON document with ``--format structured``.
+Exit status is 0 iff every requested verification matched, 1 when one
+reported ``match=false``, and 2, with one line on stderr, for a bad input.
+The ``QETAKIT_OUTPUT_DIR`` environment variable relocates relative
+``--output`` paths.
 """
 
 from __future__ import annotations
@@ -23,23 +25,16 @@ import sys
 import time
 
 from .eta import NAMED_SERIES, named_series
-from .identities import (IDENTITY_NAMES, general_rhs, macdonald_rhs,
-                         verify_identity)
+from .identities import IDENTITIES, identity_params, verify_identity
 from .minimal_models import (character_chi_form, character_double_sum,
                              character_product_2k1, make_model, weight_label)
-from .rationals import rational
+from .rationals import parse_order
 from .suite import adhoc_manifest, load_manifest, run_suite
 
 
-class UsageError(Exception):
-    pass
-
-
-def _parse_order(text):
-    try:
-        return rational(text)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad order {text!r}: {exc}") from None
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, as for any bad input
+        raise ValueError(message)
 
 
 def _resolve_output(path):
@@ -59,13 +54,13 @@ def _emit(text, output):
 
 
 def _cmd_series(args):
-    series = named_series(args.name, _parse_order(args.order))
+    series = named_series(args.name, parse_order(args.order))
     _emit(series.to_text(), args.output)
     return 0
 
 
 def _cmd_char(args):
-    order = _parse_order(args.order)
+    order = parse_order(args.order)
     model = make_model(args.s, args.t)
     label = weight_label(model, args.m, args.n)
     if args.form == "double":
@@ -74,21 +69,10 @@ def _cmd_char(args):
         series = character_chi_form(model, label, order)
     else:
         if model.s != 2 or args.m != 1:
-            raise UsageError("--form product needs s = 2 and m = 1")
+            raise ValueError("--form product needs s = 2 and m = 1")
         series = character_product_2k1(model.k, args.n, order)
     _emit(series.to_text(), args.output)
     return 0
-
-
-def _report_params(args):
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.s is not None:
-        params["s"] = args.s
-    if args.t is not None:
-        params["t"] = args.t
-    return params
 
 
 def _structured_doc(version, reports, runtime):
@@ -99,22 +83,17 @@ def _structured_doc(version, reports, runtime):
     }, indent=2) + "\n"
 
 
-def _window_audit(identity, order, params):
+def _window_audit(name, params, order):
     """Compare a lattice sum as built (by Wronskian or by tuples, as the
     headroom decides) with the tuple enumeration over padded windows; any
     difference below the order signals a bug in either and aborts the run."""
-    if identity == "macdonald":
-        plain = macdonald_rhs(params["k"], order)
-        padded = macdonald_rhs(params["k"], order, window_pad=4)
-    elif identity == "denominator":
-        model = make_model(params["s"], params["t"])
-        plain = general_rhs(model, order)
-        padded = general_rhs(model, order, window_pad=4)
-    else:
-        raise UsageError("--window-audit applies to the lattice-sum "
-                         "identities (macdonald, denominator)")
-    if plain != padded:
-        raise RuntimeError(f"window audit failed for {identity}: the sum "
+    lattice = [key for key, entry in IDENTITIES.items() if entry.lattice]
+    if name not in lattice:
+        raise ValueError("--window-audit applies to the lattice-sum "
+                         f"identities ({', '.join(lattice)})")
+    rhs = IDENTITIES[name].rhs
+    if rhs(order, 0, **params) != rhs(order, 4, **params):
+        raise RuntimeError(f"window audit failed for {name}: the sum "
                            "differs from the padded tuple enumeration below "
                            "the order")
 
@@ -122,20 +101,27 @@ def _window_audit(identity, order, params):
 def _cmd_verify(args):
     started = time.monotonic()
     if args.identity == "suite":
-        if args.manifest and args.max_st:
-            raise UsageError("choose either --manifest or --max-st")
-        if args.max_st:
-            manifest = adhoc_manifest(args.max_st, _parse_order(args.order))
+        if args.window_audit or (args.k, args.s, args.t) != (None,) * 3:
+            raise ValueError("--k, --s, --t and --window-audit apply to a "
+                             "single identity, not to a suite")
+        if args.manifest is not None and args.max_st is not None:
+            raise ValueError("choose either --manifest or --max-st")
+        if args.max_st is not None:
+            manifest = adhoc_manifest(args.max_st, parse_order(args.order))
         else:
             manifest = load_manifest(args.manifest)
-        reports = run_suite(manifest, jobs=args.jobs)
+        reports = run_suite(manifest, jobs=args.jobs or 1)
         version = manifest["version"]
         header = f"manifest={version}\n"
     else:
-        params = _report_params(args)
-        order = _parse_order(args.order)
+        if (args.manifest, args.max_st, args.jobs) != (None,) * 3:
+            raise ValueError("--manifest, --max-st and --jobs apply to "
+                             "verify suite only")
+        params = identity_params(args.identity,
+                                 {"k": args.k, "s": args.s, "t": args.t})
+        order = parse_order(args.order)
         if args.window_audit:
-            _window_audit(args.identity, order, params)
+            _window_audit(args.identity, params, order)
         reports = [verify_identity(args.identity, order=order, **params)]
         version = None
         header = ""
@@ -149,7 +135,7 @@ def _cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qetakit",
         description="Exact q-series builders and identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -176,7 +162,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="verify a named identity")
     p_verify.add_argument("identity",
-                          choices=IDENTITY_NAMES + ("suite",))
+                          choices=tuple(IDENTITIES) + ("suite",))
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--s", type=int)
     p_verify.add_argument("--t", type=int)
@@ -187,8 +173,9 @@ def build_parser():
     p_verify.add_argument("--manifest", help="suite manifest path")
     p_verify.add_argument("--max-st", type=int, dest="max_st",
                           help="generate the model-grid suite up to this s*t")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="parallel worker processes for suites")
+    p_verify.add_argument("--jobs", type=int,
+                          help="parallel worker processes for suites "
+                               "(default 1)")
     p_verify.add_argument("--window-audit", action="store_true",
                           dest="window_audit",
                           help="also enumerate the lattice tuples over padded "
@@ -198,11 +185,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"qetakit: error: {exc}", file=sys.stderr)
         return 2
 

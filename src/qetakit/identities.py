@@ -1,12 +1,15 @@
-"""Lattice-sum identity builders and the verification drivers.
+"""Lattice-sum identity builders, the identity table and its verifier.
 
 Two families of weighted lattice sums are built here: the k-fold signed sum
 with the pairwise square-difference weight (for the s = 2 family) and the
 general sum over residue-class supports weighted by a Vandermonde of squares
-(one identity per minimal model).  Verification never trusts a printed
-normalisation: the constant is fixed empirically from the leading nonzero
-coefficients, then every remaining coefficient below the requested order
-must match exactly against that single constant.
+(one identity per minimal model).  Each verified identity is one entry of
+:data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
+is its leading exponent), its rhs builder, its constant where that is fixed
+(Weber), and whether it is a lattice sum.  Verification never trusts a
+printed normalisation: the constant is fixed empirically from the leading
+nonzero coefficients, then every remaining coefficient below the requested
+order must match exactly against that single constant.
 
 Each sum is built on one of two paths, chosen by its headroom (the order
 minus the sum's leading exponent):
@@ -33,20 +36,15 @@ constant is the measured headroom past which the determinant wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .eta import WEBER_F2_EXPONENT, WEBER_F_EXPONENT, eta_power, \
-    eta_series, jacobi_cube_series, pentagonal_sum_series, weber_series
+    jacobi_cube_series, pentagonal_sum_series, weber_series
 from .minimal_models import chi_numerator, chi_support, distinct_weights, \
     make_model, character_double_sum, normalized_character
 from .rationals import Rational, rat_str, rational
 from .series import PrecisionError, QSeries
 from .wronskian import vandermonde, wronskian, wronskian_entry_precision
-
-IDENTITY_NAMES = ("euler", "jacobi", "macdonald", "denominator",
-                  "wronskian_raw", "wronskian_normalized", "weber")
-
-WEBER_RATIO = Rational(7, 256)
 
 #: A lattice sum whose headroom (order minus leading exponent) is at least
 #: this is built as one Wronskian of chi-form numerators; below it the
@@ -395,78 +393,106 @@ def _weber_wronskian(order):
     return wronskian([weber_series(w, precision) for w in ("f", "f1", "f2")])
 
 
-def identity_lowest_exponent(name, *, k=None, s=None, t=None):
+class Identity(NamedTuple):
+    """An identity ``rhs = constant * eta^power``, whose leading exponent is
+    ``power / 24``; ``power`` and ``rhs`` take the canonical params as
+    keyword arguments."""
+    params: tuple         # names of the int params it takes
+    power: Callable       # (**params) -> eta power of the lhs
+    rhs: Callable         # (order, window_pad, **params) -> QSeries
+    constant: Optional[object] = None  # the one constant that matches
+    lattice: bool = False  # a lattice sum, which --window-audit can check
+
+
+def _denominator_power(k):
+    return (2 * k - 1) * k
+
+
+# Each builder is looked up as a module global when its entry is called, so
+# a function patched into this module (by a tracer or a test) is used.
+IDENTITIES = {
+    "euler": Identity((), lambda: 1,
+                      lambda order, pad: pentagonal_sum_series(order)),
+    "jacobi": Identity((), lambda: 3,
+                       lambda order, pad: jacobi_cube_series(order)),
+    "macdonald": Identity(
+        ("k",), _denominator_power,
+        lambda order, pad, k: macdonald_rhs(k, order, window_pad=pad),
+        lattice=True),
+    "denominator": Identity(
+        ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
+        lambda order, pad, s, t: general_rhs(make_model(s, t), order,
+                                             window_pad=pad),
+        lattice=True),
+    "wronskian_raw": Identity(
+        ("s", "t"),
+        lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),
+        lambda order, pad, s, t: wronskian_of_characters(make_model(s, t),
+                                                         order)),
+    "wronskian_normalized": Identity(
+        ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
+        lambda order, pad, s, t: wronskian_of_characters(
+            make_model(s, t), order, normalized=True)),
+    "weber": Identity((), lambda: 12,
+                      lambda order, pad: _weber_wronskian(order),
+                      constant=Rational(7, 256)),
+}
+
+IDENTITY_NAMES = tuple(IDENTITIES)
+
+
+def identity_params(name, params):
+    """``params`` checked against the entry ``name`` of :data:`IDENTITIES`
+    and put in canonical form; ``None`` values count as absent.  ValueError
+    for an unknown name, a param it does not take, a missing or non-int
+    param, or a value off its domain: k >= 2, and (s, t) a minimal model,
+    which is given as s < t."""
+    entry = IDENTITIES.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValueError(f"unknown identity {name!r}; known: "
+                         f"{', '.join(IDENTITIES)}")
+    given = {key: value for key, value in params.items() if value is not None}
+    for key, value in given.items():
+        if key not in entry.params:
+            raise ValueError(f"unknown param {key!r} for {name}, which takes "
+                             f"{', '.join(entry.params) or 'no params'}")
+        if type(value) is not int:
+            raise ValueError(f"param {key!r} must be an integer")
+    if len(given) < len(entry.params):
+        raise ValueError(f"{name} requires {' and '.join(entry.params)}")
+    if given.get("k", 2) < 2:
+        raise ValueError(f"{name} requires k >= 2 (k = 1 is the pentagonal "
+                         "identity: verify euler)")
+    if "s" in given:
+        model = make_model(given["s"], given["t"])
+        given = {"s": model.s, "t": model.t}
+    return given
+
+
+def identity_lowest_exponent(name, **params):
     """Leading exponent of the identity named by ``name``; any verification
     order must exceed this value."""
-    if name not in IDENTITY_NAMES:
-        raise ValueError(f"unknown identity {name!r}; known: "
-                         f"{', '.join(IDENTITY_NAMES)}")
-    if name == "euler":
-        return Rational(1, 24)
-    if name == "jacobi":
-        return Rational(1, 8)
-    if name == "weber":
-        return Rational(1, 2)
-    if name == "macdonald":
-        if k is None:
-            raise ValueError("macdonald requires k")
-        k = int(k)
-        return Rational(2 * k * k - k, 24)
-    if s is None or t is None:
-        raise ValueError(f"{name} requires s and t")
-    model = make_model(s, t)
-    if name == "denominator":
-        return Rational(2 * model.k * model.k - model.k, 24)
-    if name == "wronskian_raw":
-        return Rational(2 * model.k * (model.k - 1), 24)
-    return Rational((2 * model.k - 1) * model.k, 24)
+    params = identity_params(name, params)
+    return Rational(IDENTITIES[name].power(**params), 24)
 
 
-def verify_identity(name, *, k=None, s=None, t=None, order=20, window_pad=0):
-    """Build both sides of a named identity and compare them empirically.
-
-    Names: euler, jacobi, macdonald (requires k >= 2), denominator,
-    wronskian_raw, wronskian_normalized (these need s, t), weber.  The
-    report carries the found constant; for weber the match additionally
-    requires the constant to equal exactly 7/256.
+def verify_identity(name, *, order=20, window_pad=0, **params):
+    """Compare ``eta_power(power)`` with the rhs of the entry ``name`` of
+    :data:`IDENTITIES` (params as in :func:`identity_params`); the report
+    carries the constant found, which must equal the entry's expected
+    constant, if it has one (Weber, 7/256), for a match.
     """
     order = rational(order)
-    base = identity_lowest_exponent(name, k=k, s=s, t=t)
-    if name == "macdonald" and int(k) == 1:
-        raise ValueError("macdonald with k = 1 is the pentagonal identity; "
-                         "use verify_identity('euler')")
+    params = identity_params(name, params)
+    entry = IDENTITIES[name]
+    power = entry.power(**params)
+    base = Rational(power, 24)
     if not order > base:
         raise ValueError(f"insufficient order {order} for {name}: the "
                          f"minimal admissible order must exceed {base}")
-    params = {}
-    if name == "euler":
-        lhs = eta_series(order)
-        rhs = pentagonal_sum_series(order)
-    elif name == "jacobi":
-        lhs = eta_power(3, order)
-        rhs = jacobi_cube_series(order)
-    elif name == "weber":
-        lhs = eta_power(12, order)
-        rhs = _weber_wronskian(order)
-    elif name == "macdonald":
-        k = int(k)
-        params = {"k": k}
-        lhs = eta_power(2 * k * k - k, order)
-        rhs = macdonald_rhs(k, order, window_pad=window_pad)
-    else:
-        model = make_model(s, t)
-        params = {"s": model.s, "t": model.t}
-        kk = model.k
-        if name == "denominator":
-            lhs = eta_power(2 * kk * kk - kk, order)
-            rhs = general_rhs(model, order, window_pad=window_pad)
-        elif name == "wronskian_raw":
-            lhs = eta_power(2 * kk * (kk - 1), order)
-            rhs = wronskian_of_characters(model, order, normalized=False)
-        else:
-            lhs = eta_power((2 * kk - 1) * kk, order)
-            rhs = wronskian_of_characters(model, order, normalized=True)
+    lhs = eta_power(power, order)
+    rhs = entry.rhs(order, window_pad, **params)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
-    if name == "weber" and report.match and report.constant != WEBER_RATIO:
+    if entry.constant is not None and report.constant != entry.constant:
         report = replace(report, match=False)
     return report

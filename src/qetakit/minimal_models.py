@@ -41,6 +41,7 @@ class WeightLabel:
     h_bar: object
 
 
+@lru_cache(maxsize=None)
 def make_model(s, t):
     """Validate and canonicalise a model; raises for non-coprime input."""
     s, t = int(s), int(t)

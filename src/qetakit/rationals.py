@@ -16,6 +16,7 @@ inverse of a series whose lowest numerator is not +-1.
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction
 
 try:
@@ -43,6 +44,19 @@ def rational(value, denominator=None):
     if isinstance(value, (numbers.Rational, str)):
         return Rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+_ORDER_RE = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def parse_order(value):
+    """A command-line or manifest order: an int, or a string ``n`` or
+    ``p/q`` with q > 0 (no decimals or blanks); ValueError otherwise."""
+    if type(value) is int or (isinstance(value, str)
+                              and _ORDER_RE.fullmatch(value)):
+        return Rational(value)
+    raise ValueError(f"bad order {value!r}; an order must be an integer or "
+                     "a 'p/q' string")
 
 
 def rat_floor(x) -> int:

@@ -11,20 +11,12 @@ actually used.
 from __future__ import annotations
 
 import json
-import re
 from importlib import resources
 
-from .identities import IDENTITY_NAMES, identity_lowest_exponent, \
-    verify_identity
+from .identities import IDENTITIES, identity_lowest_exponent, \
+    identity_params, verify_identity
 from .minimal_models import coprime_models
-from .rationals import rat_str, rational
-
-MODEL_IDENTITIES = ("denominator", "wronskian_raw", "wronskian_normalized")
-
-#: Parameter names a manifest job may carry.
-JOB_PARAMS = ("k", "s", "t")
-
-_ORDER_RE = re.compile(r"-?\d+(?:/0*[1-9]\d*)?")
+from .rationals import parse_order, rat_str, rational
 
 
 def adjusted_order(name, order, **params):
@@ -37,10 +29,17 @@ def adjusted_order(name, order, **params):
 
 
 def model_grid_jobs(max_st, order):
-    """One job per model per identity family over the s*t <= max_st grid."""
+    """One job per model per identity that takes (s, t), over the
+    s*t <= max_st grid; ValueError when the grid holds no model."""
+    models = coprime_models(max_st)
+    if not models:
+        raise ValueError(f"no minimal model has s*t <= {max_st}; the "
+                         "least, (2,3), needs a bound of at least 6")
+    names = [name for name, entry in IDENTITIES.items()
+             if entry.params == ("s", "t")]
     jobs = []
-    for model in coprime_models(max_st):
-        for name in MODEL_IDENTITIES:
+    for model in models:
+        for name in names:
             used = adjusted_order(name, order, s=model.s, t=model.t)
             jobs.append({"identity": name,
                          "params": {"s": model.s, "t": model.t},
@@ -78,42 +77,26 @@ def load_manifest(path=None):
 
 
 def validate_job(job):
-    """Raise ValueError unless ``job`` names a known identity, carries
-    integer params among ``JOB_PARAMS`` that the identity accepts, and an
-    integer or ``"p/q"`` string order."""
+    """Raise ValueError unless ``job`` is an object naming an identity, the
+    params it takes (:func:`~qetakit.identities.identity_params`) and an
+    order in the grammar of :func:`~qetakit.rationals.parse_order`."""
     if not isinstance(job, dict) or "identity" not in job or "order" not in job:
         raise ValueError(f"malformed manifest job: {job!r}")
-    name = job["identity"]
-    if name not in IDENTITY_NAMES:
-        raise ValueError(f"manifest job {job!r}: unknown identity; known: "
-                         f"{', '.join(IDENTITY_NAMES)}")
     params = job.get("params")
-    if params is None:
-        params = {}
-    elif not isinstance(params, dict):
+    if params is not None and not isinstance(params, dict):
         raise ValueError(f"manifest job {job!r}: params must be an object")
-    for key, value in params.items():
-        if key not in JOB_PARAMS:
-            raise ValueError(f"manifest job {job!r}: unknown param {key!r}; "
-                             f"known: {', '.join(JOB_PARAMS)}")
-        if type(value) is not int:
-            raise ValueError(f"manifest job {job!r}: param {key!r} must be "
-                             "an integer")
-    order = job["order"]
-    if not (type(order) is int
-            or (isinstance(order, str) and _ORDER_RE.fullmatch(order))):
-        raise ValueError(f"manifest job {job!r}: order must be an integer "
-                         "or a 'p/q' string")
     try:
-        identity_lowest_exponent(name, **params)
+        identity_params(job["identity"], params or {})
+        parse_order(job["order"])
     except ValueError as exc:
         raise ValueError(f"manifest job {job!r}: {exc}") from None
 
 
 def run_job(job):
     """Run a single manifest job and return its report."""
-    params = {key: int(value) for key, value in (job.get("params") or {}).items()}
-    order = adjusted_order(job["identity"], rational(job["order"]), **params)
+    params = job.get("params") or {}
+    order = adjusted_order(job["identity"], parse_order(job["order"]),
+                           **params)
     return verify_identity(job["identity"], order=order, **params)
 
 

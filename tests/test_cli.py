@@ -1,5 +1,6 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,14 +11,25 @@ import pytest
 import qetakit
 from qetakit import (QSeries, VerificationReport, character_double_sum,
                      make_model, rational, weight_label)
-from qetakit.cli import main
-from qetakit.suite import load_manifest, validate_job
+from qetakit.cli import build_parser, main
+from qetakit.identities import IDENTITIES
+from qetakit.suite import load_manifest, model_grid_jobs, validate_job
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(result, *fragments):
+    """Exit 2, nothing on stdout, and one line on stderr naming the fault."""
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("qetakit: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
 
 
 class TestSeriesCommand:
@@ -142,6 +154,36 @@ class TestVerifyCommand:
                                "--window-audit")
         assert code == 2 and "lattice-sum" in err
 
+    def test_param_the_identity_does_not_take(self, capsys):
+        assert_usage_error(run_cli(capsys, "verify", "euler", "--k", "3"),
+                           "unknown param 'k' for euler")
+        assert_usage_error(run_cli(capsys, "verify", "macdonald", "--k", "3",
+                                   "--s", "2"), "unknown param 's'")
+
+    @pytest.mark.parametrize("argv", [("--max-st", "10"), ("--jobs", "2")])
+    def test_suite_options_do_not_apply(self, capsys, argv):
+        assert_usage_error(run_cli(capsys, "verify", "euler", "--order", "10",
+                                   *argv), "apply to verify suite only")
+
+    @pytest.mark.parametrize(
+        "name", [name for name, entry in IDENTITIES.items()
+                 if not entry.lattice])
+    def test_window_audit_refused_off_the_lattice_sums(self, capsys, name):
+        params = {(): (), ("s", "t"): ("--s", "2", "--t", "5")}
+        assert_usage_error(
+            run_cli(capsys, "verify", name, *params[IDENTITIES[name].params],
+                    "--order", "10", "--window-audit"),
+            "--window-audit applies to the lattice-sum identities "
+            "(macdonald, denominator)")
+
+    def test_identity_choices_come_from_the_table(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        identity = next(action for action
+                        in commands.choices["verify"]._actions
+                        if action.dest == "identity")
+        assert list(identity.choices) == list(IDENTITIES) + ["suite"]
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         import qetakit.cli as cli_module
         failed = VerificationReport("euler", {}, rational(10), None, False,
@@ -220,6 +262,45 @@ class TestSuiteCommand:
         assert code == 0
         assert "order=27/2" in out and "match=true" in out
 
+    @pytest.mark.parametrize("max_st", ["0", "5", "-5"])
+    def test_empty_model_grid_is_a_usage_error(self, capsys, max_st):
+        assert_usage_error(run_cli(capsys, "verify", "suite", "--max-st",
+                                   max_st, "--order", "8"),
+                           f"no minimal model has s*t <= {max_st}")
+
+    def test_least_model_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "suite", "--max-st", "6",
+                               "--order", "8")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "manifest=adhoc-maxst6-order8"
+        assert [line.split()[:2] for line in lines[1:]] == [
+            [f"identity={name}", "params=s=2,t=3"]
+            for name in ("denominator", "wronskian_raw",
+                         "wronskian_normalized")]
+
+    def test_model_grid_runs_the_model_entries(self):
+        names = [job["identity"] for job in model_grid_jobs(10, 8)]
+        model_entries = [name for name, entry in IDENTITIES.items()
+                         if entry.params == ("s", "t")]
+        assert names == model_entries * 2  # models (2,3) and (2,5)
+
+    @pytest.mark.parametrize("argv", [
+        ("--window-audit",),
+        ("--max-st", "10", "--window-audit"),
+        ("--max-st", "10", "--k", "3"),
+        ("--max-st", "10", "--s", "2", "--t", "5"),
+    ])
+    def test_single_identity_options_do_not_apply(self, capsys, argv):
+        assert_usage_error(run_cli(capsys, "verify", "suite", *argv),
+                           "apply to a single identity, not to a suite")
+
+    def test_manifest_file_with_a_single_identity(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": "t", "jobs": [
+            {"identity": "jacobi", "params": {}, "order": "10"}]}))
+        assert_usage_error(run_cli(capsys, "verify", "euler", "--manifest",
+                                   str(path)), "apply to verify suite only")
+
     def test_default_manifest_loads(self):
         manifest = load_manifest()
         assert manifest["version"] == "qetakit-suite-1"
@@ -246,6 +327,10 @@ class TestSuiteCommand:
          "unknown param 'x'"),
         ({"identity": "euler", "params": {}, "order": 0.5},
          "order must be an integer or a 'p/q' string"),
+        ({"identity": "euler", "params": {"k": 3}, "order": "10"},
+         "unknown param 'k' for euler"),
+        ({"identity": "macdonald", "params": {"k": 1}, "order": "10"},
+         "requires k >= 2"),
     ])
     def test_invalid_job_exits_2_before_any_job_runs(self, capsys, tmp_path,
                                                      monkeypatch, bad_job,
@@ -275,6 +360,9 @@ class TestSuiteCommand:
         {"identity": "euler", "order": "0.5"},
         {"identity": "euler", "order": "1/0"},
         {"identity": "euler", "order": None},
+        {"identity": "macdonald", "params": {"k": 1}, "order": "10"},
+        {"identity": "macdonald", "params": {"k": 0}, "order": "10"},
+        {"identity": "euler", "params": {"k": 3}, "order": "10"},
     ])
     def test_validate_job_rejects(self, bad_job):
         with pytest.raises(ValueError, match="manifest job"):
@@ -285,6 +373,40 @@ class TestSuiteCommand:
             validate_job(job)
         validate_job({"identity": "euler", "order": 12})
         validate_job({"identity": "weber", "params": None, "order": "-7/3"})
+
+
+class TestOrderGrammar:
+    """The command line reads orders as manifests do: an int or ``p/q``."""
+
+    SUBCOMMANDS = [
+        ("series", "eta"),
+        ("char", "--s", "2", "--t", "5", "--m", "1", "--n", "1"),
+        ("verify", "euler"),
+    ]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS)
+    @pytest.mark.parametrize("order", ["1/0", "0.5", "1e2", "3/-2", " 3",
+                                       "abc", ""])
+    def test_bad_order_is_one_line_usage_error(self, capsys, argv, order):
+        assert_usage_error(run_cli(capsys, *argv, "--order", order),
+                           f"bad order {order!r}")
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS)
+    def test_good_orders(self, capsys, argv):
+        for order in ("7", "7/2", "14/02", "007"):
+            code, out, _ = run_cli(capsys, *argv, "--order", order)
+            assert code == 0 and out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "nope"),
+        ("verify", "euler", "--k", "abc"),
+        ("verify",),
+        ("series",),
+        ("frobnicate",),
+        ("verify", "euler", "--bogus"),
+    ])
+    def test_argument_errors_are_one_line(self, capsys, argv):
+        assert_usage_error(run_cli(capsys, *argv))
 
 
 class TestOutputHandling:

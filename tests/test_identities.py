@@ -9,7 +9,8 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      identity_lowest_exponent, lattice_exponent,
                      macdonald_rhs, macdonald_terms, make_model, rational,
                      verify_identity)
-from qetakit.identities import LATTICE_DETERMINANT_HEADROOM
+from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
+                                identity_params)
 
 # empirically determined and order-stable; the closed-form prefactor is off
 # from the eta-power leading coefficient by exactly this sign
@@ -372,3 +373,61 @@ class TestReportSerialization:
             Rational(1, 6)
         assert identity_lowest_exponent("wronskian_normalized", s=2, t=5) == \
             Rational(1, 4)
+
+
+#: One valid set of params per shape of an entry's ``params``.
+SAMPLE_PARAMS = {(): {}, ("k",): {"k": 3}, ("s", "t"): {"s": 3, "t": 5}}
+
+
+class TestIdentityTable:
+    @pytest.mark.parametrize("name", sorted(IDENTITIES))
+    def test_leading_exponent_is_the_power_over_24(self, name):
+        entry = IDENTITIES[name]
+        params = SAMPLE_PARAMS[entry.params]
+        base = identity_lowest_exponent(name, **params)
+        assert base == Rational(entry.power(**params), 24)
+        # and the rhs as built starts there
+        rhs = entry.rhs(base + 2, 0, **params)
+        assert min(e for e, _ in rhs.terms()) == base
+
+    def test_names_and_shapes(self):
+        assert identities.IDENTITY_NAMES == tuple(IDENTITIES)
+        assert {name: entry.params for name, entry in IDENTITIES.items()} \
+            == {"euler": (), "jacobi": (), "weber": (), "macdonald": ("k",),
+                "denominator": ("s", "t"), "wronskian_raw": ("s", "t"),
+                "wronskian_normalized": ("s", "t")}
+        assert {name for name, entry in IDENTITIES.items() if entry.lattice} \
+            == {"macdonald", "denominator"}
+        assert {name: entry.constant for name, entry in IDENTITIES.items()
+                if entry.constant is not None} == {"weber": Rational(7, 256)}
+
+    def test_canonical_params(self):
+        assert identity_params("denominator", {"s": 5, "t": 2}) == \
+            {"s": 2, "t": 5}
+        assert identity_params("macdonald", {"k": 2, "s": None}) == {"k": 2}
+        assert identity_params("euler", {"k": None}) == {}
+        report = verify_identity("denominator", s=5, t=2, order=10)
+        assert report.params == {"s": 2, "t": 5}
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("mystery", {}, "unknown identity"),
+        (None, {}, "unknown identity"),
+        ("euler", {"k": 3}, "unknown param 'k' for euler, which takes no "
+                            "params"),
+        ("macdonald", {"k": 3, "s": 2}, "unknown param 's'"),
+        ("denominator", {"s": 2}, "denominator requires s and t"),
+        ("macdonald", {}, "macdonald requires k"),
+        ("macdonald", {"k": "3"}, "must be an integer"),
+        ("macdonald", {"k": True}, "must be an integer"),
+        ("macdonald", {"k": 1}, "verify euler"),
+        ("macdonald", {"k": 0}, "requires k >= 2"),
+        ("macdonald", {"k": -3}, "requires k >= 2"),
+        ("wronskian_raw", {"s": 4, "t": 6}, "not a minimal model"),
+    ])
+    def test_identity_params_rejects(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            identity_params(name, params)
+
+    def test_verify_rejects_a_param_the_identity_does_not_take(self):
+        with pytest.raises(ValueError, match="unknown param 'k'"):
+            verify_identity("euler", k=3, order=10)
