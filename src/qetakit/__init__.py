@@ -28,7 +28,6 @@ from .minimal_models import (
     character_chi_form,
     character_double_sum,
     character_product_2k1,
-    chi_indicator,
     chi_numerator,
     chi_support,
     coprime_models,
@@ -42,12 +41,9 @@ from .minimal_models import (
 )
 from .wronskian import (
     abel_log_derivative_check,
-    matrix_determinant,
-    scale_by_matrix,
     vandermonde,
     wronskian,
     wronskian_entry_precision,
-    wronskian_vandermonde_expand,
 )
 from .identities import (
     IDENTITIES,

@@ -110,7 +110,8 @@ def _cmd_verify(args):
             manifest = adhoc_manifest(args.max_st, parse_order(args.order))
         else:
             manifest = load_manifest(args.manifest)
-        reports = run_suite(manifest, jobs=args.jobs or 1)
+        reports = run_suite(manifest,
+                            jobs=1 if args.jobs is None else args.jobs)
         version = manifest["version"]
         header = f"manifest={version}\n"
     else:

@@ -31,6 +31,14 @@ minus the sum's leading exponent):
 The determinant costs O(k^3) series products even when few tuples
 contribute, while the tuple count grows like order^(k/2); the crossover
 constant is the measured headroom past which the determinant wins.
+
+The three per-model identities are one theorem computed three ways.  The
+normalized character (eta times the double-sum character) equals the
+chi-form numerator term for term, so ``wronskian_normalized`` and the
+Wronskian path of ``denominator`` take the same determinant from two
+builders, a factor ``(4st)^(k(k-1)/2)`` apart; and ``W(eta chi) =
+eta^k W(chi)`` ties ``wronskian_raw`` to both.  The builders stay separate
+on purpose, so that each checks the others.
 """
 
 from __future__ import annotations

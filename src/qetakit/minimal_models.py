@@ -106,17 +106,6 @@ def chi_support(model, label):
     return plus, minus
 
 
-def chi_indicator(model, label, r):
-    """The +-1/0 residue-class indicator at a non-negative integer r."""
-    plus, minus = chi_support(model, label)
-    rem = int(r) % (2 * model.s * model.t)
-    if rem in plus:
-        return 1
-    if rem in minus:
-        return -1
-    return 0
-
-
 def _check_label(model, label):
     s, t = model.s, model.t
     if not (1 <= label.m < s and 1 <= label.n < t):

@@ -1,16 +1,16 @@
 """Exact rational scalars: exponents, precision bounds, constants.
 
-gmpy2's ``mpq`` is used when available; ``fractions.Fraction`` is the stdlib
-fallback.  Both normalise to lowest terms with a positive denominator and
-print as ``p/q`` (``p`` alone when q = 1), which is the output convention of
-the whole package.  No floating point is ever accepted: a single rounding
-would invalidate exact verification.
+The one rational type is the stdlib ``fractions.Fraction``, exported as
+:data:`Rational`.  It normalises to lowest terms with a positive
+denominator and prints as ``p/q`` (``p`` alone when q = 1), which is the
+output convention of the whole package.  No floating point is ever
+accepted: a single rounding would invalidate exact verification.
 
 Series coefficient arithmetic does not go through :data:`Rational`: a
 :class:`~qetakit.series.QSeries` keeps plain ``int`` numerators over one
-common denominator and converts to :data:`Rational` only where a coefficient
-leaves it (``coefficients``, ``terms()``, ``coefficient()``), and in the
-inverse of a series whose lowest numerator is not +-1.
+common denominator, its products, sums and inverses run on those integers,
+and a coefficient becomes a :data:`Rational` only where it leaves the
+series (``coefficients``, ``terms()``, ``coefficient()``).
 """
 
 from __future__ import annotations
@@ -19,20 +19,11 @@ import numbers
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    Rational = Fraction
-
-#: Types accepted wherever an exact scalar is expected.
-RationalLike = "int | str | Fraction | Rational"
-
-_RAT_ZERO = Rational(0)
-_RAT_ONE = Rational(1)
+Rational = Fraction
 
 
 def rational(value, denominator=None):
-    """Coerce ``value`` (int, 'p/q' string, Fraction, Rational) to Rational.
+    """Coerce ``value`` (int, 'p/q' string, Fraction) to Rational.
 
     Floats are rejected on purpose; use a string or Fraction instead.
     """
@@ -61,12 +52,12 @@ def parse_order(value):
 
 def rat_floor(x) -> int:
     """Largest integer <= x."""
-    return int(x.numerator // x.denominator)
+    return x.numerator // x.denominator
 
 
 def rat_ceil(x) -> int:
     """Smallest integer >= x."""
-    return -int((-x.numerator) // x.denominator)
+    return -(-x.numerator // x.denominator)
 
 
 def largest_int_below(x) -> int:

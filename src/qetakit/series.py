@@ -39,13 +39,7 @@ from array import array
 from collections.abc import Mapping
 from math import gcd, lcm
 
-from .rationals import (
-    Rational,
-    _RAT_ZERO,
-    largest_int_below,
-    rat_floor,
-    rational,
-)
+from .rationals import Rational, largest_int_below, rat_floor, rational
 
 
 class PrecisionError(ValueError):
@@ -110,8 +104,8 @@ def _over_common_denominator(values):
     lcm of the denominators; zero values are dropped."""
     den = 1
     for c in values.values():
-        den = lcm(den, int(c.denominator))
-    return ({n: int(c.numerator) * (den // int(c.denominator))
+        den = lcm(den, c.denominator)
+    return ({n: c.numerator * (den // c.denominator)
              for n, c in values.items() if c}, den)
 
 
@@ -286,7 +280,7 @@ class QSeries:
         e = rational(exponent)
         if not e < P:
             raise PrecisionError("term beyond precision")
-        return cls(int(e.denominator), int(e.numerator), {0: c}, P)
+        return cls(e.denominator, e.numerator, {0: c}, P)
 
     @classmethod
     def from_terms(cls, terms, precision):
@@ -301,14 +295,14 @@ class QSeries:
             e = rational(e)
             c = rational(c)
             if c:
-                acc[e] = acc.get(e, _RAT_ZERO) + c
+                acc[e] = acc.get(e, 0) + c
         acc = {e: c for e, c in acc.items() if c}
         if not acc:
             return cls.zero(P)
         D = 1
         for e in acc:
-            D = lcm(D, int(e.denominator))
-        coeffs = {int(e.numerator) * (D // int(e.denominator)): c
+            D = lcm(D, e.denominator)
+        coeffs = {e.numerator * (D // e.denominator): c
                   for e, c in acc.items()}
         return cls(D, 0, coeffs, P)
 
@@ -356,8 +350,8 @@ class QSeries:
             raise PrecisionError("insufficient precision")
         s = e * self.grid_denominator - self.offset
         if s.denominator != 1 or s < 0:
-            return _RAT_ZERO
-        return Rational(self._num.get(int(s), 0), self._den)
+            return Rational(0)
+        return Rational(self._num.get(s.numerator, 0), self._den)
 
     def _numerators_on(self, D, den, smax):
         """step -> numerator over ``den`` on grid ``D`` (a multiple of this
@@ -425,11 +419,11 @@ class QSeries:
         c = rational(scalar)
         if not c:
             return QSeries.zero(self.precision)
-        p = int(c.numerator)
+        p = c.numerator
         return QSeries._from_numerators(
             self.grid_denominator, self.offset,
             {n: v * p for n, v in self._num.items()},
-            self._den * int(c.denominator), self.precision)
+            self._den * c.denominator, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Rational):
@@ -442,8 +436,8 @@ class QSeries:
         Dx, ax = self.grid_denominator, self.offset
         Dy, ay = other.grid_denominator, other.offset
         # P = min(Px + ay/Dy, Py + ax/Dx) as an integer fraction p/q
-        px, qx = int(self.precision.numerator), int(self.precision.denominator)
-        py, qy = int(other.precision.numerator), int(other.precision.denominator)
+        px, qx = self.precision.numerator, self.precision.denominator
+        py, qy = other.precision.numerator, other.precision.denominator
         p, q = px * Dy + ay * qx, qx * Dy
         p2, q2 = py * Dx + ax * qy, qy * Dx
         if p2 * q < p * q2:
@@ -498,9 +492,13 @@ class QSeries:
 
         The lowest exponent of the result is the negation of the lowest
         exponent of the input; the result precision is ``P - 2*lowexp``.
-        With numerators ``N`` over ``den``, the inverse is ``den / N``;
-        ``1/N`` is found by back-substitution, over the integers when the
-        constant numerator is +-1 and over the rationals otherwise.
+        With numerators ``N(t) = c0 + c1 t + ...`` over ``den`` (``t`` the
+        reduced step), the inverse is ``den / N``.  One integer recurrence
+        serves every ``c0``: ``M(t) = N(c0 t) / c0`` has integer
+        coefficients ``c_j c0^(j-1)`` and constant term 1, so ``V = 1/M``
+        is found by back-substitution without a division, and
+        ``1/N(t) = V(t/c0) / c0``: step m gets ``den V_m c0^(count-1-m)``
+        over the one denominator ``c0^count``.
         """
         if not self._num:
             raise NotInvertibleError("not invertible: series is zero up to "
@@ -513,26 +511,31 @@ class QSeries:
         c0 = self._num[0]
         if len(self._num) == 1:
             return QSeries.monomial(Rational(den, c0), -e, rel - e)
-        # back-substitution on the reduced stride g/D
         g = gcd(*self._num)
         count = largest_int_below(rel * Rational(D, g)) + 1
-        inner = sorted((n // g, c) for n, c in self._num.items()
-                       if n and n // g < count)
-        unit = c0 in (1, -1)
-        w = [0] * count
-        w[0] = c0 if unit else Rational(1, c0)
+        inner = sorted((n // g, c * c0 ** (n // g - 1))
+                       for n, c in self._num.items() if n and n // g < count)
+        v = [0] * count
+        v[0] = 1
         for m in range(1, count):
             total = 0
-            for j, cj in inner:
+            for j, mj in inner:
                 if j > m:
                     break
-                wk = w[m - j]
-                if wk:
-                    total += cj * wk
-            if total:
-                w[m] = -c0 * total if unit else -total / c0
-        return QSeries(D, -a, {m * g: den * w[m] for m in range(count) if w[m]},
-                       rel - e)
+                vk = v[m - j]
+                if vk:
+                    total += mj * vk
+            v[m] = -total
+        scale = c0 ** count
+        if scale < 0:
+            scale, den = -scale, -den
+        num = {}
+        power = 1
+        for m in range(count - 1, -1, -1):
+            if v[m]:
+                num[m * g] = den * v[m] * power
+            power *= c0
+        return QSeries._from_numerators(D, -a, num, scale, rel - e)
 
     def theta_derive(self):
         """Apply q d/dq: each term c*q**e maps to (c*e)*q**e."""
@@ -545,9 +548,9 @@ class QSeries:
     def shift(self, exponent):
         """Multiply by the exact monomial q**exponent."""
         e = rational(exponent)
-        D = lcm(self.grid_denominator, int(e.denominator))
+        D = lcm(self.grid_denominator, e.denominator)
         f = D // self.grid_denominator
-        a = self.offset * f + int(e.numerator) * (D // int(e.denominator))
+        a = self.offset * f + e.numerator * (D // e.denominator)
         num = self._num if f == 1 else {n * f: c for n, c in self._num.items()}
         return QSeries._from_numerators(D, a, num, self._den,
                                         self.precision + e)
@@ -587,7 +590,7 @@ class QSeries:
         for ln in lines[1:]:
             se, sc = ln.split()
             e = rational(se)
-            if D % int(e.denominator):
+            if D % e.denominator:
                 raise ValueError(f"exponent {se} is off the declared grid 1/{D}")
             terms.append((e, rational(sc)))
         return cls.from_terms(terms, P)

@@ -104,15 +104,19 @@ def run_suite(manifest, jobs=1):
     """Run every job of a manifest, in manifest order.
 
     Verifications are independent pure computations; with ``jobs > 1`` they
-    run in worker processes, with the output order still following the
-    manifest.
+    run in at most ``jobs`` worker processes, one per job at most, with the
+    output order still following the manifest.  ``jobs`` below 1 is a
+    ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     entries = manifest["jobs"]
-    if jobs <= 1 or len(entries) <= 1:
+    if jobs == 1 or len(entries) <= 1:
         return [run_job(job) for job in entries]
     # imported here: the pool pulls in multiprocessing, which would add
     # about a quarter to the import time of every serial run
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method launches every worker up front
+    with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
         return list(pool.map(run_job, entries))

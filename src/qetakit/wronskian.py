@@ -7,19 +7,23 @@ evaluated by fraction-free (Bareiss) elimination in O(k^3) series products:
   ``y_j <- y_j - (c_j/c_i) y_i`` (a determinant-one column operation), until
   every column has its own leading exponent ``l_i``;
 * writing ``y_i = q^(l_i) g_i``, row r of column i is ``(theta + l_i)^r g_i``,
-  so the constant terms form a Vandermonde matrix in the distinct ``l_i`` and
-  every elimination step finds a pivot with a nonzero constant term, a unit
-  of the series ring;
+  whose constant term is ``l_i^r g_i(0)``.  The p-th Bareiss pivot is the
+  leading p x p minor, so its constant term is the Vandermonde of
+  ``l_1, ..., l_p`` times ``g_1(0) ... g_p(0)``: nonzero, because the
+  ``l_i`` are distinct.  Every pivot is therefore a unit of the series
+  ring, the elimination never searches for a pivot or exchanges rows, and
+  a pivot without a constant term is a broken invariant, not a bad input;
 * each step after the first divides exactly by the previous pivot through
-  one ``invert()`` (k - 2 in all), and
-  ``W = +-(last pivot) * q^(l_1 + ... + l_k)``.
+  one integer ``invert()`` (k - 2 in all), and
+  ``W = (last pivot) * q^(l_1 + ... + l_k)``.
 
 Entries never start below q^0, so every product keeps the smaller relative
 precision ``P_i - l_i`` of its factors and the result is exact below
 ``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
-(:func:`wronskian_entry_precision` inverts it).  The independent oracle
-:func:`wronskian_vandermonde_expand` recomputes the same determinant as a
-direct multi-sum over term tuples weighted by Vandermonde factors.
+(:func:`wronskian_entry_precision` inverts it).  The independent oracles
+(the subset-minor and Vandermonde term expansions of the same determinant,
+and a rational Gaussian elimination for scalar matrices) live with the
+tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,44 +53,28 @@ def theta_derivative_rows(entries, depth):
     return rows
 
 
-def _fraction_free_determinant(matrix, is_pivot, inverse):
-    """Determinant by Bareiss elimination with partial pivoting.
-
-    Step p takes the first row at or below p whose entry in column p passes
-    ``is_pivot`` and replaces the trailing block by 2x2 minors divided by
-    the previous pivot, multiplying by ``inverse(previous pivot)``; every
-    entry is a minor of the input, so the division is exact.  The last
-    pivot divides nothing, so it is never inverted: a k x k determinant
-    takes k - 2 inverses.  Returns None when some step finds no pivot.
-    """
+def _bareiss_determinant(matrix):
+    """Determinant of a square matrix of series whose leading principal
+    minors all have a constant term, by Bareiss elimination without row
+    exchanges: step p replaces the trailing block by 2x2 minors divided by
+    the previous pivot, multiplying by its inverse; every entry is a minor
+    of the input, so the division is exact.  The last pivot divides
+    nothing, so it is never inverted: a k x k determinant takes k - 2
+    inverses."""
     a = [list(row) for row in matrix]
     k = len(a)
-    negate = False
-    previous = None
     for p in range(k - 1):
-        r = next((r for r in range(p, k) if is_pivot(a[r][p])), None)
-        if r is None:
-            return None
-        if r != p:
-            a[p], a[r] = a[r], a[p]
-            negate = not negate
         pivot_row = a[p]
         pivot = pivot_row[p]
-        scale = None if previous is None else inverse(previous)
+        if pivot.is_zero or pivot.offset:
+            raise AssertionError(f"Bareiss pivot {p} has no constant term")
+        scale = a[p - 1][p - 1].invert() if p else None
         for row in a[p + 1:]:
             lead = row[p]
             for j in range(p + 1, k):
                 x = pivot * row[j] - lead * pivot_row[j]
                 row[j] = x if scale is None else x * scale
-        previous = pivot
-    det = a[k - 1][k - 1]
-    return -det if negate else det
-
-
-def _has_constant_term(y):
-    # on series without negative exponents: a unit of the series ring
-    lead = y.lowest_term()
-    return lead is not None and lead[0] == 0
+    return a[k - 1][k - 1]
 
 
 def _distinct_leading_exponents(entries):
@@ -126,8 +114,7 @@ def wronskian(entries):
         return QSeries.zero(total_low)
     rows = [[y.shift(-low) for y, low in zip(row, lows)]
             for row in theta_derivative_rows(columns, k)]
-    det = _fraction_free_determinant(rows, _has_constant_term, QSeries.invert)
-    return det.shift(total_low)
+    return _bareiss_determinant(rows).shift(total_low)
 
 
 def wronskian_entry_precision(lows, order):
@@ -148,50 +135,6 @@ def wronskian_entry_precision(lows, order):
     return order - total + max(lows)
 
 
-def wronskian_vandermonde_expand(entries):
-    """The same Wronskian as a direct sum over one term from each series.
-
-    Each choice of exponents (e_1, ..., e_k) contributes the Vandermonde of
-    the exponents times the product of the chosen coefficients at
-    ``q^(e_1+...+e_k)``.  Serves as the independent oracle for
-    :func:`wronskian`.
-    """
-    entries = list(entries)
-    k = len(entries)
-    if k == 0:
-        raise ValueError("wronskian needs at least one series")
-    lows = [y._low_exponent() for y in entries]
-    total_low = sum(lows, Rational(0))
-    bound = min(y.precision - low for y, low in zip(entries, lows)) + total_low
-    if any(y.is_zero for y in entries):
-        return QSeries.zero(bound)
-    term_lists = [y.terms() for y in entries]
-    suffix_low = [Rational(0)] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_low[i] = suffix_low[i + 1] + lows[i]
-    acc = {}
-    chosen_e = [None] * k
-    chosen_c = [None] * k
-
-    def descend(i, partial):
-        if i == k:
-            weight = vandermonde(chosen_e)
-            if weight:
-                for c in chosen_c:
-                    weight *= c
-                acc[partial] = acc.get(partial, Rational(0)) + weight
-            return
-        for e, c in term_lists[i]:
-            if not partial + e + suffix_low[i + 1] < bound:
-                break
-            chosen_e[i] = e
-            chosen_c[i] = c
-            descend(i + 1, partial + e)
-
-    descend(0, Rational(0))
-    return QSeries.from_terms(acc.items(), bound)
-
-
 def abel_log_derivative_check(entries, expected_f1, order):
     """Check the first-coefficient consequence of the first-order reduction:
     ``theta(W) + f1 * W = 0`` below the given order.
@@ -205,33 +148,3 @@ def abel_log_derivative_check(entries, expected_f1, order):
                          "up to its precision")
     residual = w.theta_derive() + expected_f1 * w
     return residual.equal_up_to(QSeries.zero(order), order)
-
-
-def scale_by_matrix(matrix, entries):
-    """Entrywise rational linear combinations: row i of the result is
-    ``sum_j matrix[i][j] * entries[j]``."""
-    entries = list(entries)
-    k = len(entries)
-    if len(matrix) != k or any(len(row) != k for row in matrix):
-        raise ValueError(f"matrix must be {k}x{k}")
-    out = []
-    for row in matrix:
-        acc = None
-        for coeff, y in zip(row, entries):
-            term = y._scale(coeff)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def matrix_determinant(matrix):
-    """Exact determinant of a square rational matrix (fraction-free
-    elimination, as in :func:`wronskian`)."""
-    k = len(matrix)
-    if k == 0:
-        return Rational(1)
-    if any(len(row) != k for row in matrix):
-        raise ValueError(f"matrix must be {k}x{k}")
-    det = _fraction_free_determinant(
-        [[rational(x) for x in row] for row in matrix], bool, lambda x: 1 / x)
-    return Rational(0) if det is None else det

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: plain integer dict polynomials,
 bounded-part partition recursions, trial division, schoolbook series
-products and back-substitution inverses over ``Fraction``.  None of it
-shares code with the package under test; the series oracles use only the
-public ``QSeries`` constructor and coefficient views.
+products and back-substitution inverses over ``Fraction``, the Wronskian
+as a subset-minor expansion and as a sum over term tuples, and Gaussian
+elimination over ``Fraction``.  None of it shares arithmetic with the
+package under test: the series oracles use only the public ``QSeries``
+constructors, views and ring operators, and the residue indicator reads
+the package's sign classes (``chi_support``) one integer at a time.
 """
 
 from fractions import Fraction
@@ -180,3 +183,105 @@ def series_invert_fraction(x):
         w[m] = -total / c0
     return QSeries(D, -a, {m * g: w[m] for m in range(count) if w[m]},
                    rel - e)
+
+
+def wronskian_vandermonde_expand(entries):
+    """The q d/dq Wronskian as a direct sum over one term from each series.
+
+    Each choice of exponents (e_1, ..., e_k) contributes the Vandermonde
+    ``prod_{j<i}(e_i - e_j)`` times the product of the chosen coefficients
+    at ``q^(e_1+...+e_k)``; the result is exact below
+    ``sum_i low_i + min_i (P_i - low_i)``.
+    """
+    from qetakit import QSeries
+
+    entries = list(entries)
+    k = len(entries)
+    if k == 0:
+        raise ValueError("wronskian needs at least one series")
+    lows = [_low_exponent(y) for y in entries]
+    total_low = sum(lows)
+    bound = min(Fraction(y.precision) - low
+                for y, low in zip(entries, lows)) + total_low
+    if any(y.is_zero for y in entries):
+        return QSeries.zero(bound)
+    term_lists = [y.terms() for y in entries]
+    suffix_low = [Fraction(0)] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix_low[i] = suffix_low[i + 1] + lows[i]
+    acc = {}
+    chosen_e = [None] * k
+    chosen_c = [None] * k
+
+    def descend(i, partial):
+        if i == k:
+            weight = Fraction(1)
+            for a in range(k):
+                for b in range(a):
+                    weight *= chosen_e[a] - chosen_e[b]
+            for c in chosen_c:
+                weight *= c
+            acc[partial] = acc.get(partial, 0) + weight
+            return
+        for e, c in term_lists[i]:
+            if not partial + e + suffix_low[i + 1] < bound:
+                break
+            chosen_e[i] = e
+            chosen_c[i] = c
+            descend(i + 1, partial + e)
+
+    descend(0, Fraction(0))
+    return QSeries.from_terms(acc.items(), bound)
+
+
+def matrix_determinant(matrix):
+    """Exact determinant of a square rational matrix by Gaussian
+    elimination over ``Fraction`` with row exchanges."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    k = len(a)
+    if any(len(row) != k for row in a):
+        raise ValueError(f"matrix must be {k}x{k}")
+    det = Fraction(1)
+    for p in range(k):
+        r = next((r for r in range(p, k) if a[r][p]), None)
+        if r is None:
+            return Fraction(0)
+        if r != p:
+            a[p], a[r] = a[r], a[p]
+            det = -det
+        det *= a[p][p]
+        for row in a[p + 1:]:
+            factor = row[p] / a[p][p]
+            for j in range(p, k):
+                row[j] -= factor * a[p][j]
+    return det
+
+
+def scale_by_matrix(matrix, entries):
+    """Entrywise rational linear combinations of series: row i of the
+    result is ``sum_j matrix[i][j] * entries[j]``."""
+    entries = list(entries)
+    k = len(entries)
+    if len(matrix) != k or any(len(row) != k for row in matrix):
+        raise ValueError(f"matrix must be {k}x{k}")
+    out = []
+    for row in matrix:
+        acc = None
+        for coeff, y in zip(row, entries):
+            term = y * Fraction(coeff)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def chi_indicator(model, label, r):
+    """The +-1/0 residue-class indicator of a label at an integer r."""
+    from qetakit import chi_support
+
+    plus, minus = chi_support(model, label)
+    rem = int(r) % (2 * model.s * model.t)
+    if rem in plus:
+        return 1
+    if rem in minus:
+        return -1
+    return 0

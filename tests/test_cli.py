@@ -13,7 +13,8 @@ from qetakit import (QSeries, VerificationReport, character_double_sum,
                      make_model, rational, weight_label)
 from qetakit.cli import build_parser, main
 from qetakit.identities import IDENTITIES
-from qetakit.suite import load_manifest, model_grid_jobs, validate_job
+from qetakit.suite import (load_manifest, model_grid_jobs, run_suite,
+                           validate_job)
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +235,41 @@ class TestSuiteCommand:
                             "--order", "8", "--jobs", "2")
         assert seq == par
 
+    def test_jobs_below_one_is_refused_before_any_job_runs(self, capsys,
+                                                          monkeypatch):
+        import qetakit.suite as suite
+        monkeypatch.setattr(suite, "run_job", lambda job: 1 / 0)
+        assert_usage_error(run_cli(capsys, "verify", "suite", "--max-st",
+                                   "10", "--order", "8", "--jobs", "-2"),
+                           "jobs must be at least 1, got -2")
+
+    def test_workers_are_capped_by_the_job_count(self, monkeypatch):
+        # a fake pool records the worker count and runs the jobs in this
+        # process, so no worker is ever started
+        import concurrent.futures
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        manifest = {"version": "t", "jobs": [
+            {"identity": "euler", "params": {}, "order": "10"}] * 3}
+        assert len(run_suite(manifest, jobs=10 ** 6)) == 3
+        assert len(run_suite(manifest, jobs=2)) == 3
+        assert requested == [3, 2]
+
     def test_manifest_file(self, capsys, tmp_path):
         manifest = {"version": "test-1",
                     "jobs": [{"identity": "euler", "params": {},
@@ -404,6 +440,8 @@ class TestOrderGrammar:
         ("series",),
         ("frobnicate",),
         ("verify", "euler", "--bogus"),
+        ("verify", "suite", "--max-st", "10", "--jobs", "0"),
+        ("verify", "suite", "--max-st", "10", "--jobs", "-1"),
     ])
     def test_argument_errors_are_one_line(self, capsys, argv):
         assert_usage_error(run_cli(capsys, *argv))

@@ -4,7 +4,8 @@ Every run exits 0, 1 or 2 and never shows a traceback; exit 1 means that a
 report said ``match=false``; exit 2 comes with exactly one line on stderr.
 Arguments and manifests are drawn from small pools that mix good tokens
 with malformed ones (``1/0``, ``0.5``, ``abc``, ``-3``, empty model grids,
-options that do not apply, stray or out-of-domain params), and every order
+``--jobs`` below 1, options that do not apply, stray or out-of-domain
+params), and every order
 is at most 12, so each example runs in milliseconds.
 """
 
@@ -80,6 +81,8 @@ def verify_argv(draw, name):
     if name == "suite" or draw(RARELY):
         # a suite always gets a grid: the shipped manifest would run
         argv += ["--max-st", draw(MAX_ST)]
+    if draw(RARELY):  # --jobs 1 runs no worker process
+        argv += ["--jobs", draw(st.sampled_from(["1", "0", "-1", "abc"]))]
     if draw(RARELY):
         argv.append("--window-audit")
     if draw(RARELY):

@@ -7,8 +7,9 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      coprime_models, distinct_weights, empirical_constant,
                      eta_power, eta_series, general_rhs, general_terms,
                      identity_lowest_exponent, lattice_exponent,
-                     macdonald_rhs, macdonald_terms, make_model, rational,
-                     verify_identity)
+                     macdonald_rhs, macdonald_terms, make_model,
+                     normalized_character, rational, verify_identity,
+                     wronskian_of_characters)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 
@@ -242,6 +243,50 @@ class TestLatticeDeterminant:
             expected = QSeries.from_terms(
                 ((Rational(v * v, 48), sign) for v, sign in values), order)
             assert chi_numerator(model, label, order) == expected
+
+
+class TestOneTheorem:
+    """The per-model identities are one determinant reached three ways."""
+
+    MODELS = [(2, 5), (3, 4), (3, 5)]
+
+    def test_normalized_character_is_the_chi_numerator(self):
+        labels = [(model, label) for model in coprime_models(28)
+                  for label in distinct_weights(model)]
+        assert len(labels) == 56
+        for model, label in labels:
+            order = label.h_bar + Rational(1, 24) + 10
+            eta_chi = normalized_character(model, label, order)
+            numerator = chi_numerator(model, label, order)
+            assert eta_chi.equal_up_to(
+                numerator, min(eta_chi.precision, numerator.precision))
+
+    @staticmethod
+    def _orders(model):
+        raw_low = sum(label.h_bar for label in distinct_weights(model))
+        return raw_low, raw_low + Rational(model.k, 24) + 8
+
+    @pytest.mark.parametrize("s,t", MODELS)
+    def test_normalized_wronskian_is_the_lattice_determinant(self, s, t):
+        model = make_model(s, t)
+        k = model.k
+        _, order = self._orders(model)
+        normalized = wronskian_of_characters(model, order, normalized=True)
+        lattice = identities._lattice_determinant(model, order)
+        assert not lattice.is_zero
+        assert (normalized * (4 * s * t) ** (k * (k - 1) // 2)).equal_up_to(
+            lattice, order)
+
+    @pytest.mark.parametrize("s,t", MODELS)
+    def test_eta_factors_out_of_the_wronskian(self, s, t):
+        # W(eta * chi) = eta^k * W(chi)
+        model = make_model(s, t)
+        k = model.k
+        raw_low, order = self._orders(model)
+        raw = wronskian_of_characters(model, order - Rational(k, 24))
+        normalized = wronskian_of_characters(model, order, normalized=True)
+        assert (eta_power(k, order - raw_low) * raw).equal_up_to(
+            normalized, order)
 
 
 class TestEmpiricalConstant:

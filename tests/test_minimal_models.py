@@ -4,11 +4,12 @@ import pytest
 
 from qetakit import (QSeries, Rational, character_chi_form,
                      character_double_sum, character_product_2k1,
-                     chi_indicator, coprime_models, distinct_weights,
-                     make_model, matrix_determinant, mu_count,
+                     coprime_models, distinct_weights, make_model, mu_count,
                      normalized_character, rational, strange_sum_2k1,
                      strange_sum_general, weber_series, weight_label)
 from qetakit.minimal_models import WeightLabel, _double_sum_numerator
+
+from oracles import chi_indicator, matrix_determinant
 
 
 class TestMakeModel:

@@ -93,9 +93,45 @@ def test_square_matches_fraction_oracle(x):
        st.booleans())
 def test_inverse_matches_fraction_oracle(x, unit):
     if unit:
-        # constant numerator +-1: the integer back-substitution
+        # constant numerator +-1: the common denominator c0^count of the
+        # recurrence's output is then 1
         x = x * x.lowest_term()[1] ** -1
     assert_same_series(x.invert(), series_invert_fraction(x))
+
+
+@pytest.mark.parametrize("x", [
+    # c0 = -3 over 5 and 6 steps: c0^count negative and positive
+    QSeries(1, 0, {0: -3, 1: 1, 2: 5, 4: -2}, 5),
+    QSeries(1, 0, {0: -3, 1: 1, 2: 5, 4: -2}, 6),
+    QSeries(1, 0, {0: 2 ** 70 + 1, 1: -2 ** 64, 3: 7}, 9),
+    # den > 1, on a fractional grid with a step stride of 3
+    QSeries(4, 3, {0: Fraction(-3, 5), 3: Fraction(7, 10),
+                   9: Fraction(1, 3)}, Fraction(31, 4)),
+], ids=["c0=-3,odd", "c0=-3,even", "c0=2**70+1", "den>1"])
+def test_inverse_of_a_non_unit_series_matches_fraction_oracle(x):
+    assert_same_series(x.invert(), series_invert_fraction(x))
+
+
+@pytest.mark.parametrize("c0", [3, -7])
+def test_inverse_of_a_non_unit_series_is_integer_arithmetic(monkeypatch, c0):
+    # the recurrence runs on int numerators: the rational operations left
+    # (exponents and the precision bound) do not grow with the term count
+    calls = []
+    for name in ("__add__", "__mul__", "__truediv__"):
+        def counted(self, other, _original=getattr(Fraction, name)):
+            calls.append(1)
+            return _original(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    def rational_operations(terms):
+        coeffs = {n: n % 5 - 2 for n in range(1, terms)}
+        coeffs[0] = c0
+        x = QSeries(1, 0, coeffs, terms)
+        calls.clear()
+        x.invert()
+        return len(calls)
+
+    assert rational_operations(20) == rational_operations(400)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      character_double_sum, characters_for_wronskian,
                      distinct_weights, eisenstein_g2, eta_series, make_model,
-                     matrix_determinant, normalized_character, rational,
-                     scale_by_matrix, vandermonde, weber_series, wronskian,
-                     wronskian_entry_precision, wronskian_vandermonde_expand)
+                     normalized_character, rational, vandermonde,
+                     weber_series, wronskian, wronskian_entry_precision)
+from qetakit.wronskian import _bareiss_determinant
 
-from oracles import random_series, wronskian_subset_minor
+from oracles import (matrix_determinant, random_series, scale_by_matrix,
+                     wronskian_subset_minor, wronskian_vandermonde_expand)
 
 
 def assert_matches_oracles(vec):
@@ -220,6 +221,15 @@ class TestKernelAgainstOracles:
         wronskian(vec)
         monkeypatch.undo()
         assert inverts == k - 2
+
+    def test_a_pivot_without_a_constant_term_is_a_broken_invariant(self):
+        # wronskian never builds such a matrix, so this is no input error
+        # and the command line does not turn it into exit 2
+        one = QSeries.one(5)
+        q = QSeries.monomial(1, 1, 5)
+        with pytest.raises(AssertionError,
+                           match="pivot 0 has no constant term"):
+            _bareiss_determinant([[q, one], [one, one]])
 
 
 class TestScaleByMatrix:
