@@ -85,17 +85,18 @@ def _structured_doc(version, reports, runtime):
 
 def _window_audit(name, params, order):
     """Compare a lattice sum as built (by Wronskian or by tuples, as the
-    headroom decides) with the tuple enumeration over padded windows; any
-    difference below the order signals a bug in either and aborts the run."""
-    lattice = [key for key, entry in IDENTITIES.items() if entry.lattice]
-    if name not in lattice:
+    headroom decides) with its own tuple enumeration; any difference below
+    the order signals a bug in either and aborts the run."""
+    entry = IDENTITIES[name]
+    if entry.tuples is None:
+        lattice = [key for key, other in IDENTITIES.items()
+                   if other.tuples is not None]
         raise ValueError("--window-audit applies to the lattice-sum "
                          f"identities ({', '.join(lattice)})")
-    rhs = IDENTITIES[name].rhs
-    if rhs(order, 0, **params) != rhs(order, 4, **params):
+    if entry.rhs(order, **params) != entry.tuples(order, **params):
         raise RuntimeError(f"window audit failed for {name}: the sum "
-                           "differs from the padded tuple enumeration below "
-                           "the order")
+                           "differs from its tuple enumeration below the "
+                           "order")
 
 
 def _cmd_verify(args):
@@ -179,8 +180,9 @@ def build_parser():
                                "(default 1)")
     p_verify.add_argument("--window-audit", action="store_true",
                           dest="window_audit",
-                          help="also enumerate the lattice tuples over padded "
-                               "windows and require identical coefficients")
+                          help="also build the lattice sum by tuple "
+                               "enumeration and require identical "
+                               "coefficients")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

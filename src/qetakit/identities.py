@@ -6,7 +6,8 @@ general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
 :data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
 is its leading exponent), its rhs builder, its constant where that is fixed
-(Weber), and whether it is a lattice sum.  Verification never trusts a
+(Weber), and, for a lattice sum, the same rhs built by tuple enumeration.
+Verification never trusts a
 printed normalisation: the constant is fixed empirically from the leading
 nonzero coefficients, then every remaining coefficient below the requested
 order must match exactly against that single constant.
@@ -21,12 +22,13 @@ minus the sum's leading exponent):
   ``(4st)^(i-1)`` times the (i-1)-th ``q d/dq`` derivative of the chi-form
   numerator of label j, so the sum is ``(4st)^(k(k-1)/2)`` times the
   Wronskian of those numerators.  The s = 2 sum is the (2, 2k+1) model's.
-* Below it, the tuples are enumerated, and they are also the independent
-  oracle of the Wronskian path (``general_terms``, ``macdonald_terms``).
-  All lattice windows are derived by exact integer search: a candidate
-  value is enumerated when the minimal possible exponent of any tuple
-  containing it still lies below the requested order, so no contributing
-  tuple is missed.
+* Below it, the tuples are enumerated (``general_terms``,
+  ``macdonald_terms``); enumerated at any headroom they are the independent
+  oracle of the Wronskian path, the ``tuples`` of the entry.  Each walk
+  compares integer partial sums (of squares, or of twice the exponent)
+  with one integer cap: a coordinate value is taken while the least sum of
+  any tuple containing it stays within the cap, and the walk stops at the
+  first value past it, so no contributing tuple is missed.
 
 The determinant costs O(k^3) series products even when few tuples
 contribute, while the tuple count grows like order^(k/2); the crossover
@@ -50,7 +52,7 @@ from .eta import WEBER_F2_EXPONENT, WEBER_F_EXPONENT, eta_power, \
     jacobi_cube_series, pentagonal_sum_series, weber_series
 from .minimal_models import chi_numerator, chi_support, distinct_weights, \
     make_model, character_double_sum, normalized_character
-from .rationals import Rational, rat_str, rational
+from .rationals import Rational, largest_int_below, rat_str, rational
 from .series import PrecisionError, QSeries
 from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 
@@ -62,6 +64,12 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: total time; the determinant wins from 12-16 for s >= 3, while the s = 2
 #: sums with k >= 5 stay cheaper to enumerate up to headroom 20-40.
 LATTICE_DETERMINANT_HEADROOM = 16
+
+
+def _denominator_power(k):
+    """Eta power of a rank-k lattice sum and of a normalized Wronskian of k
+    characters; their leading exponent is this over 24."""
+    return (2 * k - 1) * k
 
 
 class LatticeTerm(NamedTuple):
@@ -148,35 +156,23 @@ def c_k_constant(k):
     return Rational(1, denom)
 
 
-def _coordinate_window(coeff_sq, coeff_lin, budget, pad):
-    """All integers n with ``(coeff_sq*n^2 + coeff_lin*n)/2 < budget``,
-    optionally padded, as (contribution, n) sorted by contribution."""
+def _coordinate_window(coeff_sq, coeff_lin, cap):
+    """All integers n with ``coeff_sq*n^2 + coeff_lin*n <= cap``, as
+    (that value, n) sorted by value."""
     values = []
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        extra = pad
-        while True:
-            f = Rational(coeff_sq * n * n + coeff_lin * n, 2)
-            if f < budget:
-                values.append((f, n))
-            elif extra > 0:
-                values.append((f, n))
-                extra -= 1
-            else:
-                break
-            n += direction
+    for n, step in ((0, 1), (-1, -1)):
+        while (f := coeff_sq * n * n + coeff_lin * n) <= cap:
+            values.append((f, n))
+            n += step
     values.sort()
     return values
 
 
 def _sum_terms(terms, order):
-    acc = {}
-    for term in terms:
-        acc[term.exponent] = acc.get(term.exponent, Rational(0)) + term.weight
-    return QSeries.from_terms(acc.items(), order)
+    return QSeries.from_terms(((t.exponent, t.weight) for t in terms), order)
 
 
-def macdonald_terms(k, order, window_pad=0):
+def macdonald_terms(k, order):
     """Every lattice term with exponent below ``order``, without the
     closed-form prefactor; deterministic lexicographic enumeration."""
     k = int(k)
@@ -184,10 +180,11 @@ def macdonald_terms(k, order, window_pad=0):
         raise ValueError("k must be >= 2")
     order = rational(order)
     base = Rational(2 * k * k - k, 24)
-    budget = order - base
-    if not budget > 0:
+    if not order > base:
         return []
-    windows = [_coordinate_window(2 * k + 1, 2 * i - 1, budget, window_pad)
+    # twice the exponent above base is an integer, at most this cap
+    cap = largest_int_below(2 * (order - base))
+    windows = [_coordinate_window(2 * k + 1, 2 * i - 1, cap)
                for i in range(1, k + 1)]
     terms = []
     n_vec = [0] * k
@@ -197,70 +194,75 @@ def macdonald_terms(k, order, window_pad=0):
             weight = chi_d(k, n_vec)
             if weight:
                 terms.append(LatticeTerm(
-                    tuple(n_vec), base + partial,
+                    tuple(n_vec), base + Rational(partial, 2),
                     Rational(-weight if parity else weight)))
             return
         for f, n in windows[i]:
-            if not partial + f < budget:
+            if partial + f > cap:
                 break
             n_vec[i] = n
             descend(i + 1, partial + f, parity ^ (n & 1))
 
-    descend(0, Rational(0), 0)
+    descend(0, 0, 0)
     return terms
 
 
-def macdonald_rhs(k, order, *, window_pad=0):
+def _macdonald_prefactor(k):
+    """The closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``."""
+    prefactor = c_k_constant(k)
+    return -prefactor if (k * (k - 1) // 2) % 2 else prefactor
+
+
+def macdonald_rhs(k, order):
     """The full signed lattice sum for the s = 2 family, including the
     closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``.
 
     The prefactor-free sum equals the per-model sum of the (2, 2k+1) model
     term for term (``|d_i|`` runs over the support of label
     ``(1, k + 1 - i)``, so the columns come in reverse order, and the two
-    ``(-1)^(k(k-1)/2)`` signs cancel), so at a headroom of ``LATTICE_DETERMINANT_HEADROOM`` or more it
-    is that model's Wronskian form; below it, and whenever ``window_pad``
-    is set, the tuples of :func:`macdonald_terms` are summed.
+    ``(-1)^(k(k-1)/2)`` signs cancel), so at a headroom of
+    ``LATTICE_DETERMINANT_HEADROOM`` or more it is that model's Wronskian
+    form; below it, the tuples of :func:`macdonald_terms` are summed.
     """
     k = int(k)
     order = rational(order)
-    base = Rational(2 * k * k - k, 24)
+    base = Rational(_denominator_power(k), 24)
     if not order > base:
         raise ValueError(f"insufficient order: must exceed {base}")
-    prefactor = c_k_constant(k)
-    if (k * (k - 1) // 2) % 2:
-        prefactor = -prefactor
-    if not window_pad and order - base >= LATTICE_DETERMINANT_HEADROOM:
-        return _lattice_determinant(make_model(2, 2 * k + 1), order) * prefactor
-    return _sum_terms(macdonald_terms(k, order, window_pad), order) * prefactor
+    prefactor = _macdonald_prefactor(k)
+    if order - base < LATTICE_DETERMINANT_HEADROOM:
+        return _macdonald_tuples(k, order)
+    return _lattice_determinant(make_model(2, 2 * k + 1), order) * prefactor
+
+
+def _macdonald_tuples(k, order):
+    """:func:`macdonald_rhs` from its tuples at any headroom: its oracle."""
+    return _sum_terms(macdonald_terms(k, order), order) * \
+        _macdonald_prefactor(k)
 
 
 # ----------------------------------------------------------------------
 # the general family: residue-class supports with Vandermonde weights
 # ----------------------------------------------------------------------
 
-def _chi_support_values(model, label, sq_bound, pad):
-    """Non-negative integers in the indicator support with ``v^2 < sq_bound``
-    (plus ``pad`` extra values), as (v, sign) sorted ascending."""
+def _chi_support_values(model, label, cap):
+    """Non-negative integers v in the indicator support with ``v^2 <= cap``,
+    as (v, sign) sorted ascending."""
     plus, minus = chi_support(model, label)
     modulus = 2 * model.s * model.t
     values = []
     v = 0
-    extra = pad
-    while True:
-        in_range = Rational(v * v) < sq_bound
-        if not in_range and extra <= 0:
-            break
+    while v * v <= cap:
         rem = v % modulus
-        sign = 1 if rem in plus else (-1 if rem in minus else 0)
-        if sign:
-            values.append((v, sign))
-            if not in_range:
-                extra -= 1
+        if rem in plus:
+            values.append((v, 1))
+        elif rem in minus:
+            values.append((v, -1))
         v += 1
     return values
 
 
-def general_terms(model, order, window_pad=0):
+def general_terms(model, order):
     """Lattice terms of the per-model sum: tuples from the indicator
     supports, weighted by the sign product times the Vandermonde of the
     squares, with exponent ``sum n_i^2 / (4st)`` below ``order``."""
@@ -269,8 +271,9 @@ def general_terms(model, order, window_pad=0):
         raise ValueError("order must be positive")
     k = model.k
     st4 = 4 * model.s * model.t
-    sq_budget = order * st4
-    supports = [_chi_support_values(model, lab, sq_budget, window_pad)
+    # a tuple's sum of squares is an integer, at most this cap
+    cap = largest_int_below(order * st4)
+    supports = [_chi_support_values(model, lab, cap)
                 for lab in distinct_weights(model)]
     if any(not sup for sup in supports):
         return []
@@ -291,7 +294,7 @@ def general_terms(model, order, window_pad=0):
             return
         for v, s in supports[i]:
             nxt = partial_sq + v * v
-            if not Rational(nxt + suffix_min[i + 1]) < sq_budget:
+            if nxt + suffix_min[i + 1] > cap:
                 break
             n_vec[i] = v
             squares[i] = v * v
@@ -301,41 +304,40 @@ def general_terms(model, order, window_pad=0):
     return terms
 
 
-def _numerator_lows(model):
-    """Leading exponent ``min(support)^2 / (4st)`` of each chi-form
-    numerator, in ``distinct_weights`` order."""
-    st4 = 4 * model.s * model.t
-    return [Rational(min(plus | minus) ** 2, st4)
-            for plus, minus in (chi_support(model, lab)
-                                for lab in distinct_weights(model))]
-
-
 def _lattice_determinant(model, order):
     """The per-model sum as ``(4st)^(k(k-1)/2)`` times the Wronskian of the
     chi-form numerators, exact below ``order`` (which must exceed the sum
-    of their leading exponents)."""
-    lows = _numerator_lows(model)
+    of their leading exponents, ``(2k-1)k/24``)."""
+    st4 = 4 * model.s * model.t
+    # each numerator starts at min(support)^2 / (4st)
+    lows = [Rational(min(plus | minus) ** 2, st4)
+            for plus, minus in (chi_support(model, lab)
+                                for lab in distinct_weights(model))]
     precision = wronskian_entry_precision(lows, order)
     numerators = [chi_numerator(model, lab, precision)
                   for lab in distinct_weights(model)]
     k = model.k
-    scale = (4 * model.s * model.t) ** (k * (k - 1) // 2)
-    return wronskian(numerators).truncate(order) * scale
+    return wronskian(numerators).truncate(order) * st4 ** (k * (k - 1) // 2)
 
 
-def general_rhs(model, order, *, window_pad=0):
+def general_rhs(model, order):
     """The per-model lattice sum as a series, exact below ``order``.
 
-    At a headroom (``order`` minus the sum's leading exponent) of
-    ``LATTICE_DETERMINANT_HEADROOM`` or more it is built as one Wronskian
-    of the chi-form numerators; below it, and whenever ``window_pad`` is
-    set, the tuples of :func:`general_terms` are summed.
+    At a headroom (``order`` minus the sum's leading exponent
+    ``(2k-1)k/24``) of ``LATTICE_DETERMINANT_HEADROOM`` or more it is built
+    as one Wronskian of the chi-form numerators; below it, the tuples of
+    :func:`general_terms` are summed.
     """
     order = rational(order)
-    if (not window_pad and order - sum(_numerator_lows(model), Rational(0))
+    if (order - Rational(_denominator_power(model.k), 24)
             >= LATTICE_DETERMINANT_HEADROOM):
         return _lattice_determinant(model, order)
-    return _sum_terms(general_terms(model, order, window_pad), order)
+    return _general_tuples(model, order)
+
+
+def _general_tuples(model, order):
+    """:func:`general_rhs` from its tuples at any headroom: its oracle."""
+    return _sum_terms(general_terms(model, order), order)
 
 
 # ----------------------------------------------------------------------
@@ -403,46 +405,42 @@ def _weber_wronskian(order):
 
 class Identity(NamedTuple):
     """An identity ``rhs = constant * eta^power``, whose leading exponent is
-    ``power / 24``; ``power`` and ``rhs`` take the canonical params as
-    keyword arguments."""
+    ``power / 24``; ``power``, ``rhs`` and ``tuples`` take the canonical
+    params as keyword arguments."""
     params: tuple         # names of the int params it takes
     power: Callable       # (**params) -> eta power of the lhs
-    rhs: Callable         # (order, window_pad, **params) -> QSeries
+    rhs: Callable         # (order, **params) -> QSeries
     constant: Optional[object] = None  # the one constant that matches
-    lattice: bool = False  # a lattice sum, which --window-audit can check
-
-
-def _denominator_power(k):
-    return (2 * k - 1) * k
+    # a lattice sum's rhs built by tuple enumeration at any headroom, which
+    # --window-audit compares with rhs; None off the lattice sums
+    tuples: Optional[Callable] = None
 
 
 # Each builder is looked up as a module global when its entry is called, so
 # a function patched into this module (by a tracer or a test) is used.
 IDENTITIES = {
     "euler": Identity((), lambda: 1,
-                      lambda order, pad: pentagonal_sum_series(order)),
+                      lambda order: pentagonal_sum_series(order)),
     "jacobi": Identity((), lambda: 3,
-                       lambda order, pad: jacobi_cube_series(order)),
+                       lambda order: jacobi_cube_series(order)),
     "macdonald": Identity(
         ("k",), _denominator_power,
-        lambda order, pad, k: macdonald_rhs(k, order, window_pad=pad),
-        lattice=True),
+        lambda order, k: macdonald_rhs(k, order),
+        tuples=lambda order, k: _macdonald_tuples(k, order)),
     "denominator": Identity(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
-        lambda order, pad, s, t: general_rhs(make_model(s, t), order,
-                                             window_pad=pad),
-        lattice=True),
+        lambda order, s, t: general_rhs(make_model(s, t), order),
+        tuples=lambda order, s, t: _general_tuples(make_model(s, t), order)),
     "wronskian_raw": Identity(
         ("s", "t"),
         lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),
-        lambda order, pad, s, t: wronskian_of_characters(make_model(s, t),
-                                                         order)),
+        lambda order, s, t: wronskian_of_characters(make_model(s, t), order)),
     "wronskian_normalized": Identity(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
-        lambda order, pad, s, t: wronskian_of_characters(
+        lambda order, s, t: wronskian_of_characters(
             make_model(s, t), order, normalized=True)),
     "weber": Identity((), lambda: 12,
-                      lambda order, pad: _weber_wronskian(order),
+                      lambda order: _weber_wronskian(order),
                       constant=Rational(7, 256)),
 }
 
@@ -484,11 +482,12 @@ def identity_lowest_exponent(name, **params):
     return Rational(IDENTITIES[name].power(**params), 24)
 
 
-def verify_identity(name, *, order=20, window_pad=0, **params):
+def verify_identity(name, *, order=20, **params):
     """Compare ``eta_power(power)`` with the rhs of the entry ``name`` of
-    :data:`IDENTITIES` (params as in :func:`identity_params`); the report
-    carries the constant found, which must equal the entry's expected
-    constant, if it has one (Weber, 7/256), for a match.
+    :data:`IDENTITIES` (params as in :func:`identity_params`), built on the
+    path its headroom selects; the entry's ``tuples`` is not consulted.  The
+    report carries the constant found, which must equal the entry's
+    expected constant, if it has one (Weber, 7/256), for a match.
     """
     order = rational(order)
     params = identity_params(name, params)
@@ -499,7 +498,7 @@ def verify_identity(name, *, order=20, window_pad=0, **params):
         raise ValueError(f"insufficient order {order} for {name}: the "
                          f"minimal admissible order must exceed {base}")
     lhs = eta_power(power, order)
-    rhs = entry.rhs(order, window_pad, **params)
+    rhs = entry.rhs(order, **params)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
     if entry.constant is not None and report.constant != entry.constant:
         report = replace(report, match=False)

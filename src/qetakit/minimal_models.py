@@ -223,12 +223,14 @@ def character_product_2k1(k, i, order):
 
 
 def normalized_character(model, label, order):
-    """Eta times the character: the bare numerator sum, integer coefficients."""
+    """Eta times the character: the double-sum numerator shifted by
+    ``q^(h_bar + 1/24)``, integer coefficients, exact below ``order``."""
     order = rational(order)
-    hbar = label.h_bar
-    ch = character_double_sum(model, label, order - Rational(1, 24))
-    eta = eta_series(order - hbar)
-    return eta * ch
+    _check_label(model, label)
+    lead = label.h_bar + Rational(1, 24)
+    if not order > lead:
+        raise ValueError(f"order must exceed the leading exponent {lead}")
+    return _double_sum_numerator(model, label, order - lead).shift(lead)
 
 
 def strange_sum_2k1(k):

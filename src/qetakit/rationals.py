@@ -22,13 +22,11 @@ from fractions import Fraction
 Rational = Fraction
 
 
-def rational(value, denominator=None):
+def rational(value):
     """Coerce ``value`` (int, 'p/q' string, Fraction) to Rational.
 
     Floats are rejected on purpose; use a string or Fraction instead.
     """
-    if denominator is not None:
-        return Rational(value, denominator)
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact series; "
                         "pass an int, Fraction or 'p/q' string")

@@ -224,8 +224,7 @@ class _CoefficientView(Mapping):
 class QSeries:
     """Exact truncated series in q**(1/D) with a tracked precision bound."""
 
-    __slots__ = ("grid_denominator", "offset", "precision", "_num", "_den",
-                 "_items")
+    __slots__ = ("grid_denominator", "offset", "precision", "_num", "_den")
 
     def __init__(self, grid_denominator, offset, coefficients, precision):
         D = int(grid_denominator)
@@ -246,7 +245,6 @@ class QSeries:
         self.precision = P
         self._num = num
         self._den = den
-        self._items = None
 
     @classmethod
     def _from_numerators(cls, D, a, num, den, P):
@@ -322,13 +320,11 @@ class QSeries:
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
-        if self._items is None:
-            D = self.grid_denominator
-            a = self.offset
-            den = self._den
-            self._items = [(Rational(a + n, D), Rational(c, den))
-                           for n, c in sorted(self._num.items())]
-        return list(self._items)
+        D = self.grid_denominator
+        a = self.offset
+        den = self._den
+        return [(Rational(a + n, D), Rational(c, den))
+                for n, c in sorted(self._num.items())]
 
     def lowest_term(self):
         """(exponent, coefficient) of the lowest term, or None for zero."""

@@ -15,6 +15,7 @@ exponent, which makes the check strictly stronger than requested.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,15 @@ def suite_reports():
         key = (report.identity, tuple(sorted(report.params.items())))
         indexed[key] = report
     return indexed, elapsed
+
+
+def test_suite_text_matches_golden(suite_reports):
+    # the text output of `qetakit verify suite`, byte for byte
+    reports, _ = suite_reports
+    text = f"manifest={load_manifest()['version']}\n" + "".join(
+        report.to_line() + "\n" for report in reports.values())
+    assert text == (Path(__file__).parent / "golden"
+                    / "suite_1.txt").read_text()
 
 
 def test_criterion_1_euler_identity():

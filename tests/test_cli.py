@@ -136,7 +136,7 @@ class TestVerifyCommand:
     def test_window_audit_checks_the_determinant_path(self, capsys,
                                                       monkeypatch):
         # order 20 puts both sums above the crossover, where they are built
-        # as Wronskians; the audit compares them with padded tuples
+        # as Wronskians; the audit compares them with their tuple sums
         import qetakit.identities as identities
         for argv in (("macdonald", "--k", "3"),
                      ("denominator", "--s", "3", "--t", "4")):
@@ -146,6 +146,16 @@ class TestVerifyCommand:
         build = identities._lattice_determinant
         monkeypatch.setattr(identities, "_lattice_determinant",
                             lambda model, order: build(model, order) * 2)
+        code, _, err = run_cli(capsys, "verify", "denominator", "--s", "3",
+                               "--t", "4", "--order", "20", "--window-audit")
+        assert code == 2 and "window audit failed" in err
+
+    def test_window_audit_checks_the_tuple_side(self, capsys, monkeypatch):
+        # a tuple walk that loses a term must fail the audit too
+        import qetakit.identities as identities
+        walk = identities.general_terms
+        monkeypatch.setattr(identities, "general_terms",
+                            lambda model, order: walk(model, order)[1:])
         code, _, err = run_cli(capsys, "verify", "denominator", "--s", "3",
                                "--t", "4", "--order", "20", "--window-audit")
         assert code == 2 and "window audit failed" in err
@@ -168,7 +178,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "name", [name for name, entry in IDENTITIES.items()
-                 if not entry.lattice])
+                 if entry.tuples is None])
     def test_window_audit_refused_off_the_lattice_sums(self, capsys, name):
         params = {(): (), ("s", "t"): ("--s", "2", "--t", "5")}
         assert_usage_error(

@@ -12,6 +12,7 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      wronskian_of_characters)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
+from qetakit.rationals import largest_int_below
 
 # empirically determined and order-stable; the closed-form prefactor is off
 # from the eta-power leading coefficient by exactly this sign
@@ -94,8 +95,12 @@ class TestMacdonaldSum:
             assert term.weight != 0
 
     @pytest.mark.parametrize("k", (2, 3))
-    def test_window_doubling_is_invisible(self, k):
-        assert macdonald_rhs(k, 12) == macdonald_rhs(k, 12, window_pad=4)
+    def test_rhs_is_its_tuple_sum(self, k):
+        # below the crossover and above it, where the rhs is a Wronskian
+        tuples = IDENTITIES["macdonald"].tuples
+        for headroom in (4, LATTICE_DETERMINANT_HEADROOM + 2):
+            order = identity_lowest_exponent("macdonald", k=k) + headroom
+            assert macdonald_rhs(k, order) == tuples(order, k=k)
 
     def test_insufficient_order(self):
         with pytest.raises(ValueError, match="must exceed"):
@@ -127,11 +132,15 @@ class TestGeneralSum:
         report = empirical_constant(eta_series(30), general_rhs(model, 30), 30)
         assert report.match and report.constant == 1
 
-    def test_window_doubling_is_invisible(self):
+    def test_rhs_is_its_tuple_sum(self):
+        # below the crossover and above it, where the rhs is a Wronskian
+        tuples = IDENTITIES["denominator"].tuples
         for s, t in ((2, 5), (3, 4)):
             model = make_model(s, t)
-            assert general_rhs(model, 12) == general_rhs(model, 12,
-                                                         window_pad=3)
+            for headroom in (4, LATTICE_DETERMINANT_HEADROOM + 2):
+                order = identity_lowest_exponent("denominator", s=s,
+                                                 t=t) + headroom
+                assert general_rhs(model, order) == tuples(order, s=s, t=t)
 
 
 def _summed(terms, order):
@@ -214,7 +223,7 @@ class TestLatticeDeterminant:
             {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
         assert run(general_rhs, model, above) == \
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
-        assert run(general_rhs, model, above, window_pad=2) == \
+        assert run(IDENTITIES["denominator"].tuples, above, s=3, t=5) == \
             {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
         base = identity_lowest_exponent("macdonald", k=3)
         below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
@@ -223,8 +232,18 @@ class TestLatticeDeterminant:
             {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
         assert run(macdonald_rhs, 3, above) == \
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
-        assert run(macdonald_rhs, 3, above, window_pad=2) == \
+        assert run(IDENTITIES["macdonald"].tuples, above, k=3) == \
             {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
+
+    def test_headroom_is_measured_from_the_numerator_leads(self):
+        # the Wronskian of the chi-form numerators starts at the sum of
+        # their leading exponents, which is the identity's (2k-1)k/24
+        for model in coprime_models(100):
+            leads = [chi_numerator(model, label,
+                                   label.h_bar + 1).lowest_term()[0]
+                     for label in distinct_weights(model)]
+            assert sum(leads) == identity_lowest_exponent(
+                "denominator", s=model.s, t=model.t), model
 
     def test_high_order_denominator(self):
         # order 60 is far above the crossover for (5,7); its constant must
@@ -238,8 +257,8 @@ class TestLatticeDeterminant:
         model = make_model(3, 4)
         order = rational("61/2")
         for label in distinct_weights(model):
-            values = identities._chi_support_values(model, label, order * 48,
-                                                    0)
+            values = identities._chi_support_values(
+                model, label, largest_int_below(order * 48))
             expected = QSeries.from_terms(
                 ((Rational(v * v, 48), sign) for v, sign in values), order)
             assert chi_numerator(model, label, order) == expected
@@ -432,7 +451,7 @@ class TestIdentityTable:
         base = identity_lowest_exponent(name, **params)
         assert base == Rational(entry.power(**params), 24)
         # and the rhs as built starts there
-        rhs = entry.rhs(base + 2, 0, **params)
+        rhs = entry.rhs(base + 2, **params)
         assert min(e for e, _ in rhs.terms()) == base
 
     def test_names_and_shapes(self):
@@ -441,8 +460,8 @@ class TestIdentityTable:
             == {"euler": (), "jacobi": (), "weber": (), "macdonald": ("k",),
                 "denominator": ("s", "t"), "wronskian_raw": ("s", "t"),
                 "wronskian_normalized": ("s", "t")}
-        assert {name for name, entry in IDENTITIES.items() if entry.lattice} \
-            == {"macdonald", "denominator"}
+        assert {name for name, entry in IDENTITIES.items()
+                if entry.tuples is not None} == {"macdonald", "denominator"}
         assert {name: entry.constant for name, entry in IDENTITIES.items()
                 if entry.constant is not None} == {"weber": Rational(7, 256)}
 

@@ -4,7 +4,8 @@ import pytest
 
 from qetakit import (QSeries, Rational, character_chi_form,
                      character_double_sum, character_product_2k1,
-                     coprime_models, distinct_weights, make_model, mu_count,
+                     coprime_models, distinct_weights, eta_series,
+                     make_model, mu_count,
                      normalized_character, rational, strange_sum_2k1,
                      strange_sum_general, weber_series, weight_label)
 from qetakit.minimal_models import WeightLabel, _double_sum_numerator
@@ -160,6 +161,31 @@ class TestNormalizedCharacters:
                     expected[e] = -1 if n % 2 else 1
             ny = normalized_character(model, label, 20)
             assert {e: int(c) for e, c in ny.terms()} == expected
+
+    def test_is_eta_times_the_double_sum_character(self):
+        # the definition, a round trip through the Euler product, is the
+        # oracle of the shifted numerator
+        for model in coprime_models(28):
+            for label in distinct_weights(model):
+                lead = label.h_bar + Rational(1, 24)
+                for order in (lead + Rational(1, 7), lead + 1, 10,
+                              Rational(61, 3)):
+                    if not order > lead:
+                        continue
+                    expected = eta_series(order - label.h_bar) * \
+                        character_double_sum(model, label,
+                                             order - Rational(1, 24))
+                    assert normalized_character(model, label, order) == \
+                        expected, (model, label, order)
+
+    def test_order_and_label_checked(self):
+        model = make_model(3, 4)
+        label = distinct_weights(model)[0]
+        with pytest.raises(ValueError, match="leading exponent"):
+            normalized_character(model, label, label.h_bar + Rational(1, 24))
+        foreign = weight_label(model, 2, 1)  # m = 2 is off the (2,5) grid
+        with pytest.raises(ValueError, match="does not belong"):
+            normalized_character(make_model(2, 5), foreign, 10)
 
     def test_s2_coefficients_are_signs(self):
         for t in (5, 7, 9):
