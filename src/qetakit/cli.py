@@ -84,19 +84,20 @@ def _structured_doc(version, reports, runtime):
 
 
 def _window_audit(name, params, order):
-    """Compare a lattice sum as built (by Wronskian or by tuples, as the
-    headroom decides) with its own tuple enumeration; any difference below
-    the order signals a bug in either and aborts the run."""
+    """Build a lattice sum both ways, by its tuple enumeration and as one
+    Wronskian, whatever path the headroom selects for the verification;
+    any difference below the order signals a bug in either and aborts the
+    run."""
     entry = IDENTITIES[name]
     if entry.tuples is None:
         lattice = [key for key, other in IDENTITIES.items()
                    if other.tuples is not None]
         raise ValueError("--window-audit applies to the lattice-sum "
                          f"identities ({', '.join(lattice)})")
-    if entry.rhs(order, **params) != entry.tuples(order, **params):
-        raise RuntimeError(f"window audit failed for {name}: the sum "
-                           "differs from its tuple enumeration below the "
-                           "order")
+    if entry.determinant(order, **params) != entry.tuples(order, **params):
+        raise RuntimeError(f"window audit failed for {name}: the Wronskian "
+                           "form differs from the tuple enumeration below "
+                           "the order")
 
 
 def _cmd_verify(args):
@@ -181,8 +182,8 @@ def build_parser():
     p_verify.add_argument("--window-audit", action="store_true",
                           dest="window_audit",
                           help="also build the lattice sum by tuple "
-                               "enumeration and require identical "
-                               "coefficients")
+                               "enumeration and as one Wronskian and "
+                               "require identical coefficients")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

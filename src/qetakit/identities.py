@@ -24,13 +24,14 @@ minus the sum's leading exponent):
   Wronskian of those numerators.  The s = 2 sum is the (2, 2k+1) model's.
 * Below it, the tuples are enumerated (``general_terms``,
   ``macdonald_terms``); enumerated at any headroom they are the independent
-  oracle of the Wronskian path, the ``tuples`` of the entry.  Each walk
+  oracle of the Wronskian path.  An entry's ``tuples`` and ``determinant``
+  build its sum each way at any headroom.  Each walk
   compares integer partial sums (of squares, or of twice the exponent)
   with one integer cap: a coordinate value is taken while the least sum of
   any tuple containing it stays within the cap, and the walk stops at the
   first value past it, so no contributing tuple is missed.
 
-The determinant costs O(k^3) series products even when few tuples
+The determinant costs O(k^2) series products even when few tuples
 contribute, while the tuple count grows like order^(k/2); the crossover
 constant is the measured headroom past which the determinant wins.
 
@@ -60,10 +61,11 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: this is built as one Wronskian of chi-form numerators; below it the
 #: tuples are enumerated, which is faster while few of them contribute.
 #: Swept over one model per k = 2..14 and the s = 2 models up to k = 9 at
-#: headrooms 8-24 (Python 3.11, 2-vCPU Intel Xeon), 16 gives the least
-#: total time; the determinant wins from 12-16 for s >= 3, while the s = 2
-#: sums with k >= 5 stay cheaper to enumerate up to headroom 20-40.
-LATTICE_DETERMINANT_HEADROOM = 16
+#: headrooms 4-24 (Python 3.11, 2-vCPU Intel Xeon), 10 gives the least
+#: total time, 12 is within 1% of it; the determinant wins from 8-14 for
+#: s >= 3, while the s = 2 sums with k >= 5 stay cheaper to enumerate up
+#: to headroom 16-24.
+LATTICE_DETERMINANT_HEADROOM = 10
 
 
 def _denominator_power(k):
@@ -229,15 +231,20 @@ def macdonald_rhs(k, order):
     base = Rational(_denominator_power(k), 24)
     if not order > base:
         raise ValueError(f"insufficient order: must exceed {base}")
-    prefactor = _macdonald_prefactor(k)
     if order - base < LATTICE_DETERMINANT_HEADROOM:
         return _macdonald_tuples(k, order)
-    return _lattice_determinant(make_model(2, 2 * k + 1), order) * prefactor
+    return _macdonald_determinant(k, order)
 
 
 def _macdonald_tuples(k, order):
     """:func:`macdonald_rhs` from its tuples at any headroom: its oracle."""
     return _sum_terms(macdonald_terms(k, order), order) * \
+        _macdonald_prefactor(k)
+
+
+def _macdonald_determinant(k, order):
+    """:func:`macdonald_rhs` as one Wronskian at any headroom."""
+    return _lattice_determinant(make_model(2, 2 * k + 1), order) * \
         _macdonald_prefactor(k)
 
 
@@ -411,9 +418,11 @@ class Identity(NamedTuple):
     power: Callable       # (**params) -> eta power of the lhs
     rhs: Callable         # (order, **params) -> QSeries
     constant: Optional[object] = None  # the one constant that matches
-    # a lattice sum's rhs built by tuple enumeration at any headroom, which
-    # --window-audit compares with rhs; None off the lattice sums
+    # a lattice sum's rhs built by tuple enumeration and as one Wronskian,
+    # each at any headroom, which --window-audit compares with each other;
+    # None off the lattice sums
     tuples: Optional[Callable] = None
+    determinant: Optional[Callable] = None
 
 
 # Each builder is looked up as a module global when its entry is called, so
@@ -426,11 +435,14 @@ IDENTITIES = {
     "macdonald": Identity(
         ("k",), _denominator_power,
         lambda order, k: macdonald_rhs(k, order),
-        tuples=lambda order, k: _macdonald_tuples(k, order)),
+        tuples=lambda order, k: _macdonald_tuples(k, order),
+        determinant=lambda order, k: _macdonald_determinant(k, order)),
     "denominator": Identity(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
         lambda order, s, t: general_rhs(make_model(s, t), order),
-        tuples=lambda order, s, t: _general_tuples(make_model(s, t), order)),
+        tuples=lambda order, s, t: _general_tuples(make_model(s, t), order),
+        determinant=lambda order, s, t: _lattice_determinant(
+            make_model(s, t), order)),
     "wronskian_raw": Identity(
         ("s", "t"),
         lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),

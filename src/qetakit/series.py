@@ -37,6 +37,7 @@ import re
 import sys
 from array import array
 from collections.abc import Mapping
+from itertools import repeat
 from math import gcd, lcm
 
 from .rationals import Rational, largest_int_below, rat_floor, rational
@@ -61,8 +62,8 @@ _HEADER_RE = re.compile(r"^D=(\d+) P=(-?\d+(?:/\d+)?)$")
 SCHOOLBOOK_TERMS = 16
 
 #: Array typecodes of the unsigned machine words, by size in bytes; a packed
-#: digit of one of these widths is converted by ``array`` instead of a
-#: Python loop over byte slices.
+#: digit of one of these widths is converted by ``array`` (its signed
+#: lower-case code when packing) instead of one ``int`` call per digit.
 _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 _SWAP_BYTES = sys.byteorder != "little"
 
@@ -109,20 +110,6 @@ def _over_common_denominator(values):
              for n, c in values.items() if c}, den)
 
 
-def _words_to_int(words, width):
-    """The integer whose base-``2**(8*width)`` digits are ``words``, lowest
-    first (every word non-negative and below the base)."""
-    code = _WORD_CODES.get(width)
-    if code is None:
-        data = b"".join(w.to_bytes(width, "little") for w in words)
-    else:
-        packed = array(code, words)
-        if _SWAP_BYTES:
-            packed.byteswap()
-        data = packed.tobytes()
-    return int.from_bytes(data, "little")
-
-
 def _int_to_words(value, count, width):
     """The lowest ``count`` base-``2**(8*width)`` digits of ``value >= 0``."""
     data = value.to_bytes(count * width, "little")
@@ -137,32 +124,38 @@ def _int_to_words(value, count, width):
     return words.tolist()
 
 
-def _pack(terms, stride, width):
-    """``sum c * B**(s // stride)`` over the (step, numerator) pairs, with
-    ``B = 2**(8*width)``; positive and negative numerators are packed apart,
-    so each digit only has to hold a magnitude."""
-    size = max(s for s, _ in terms) // stride + 1
-    pos = [0] * size
-    neg = None
-    for s, c in terms:
-        if c > 0:
-            pos[s // stride] = c
-        else:
-            if neg is None:
-                neg = [0] * size
-            neg[s // stride] = -c
-    value = _words_to_int(pos, width)
-    if neg is not None:
-        value -= _words_to_int(neg, width)
-    return value
+def _pack(num, stride, width, signs):
+    """``sum c * B**(s // stride)`` over the step -> numerator map ``num``,
+    with ``B = 2**(8*width)`` and every ``|c| < B/2``.
+
+    Each digit is written as ``c % B`` (two's complement), all in one pass
+    of C-level calls; that reads back as the sum plus ``B`` at every
+    negative digit, whose top bit is set, so subtracting twice the bits
+    that ``signs`` (the top bit of each digit) selects leaves the signed
+    sum.
+    """
+    digits = map(num.get, range(0, max(num) + 1, stride), repeat(0))
+    code = _WORD_CODES.get(width)
+    if code is None:
+        base = 1 << (8 * width)
+        data = b"".join(map(int.to_bytes, map(base.__rmod__, digits),
+                            repeat(width), repeat("little")))
+    else:
+        packed = array(code.lower(), digits)
+        if _SWAP_BYTES:
+            packed.byteswap()
+        data = packed.tobytes()
+    value = int.from_bytes(data, "little")
+    return value - ((value & signs) << 1)
 
 
 def _schoolbook_product(xs, ys, cap):
-    """step -> numerator of the product of two (step, numerator) lists,
+    """step -> numerator of the product of two step -> numerator maps,
     keeping steps up to ``cap``."""
     if len(xs) > len(ys):
         xs, ys = ys, xs
-    xs = iter(xs)
+    xs = iter(xs.items())
+    ys = ys.items()
     sx, cx = next(xs)
     acc = {sx + sy: cx * cy for sy, cy in ys if sy <= cap - sx}
     get = acc.get
@@ -186,16 +179,19 @@ def _kronecker_product(xs, ys, cap):
     digits non-negative without carries, and the low ``count`` digits are
     read back from the low bits alone.
     """
-    stride = gcd(*(s for s, _ in xs), *(s for s, _ in ys))
-    count = min(cap, max(s for s, _ in xs) + max(s for s, _ in ys)) // stride + 1
-    bound = (max(abs(c) for _, c in xs) * max(abs(c) for _, c in ys)
+    stride = gcd(*xs, *ys)
+    count = min(cap, max(xs) + max(ys)) // stride + 1
+    bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
              * min(len(xs), len(ys)))
     width = (bound.bit_length() + 8) // 8
     width = min((w for w in _WORD_CODES if w >= width), default=width)
-    px = _pack(xs, stride, width)
-    product = px * px if xs is ys else px * _pack(ys, stride, width)
     half = 1 << (8 * width - 1)
+    # the top bit of each of the product's digits: the sign bits of a
+    # packed factor, which has no more digits, and the bias that makes the
+    # product's digits non-negative
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    px = _pack(xs, stride, width, bias)
+    product = px * px if xs is ys else px * _pack(ys, stride, width, bias)
     low = (product + bias) & ((1 << (8 * width * count)) - 1)
     return {i * stride: d - half
             for i, d in enumerate(_int_to_words(low, count, width))
@@ -359,12 +355,12 @@ class QSeries:
                 if (a + n) * f <= smax}
 
     def _steps_up_to(self, f, cap):
-        """(step * f, numerator) pairs with ``step * f <= cap``."""
+        """step * f -> numerator for the steps with ``step * f <= cap``."""
         num = self._num
         if f == 1:
-            return num.items() if max(num) <= cap else [
-                (n, c) for n, c in num.items() if n <= cap]
-        return [(n * f, c) for n, c in num.items() if n * f <= cap]
+            return num if max(num) <= cap else {
+                n: c for n, c in num.items() if n <= cap}
+        return {n * f: c for n, c in num.items() if n * f <= cap}
 
     def equal_up_to(self, other, bound):
         """True iff all coefficients of exponents < bound agree exactly."""

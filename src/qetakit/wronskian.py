@@ -1,29 +1,37 @@
 """Wronskian and Vandermonde machinery over exact truncated series.
 
 The Wronskian here always uses the multiplicative derivative q d/dq.  It is
-evaluated by fraction-free (Bareiss) elimination in O(k^3) series products:
+evaluated in O(k^2) series products by the fraction-free recursion that the
+Sylvester (Jacobi) identity for Wronskians gives,
+``W(W(f_1..f_d, g), W(f_1..f_d, h)) = W(f_1..f_d) W(f_1..f_d, g, h)``:
 
 * columns that share a leading exponent are reduced against each other,
   ``y_j <- y_j - (c_j/c_i) y_i`` (a determinant-one column operation), until
   every column has its own leading exponent ``l_i``;
-* writing ``y_i = q^(l_i) g_i``, row r of column i is ``(theta + l_i)^r g_i``,
-  whose constant term is ``l_i^r g_i(0)``.  The p-th Bareiss pivot is the
-  leading p x p minor, so its constant term is the Vandermonde of
-  ``l_1, ..., l_p`` times ``g_1(0) ... g_p(0)``: nonzero, because the
-  ``l_i`` are distinct.  Every pivot is therefore a unit of the series
-  ring, the elimination never searches for a pivot or exchanges rows, and
-  a pivot without a constant term is a broken invariant, not a bad input;
-* each step after the first divides exactly by the previous pivot through
-  one integer ``invert()`` (k - 2 in all), and
-  ``W = (last pivot) * q^(l_1 + ... + l_k)``.
+* ``V_0(j) = f_j``, and step d turns every later entry into
+  ``V_d(j) = (V_(d-1)(d) theta V_(d-1)(j) - V_(d-1)(j) theta V_(d-1)(d))
+  / V_(d-2)(d-1)``, so ``V_d(j) = W(f_1..f_d, f_j)`` and
+  ``W = V_(k-1)(k)``.  Every entry is an exact Wronskian of d + 1 inputs,
+  so numerators stay as small as the minors of Bareiss elimination;
+* the divisor ``W(f_1..f_(d-1))`` starts at ``q^(l_1 + ... + l_(d-1))``
+  with the Vandermonde of ``l_1, ..., l_(d-1)`` times the leading
+  coefficients: nonzero, because the ``l_i`` are distinct.  So every
+  divisor is invertible, each division is one product with one integer
+  ``invert()`` (k - 2 in all), and a divisor that starts elsewhere is a
+  broken invariant, not a bad input.
 
-Entries never start below q^0, so every product keeps the smaller relative
-precision ``P_i - l_i`` of its factors and the result is exact below
-``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
+Step d takes three products per later entry, 3k(k-1)/2 - (k-1) in all,
+where elimination of the full derivative matrix takes O(k^3).  With
+``R = min_i (P_i - l_i)``, ``V_d(j)`` starts at or above
+``l_1 + ... + l_d + l_j`` and is exact below that plus R: products add
+leading exponents and keep R, theta keeps both, and the inverse of a
+divisor that starts at S is exact below R - S.  So the result is exact
+below ``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
 (:func:`wronskian_entry_precision` inverts it).  The independent oracles
-(the subset-minor and Vandermonde term expansions of the same determinant,
-and a rational Gaussian elimination for scalar matrices) live with the
-tests, in ``tests/oracles.py``.
+(Bareiss elimination of the full derivative matrix, the subset-minor and
+Vandermonde term expansions of the same determinant, and a rational
+Gaussian elimination for scalar matrices) live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,38 +53,6 @@ def vandermonde(values):
     return result
 
 
-def theta_derivative_rows(entries, depth):
-    """Rows of successive q d/dq derivatives: row r is the r-th derivative."""
-    rows = [list(entries)]
-    for _ in range(depth - 1):
-        rows.append([y.theta_derive() for y in rows[-1]])
-    return rows
-
-
-def _bareiss_determinant(matrix):
-    """Determinant of a square matrix of series whose leading principal
-    minors all have a constant term, by Bareiss elimination without row
-    exchanges: step p replaces the trailing block by 2x2 minors divided by
-    the previous pivot, multiplying by its inverse; every entry is a minor
-    of the input, so the division is exact.  The last pivot divides
-    nothing, so it is never inverted: a k x k determinant takes k - 2
-    inverses."""
-    a = [list(row) for row in matrix]
-    k = len(a)
-    for p in range(k - 1):
-        pivot_row = a[p]
-        pivot = pivot_row[p]
-        if pivot.is_zero or pivot.offset:
-            raise AssertionError(f"Bareiss pivot {p} has no constant term")
-        scale = a[p - 1][p - 1].invert() if p else None
-        for row in a[p + 1:]:
-            lead = row[p]
-            for j in range(p + 1, k):
-                x = pivot * row[j] - lead * pivot_row[j]
-                row[j] = x if scale is None else x * scale
-    return a[k - 1][k - 1]
-
-
 def _distinct_leading_exponents(entries):
     """Columns with pairwise distinct leading exponents and the same
     Wronskian: each column is reduced against earlier ones with the same
@@ -95,6 +71,31 @@ def _distinct_leading_exponents(entries):
     return columns
 
 
+def _jacobi_recursion(columns, lows):
+    """The Wronskian of nonzero columns with the distinct leading exponents
+    ``lows``: step p turns every later entry into ``W(f_0..f_p, f_j)`` from
+    ``W(f_0..f_(p-1), f_j)``, dividing by the pivot of step p - 1 through
+    its inverse; the last pivot divides nothing (k - 2 inverses)."""
+    v = list(columns)
+    k = len(v)
+    low = Rational(0)
+    for p in range(k - 1):
+        pivot = v[p]
+        scale = None
+        if p:
+            divisor = v[p - 1]
+            if divisor.is_zero or divisor._low_exponent() != low:
+                raise AssertionError(f"divisor {p} does not start at q^{low}")
+            scale = divisor.invert()
+        low += lows[p]
+        d_pivot = pivot.theta_derive()
+        for j in range(p + 1, k):
+            y = v[j]
+            x = pivot * y.theta_derive() - y * d_pivot
+            v[j] = x if scale is None else x * scale
+    return v[k - 1]
+
+
 def wronskian(entries):
     """Determinant of the q d/dq derivative matrix of the given series,
     exact below ``sum_i l_i + min_i (P_i - l_i)`` for entries with leading
@@ -109,12 +110,9 @@ def wronskian(entries):
     # a zero column counts as starting at its precision bound, so W is known
     # to vanish below the sum of the leading exponents
     lows = [y._low_exponent() for y in columns]
-    total_low = sum(lows, Rational(0))
     if any(y.is_zero for y in columns):
-        return QSeries.zero(total_low)
-    rows = [[y.shift(-low) for y, low in zip(row, lows)]
-            for row in theta_derivative_rows(columns, k)]
-    return _bareiss_determinant(rows).shift(total_low)
+        return QSeries.zero(sum(lows, Rational(0)))
+    return _jacobi_recursion(columns, lows)
 
 
 def wronskian_entry_precision(lows, order):

@@ -3,11 +3,14 @@
 Everything here is deliberately naive: plain integer dict polynomials,
 bounded-part partition recursions, trial division, schoolbook series
 products and back-substitution inverses over ``Fraction``, the Wronskian
-as a subset-minor expansion and as a sum over term tuples, and Gaussian
-elimination over ``Fraction``.  None of it shares arithmetic with the
-package under test: the series oracles use only the public ``QSeries``
-constructors, views and ring operators, and the residue indicator reads
-the package's sign classes (``chi_support``) one integer at a time.
+as a subset-minor expansion, as a sum over term tuples and by Bareiss
+elimination of the derivative matrix, and Gaussian elimination over
+``Fraction``.  None of it shares arithmetic with the package under test:
+the series oracles use only the public ``QSeries`` constructors, views and
+ring operators (the Bareiss oracle also the package's reduction to
+distinct leading exponents, which it does not test), and the residue
+indicator reads the package's sign classes (``chi_support``) one integer
+at a time.
 """
 
 from fractions import Fraction
@@ -120,6 +123,44 @@ def wronskian_subset_minor(entries):
                 new[key] = term if prev is None else prev + term
         layer = new
     return layer[(1 << k) - 1]
+
+
+def wronskian_bareiss(entries):
+    """The q d/dq Wronskian by Bareiss elimination of the full derivative
+    matrix, in O(k^3) series products.
+
+    After the package's own reduction to distinct leading exponents
+    ``l_i``, column i is shifted to ``g_i = q^(-l_i) y_i``, so row r holds
+    ``q^(-l_i) theta^r y_i``; every leading principal minor then has a
+    nonzero constant term (a Vandermonde of the ``l_i``), each step divides
+    exactly by the previous pivot through its inverse, and
+    ``W = (last pivot) * q^(l_1 + ... + l_k)``.
+    """
+    from qetakit import QSeries
+    from qetakit.wronskian import _distinct_leading_exponents
+
+    entries = list(entries)
+    k = len(entries)
+    if k == 1:
+        return entries[0]
+    columns = _distinct_leading_exponents(entries)
+    lows = [_low_exponent(y) for y in columns]
+    if any(y.is_zero for y in columns):
+        return QSeries.zero(sum(lows))
+    rows = [columns]
+    for _ in range(k - 1):
+        rows.append([y.theta_derive() for y in rows[-1]])
+    a = [[y.shift(-low) for y, low in zip(row, lows)] for row in rows]
+    for p in range(k - 1):
+        pivot_row = a[p]
+        pivot = pivot_row[p]
+        scale = a[p - 1][p - 1].invert() if p else None
+        for row in a[p + 1:]:
+            lead = row[p]
+            for j in range(p + 1, k):
+                x = pivot * row[j] - lead * pivot_row[j]
+                row[j] = x if scale is None else x * scale
+    return a[k - 1][k - 1].shift(sum(lows))
 
 
 def _low_exponent(x):

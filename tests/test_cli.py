@@ -150,6 +150,22 @@ class TestVerifyCommand:
                                "--t", "4", "--order", "20", "--window-audit")
         assert code == 2 and "window audit failed" in err
 
+    def test_window_audit_checks_below_the_crossover(self, capsys,
+                                                    monkeypatch):
+        # order 5 puts both sums below the crossover, where the verification
+        # enumerates tuples; the audit still builds the Wronskian form
+        import qetakit.identities as identities
+        build = identities._lattice_determinant
+        monkeypatch.setattr(identities, "_lattice_determinant",
+                            lambda model, order: build(model, order) * 2)
+        for argv in (("macdonald", "--k", "3"),
+                     ("denominator", "--s", "3", "--t", "4")):
+            code, out, _ = run_cli(capsys, "verify", *argv, "--order", "5")
+            assert code == 0 and "match=true" in out
+            code, _, err = run_cli(capsys, "verify", *argv, "--order", "5",
+                                   "--window-audit")
+            assert code == 2 and "window audit failed" in err
+
     def test_window_audit_checks_the_tuple_side(self, capsys, monkeypatch):
         # a tuple walk that loses a term must fail the audit too
         import qetakit.identities as identities

@@ -225,6 +225,9 @@ class TestLatticeDeterminant:
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
         assert run(IDENTITIES["denominator"].tuples, above, s=3, t=5) == \
             {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
+        assert run(IDENTITIES["denominator"].determinant, below, s=3,
+                   t=5) == \
+            {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
         base = identity_lowest_exponent("macdonald", k=3)
         below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
         above = base + LATTICE_DETERMINANT_HEADROOM
@@ -234,6 +237,8 @@ class TestLatticeDeterminant:
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
         assert run(IDENTITIES["macdonald"].tuples, above, k=3) == \
             {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
+        assert run(IDENTITIES["macdonald"].determinant, below, k=3) == \
+            {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
 
     def test_headroom_is_measured_from_the_numerator_leads(self):
         # the Wronskian of the chi-form numerators starts at the sum of
@@ -460,8 +465,10 @@ class TestIdentityTable:
             == {"euler": (), "jacobi": (), "weber": (), "macdonald": ("k",),
                 "denominator": ("s", "t"), "wronskian_raw": ("s", "t"),
                 "wronskian_normalized": ("s", "t")}
-        assert {name for name, entry in IDENTITIES.items()
-                if entry.tuples is not None} == {"macdonald", "denominator"}
+        for field in ("tuples", "determinant"):
+            assert {name for name, entry in IDENTITIES.items()
+                    if getattr(entry, field) is not None} == \
+                {"macdonald", "denominator"}
         assert {name: entry.constant for name, entry in IDENTITIES.items()
                 if entry.constant is not None} == {"weber": Rational(7, 256)}
 

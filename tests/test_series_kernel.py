@@ -163,6 +163,33 @@ def test_kronecker_digits_hold_the_largest_coefficient(magnitude, sign):
     assert (x * y).coefficient(n - 1) == sign * n * magnitude ** 2
 
 
+@pytest.mark.parametrize("width,exponent", [(9, 29), (17, 61)])
+def test_kronecker_digits_wider_than_a_machine_word(monkeypatch, width,
+                                                    exponent):
+    # 32 numerators up to 2**exponent in runs of one sign: the digit bound
+    # 32 * 2**(2 * exponent) needs `width` bytes, a width no array typecode
+    # holds, so every digit goes through int.to_bytes as c % B
+    n = 2 * SCHOOLBOOK_TERMS
+    top = 1 << exponent
+
+    def runs(length, seed):
+        return {i: (-1) ** (i // length) * (top - seed * i) for i in range(n)}
+
+    widths = []
+    pack = series_module._pack
+
+    def recording_pack(num, stride, w, signs):
+        widths.append(w)
+        return pack(num, stride, w, signs)
+
+    monkeypatch.setattr(series_module, "_pack", recording_pack)
+    x = QSeries(1, 0, runs(5, 3), 2 * n)
+    y = QSeries(1, 0, runs(3, 7), 2 * n)
+    assert_same_series(x * y, series_mul_fraction(x, y))
+    assert_same_series(y * y, series_mul_fraction(y, y))
+    assert widths == [width] * 3
+
+
 def test_products_cut_by_precision():
     # x has its terms up to q^40 but y is known only below q^3: the product
     # is known below 3 + low(x) = 3

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      character_double_sum, characters_for_wronskian,
-                     distinct_weights, eisenstein_g2, eta_series, make_model,
+                     chi_numerator, coprime_models, distinct_weights,
+                     eisenstein_g2, eta_series, make_model,
                      normalized_character, rational, vandermonde,
                      weber_series, wronskian, wronskian_entry_precision)
-from qetakit.wronskian import _bareiss_determinant
+from qetakit.minimal_models import chi_support
+from qetakit.wronskian import _jacobi_recursion
 
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
-                     wronskian_subset_minor, wronskian_vandermonde_expand)
+                     wronskian_bareiss, wronskian_subset_minor,
+                     wronskian_vandermonde_expand)
 
 
 def assert_matches_oracles(vec):
@@ -187,9 +190,13 @@ class TestKernelAgainstOracles:
         with pytest.raises(ValueError, match="leading exponent 1/6"):
             characters_for_wronskian(make_model(2, 5), Rational(1, 10))
 
-    def test_products_are_cubic_in_k(self, monkeypatch):
-        vec = characters_for_wronskian(make_model(4, 7), 10)
-        assert len(vec) == 9
+    @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (3, 5, 4),
+                                       (4, 7, 9), (5, 8, 14)])
+    def test_products_are_quadratic_in_k(self, monkeypatch, s, t, k):
+        model = make_model(s, t)
+        base = sum(lab.h_bar for lab in distinct_weights(model))
+        vec = characters_for_wronskian(model, base + 4)
+        assert len(vec) == k
         products = 0
         series_mul = QSeries.__mul__
 
@@ -202,8 +209,11 @@ class TestKernelAgainstOracles:
         monkeypatch.setattr(QSeries, "__mul__", counting_mul)
         wronskian(vec)
         monkeypatch.undo()
-        # the subset-minor expansion needs k * (2^(k-1) - 1) = 2295
-        assert 0 < products <= 9 ** 3
+        # two products per entry and step, and one more by the inverse of
+        # the previous pivot after the first step: 3k(k-1)/2 - (k-1) in all;
+        # Bareiss elimination needs 548 for k = 9 and the subset-minor
+        # expansion k * (2^(k-1) - 1) = 2295
+        assert 0 < products <= 3 * k * (k - 1) // 2
 
     @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
     def test_inverts_every_pivot_but_the_last(self, monkeypatch, s, t, k):
@@ -223,13 +233,48 @@ class TestKernelAgainstOracles:
         assert inverts == k - 2
 
     def test_a_pivot_without_a_constant_term_is_a_broken_invariant(self):
-        # wronskian never builds such a matrix, so this is no input error
-        # and the command line does not turn it into exit 2
+        # wronskian never passes columns that share a leading exponent, so
+        # this is no input error and the command line does not turn it
+        # into exit 2: W(1, 1 + q) = q starts above 0 + 0
         one = QSeries.one(5)
         q = QSeries.monomial(1, 1, 5)
+        columns = [one, one + q, q * q, q * q * q]
         with pytest.raises(AssertionError,
-                           match="pivot 0 has no constant term"):
-            _bareiss_determinant([[q, one], [one, one]])
+                           match="divisor 2 does not start at q\\^0"):
+            _jacobi_recursion(columns, [0, 0, 2, 3])
+
+
+def _model_vectors(model, headroom):
+    """The chi-form numerators and the raw and normalized characters of a
+    model, each at the precision that makes its Wronskian exact
+    ``headroom`` above its leading exponent."""
+    labels = distinct_weights(model)
+    st4 = 4 * model.s * model.t
+    lows = [Rational(min(plus | minus) ** 2, st4)
+            for plus, minus in (chi_support(model, lab) for lab in labels)]
+    precision = wronskian_entry_precision(lows, sum(lows) + headroom)
+    yield [chi_numerator(model, lab, precision) for lab in labels]
+    base = sum(lab.h_bar for lab in labels)
+    yield characters_for_wronskian(model, base + headroom)
+    yield characters_for_wronskian(model, base + Rational(model.k, 24)
+                                   + headroom, normalized=True)
+
+
+class TestKernelAgainstBareiss:
+    """The recursion computes the very series Bareiss elimination does,
+    precision included."""
+
+    @pytest.mark.parametrize("model", [m for m in coprime_models(60)
+                                       if m.k <= 15],
+                             ids=lambda m: f"{m.s},{m.t}")
+    def test_model_vectors(self, model):
+        for vec in _model_vectors(model, 4):
+            assert wronskian(vec) == wronskian_bareiss(vec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(series_vectors())
+    def test_property(self, vec):
+        assert wronskian(vec) == wronskian_bareiss(vec)
 
 
 class TestScaleByMatrix:
