@@ -25,7 +25,7 @@ import sys
 import time
 
 from .eta import NAMED_SERIES, named_series
-from .identities import IDENTITIES, identity_params, verify_identity
+from .identities import IDENTITIES, audit_identity, verify_identity
 from .minimal_models import (character_chi_form, character_double_sum,
                              character_product_2k1, make_model, weight_label)
 from .rationals import parse_order
@@ -83,23 +83,6 @@ def _structured_doc(version, reports, runtime):
     }, indent=2) + "\n"
 
 
-def _window_audit(name, params, order):
-    """Build a lattice sum both ways, by its tuple enumeration and as one
-    Wronskian, whatever path the headroom selects for the verification;
-    any difference below the order signals a bug in either and aborts the
-    run."""
-    entry = IDENTITIES[name]
-    if entry.tuples is None:
-        lattice = [key for key, other in IDENTITIES.items()
-                   if other.tuples is not None]
-        raise ValueError("--window-audit applies to the lattice-sum "
-                         f"identities ({', '.join(lattice)})")
-    if entry.determinant(order, **params) != entry.tuples(order, **params):
-        raise RuntimeError(f"window audit failed for {name}: the Wronskian "
-                           "form differs from the tuple enumeration below "
-                           "the order")
-
-
 def _cmd_verify(args):
     started = time.monotonic()
     if args.identity == "suite":
@@ -120,12 +103,9 @@ def _cmd_verify(args):
         if (args.manifest, args.max_st, args.jobs) != (None,) * 3:
             raise ValueError("--manifest, --max-st and --jobs apply to "
                              "verify suite only")
-        params = identity_params(args.identity,
-                                 {"k": args.k, "s": args.s, "t": args.t})
-        order = parse_order(args.order)
-        if args.window_audit:
-            _window_audit(args.identity, params, order)
-        reports = [verify_identity(args.identity, order=order, **params)]
+        verify = audit_identity if args.window_audit else verify_identity
+        reports = [verify(args.identity, order=parse_order(args.order),
+                          k=args.k, s=args.s, t=args.t)]
         version = None
         header = ""
     runtime = time.monotonic() - started

@@ -25,13 +25,19 @@ NAMED_SERIES = ("eta", "eta^M", "pentagonal_sum", "jacobi_cube_sum", "g2",
                 "weber_f", "weber_f1", "weber_f2")
 
 
+def _binomial_product(grid, steps, sign, precision):
+    """``prod_n (1 + sign q^(n/grid))`` over ``steps`` in their order,
+    exact below ``precision``; each step must lie below it."""
+    acc = QSeries.one(precision)
+    for n in steps:
+        acc = acc * QSeries(grid, 0, {0: 1, n: sign}, precision)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _euler_product_cached(count):
     # prod_{1 <= i < count} (1 - q^i), exact below the integer count
-    acc = QSeries.one(count)
-    for i in range(1, count):
-        acc = acc * QSeries(1, 0, {0: 1, i: -1}, count)
-    return acc
+    return _binomial_product(1, range(1, count), -1, count)
 
 
 def _integer_count(order):
@@ -153,6 +159,11 @@ def eisenstein_g2(order):
     return QSeries.from_terms(terms, order)
 
 
+#: Weber function -> (leading exponent, grid, sign of its factors).
+_WEBER = {"f": (WEBER_F_EXPONENT, 2, 1), "f1": (WEBER_F_EXPONENT, 2, -1),
+          "f2": (WEBER_F2_EXPONENT, 1, 1)}
+
+
 def weber_series(which, order):
     """One of Weber's three product functions, exact below order.
 
@@ -161,30 +172,15 @@ def weber_series(which, order):
     """
     key = str(which).lower()
     order = rational(order)
-    if key in ("f", "f1"):
-        prefix = WEBER_F_EXPONENT
-        sign = 1 if key == "f" else -1
-        if not order > prefix:
-            raise ValueError("order must exceed -1/48")
-        rel = order - prefix
-        acc = QSeries.one(rel)
-        n = 0
-        while Rational(2 * n + 1, 2) < rel:
-            acc = acc * QSeries(2, 0, {0: 1, 2 * n + 1: sign}, rel)
-            n += 1
-        return acc.shift(prefix)
-    if key == "f2":
-        prefix = WEBER_F2_EXPONENT
-        if not order > prefix:
-            raise ValueError("order must exceed 1/24")
-        rel = order - prefix
-        acc = QSeries.one(rel)
-        n = 1
-        while n < rel:
-            acc = acc * QSeries(1, 0, {0: 1, n: 1}, rel)
-            n += 1
-        return acc.shift(prefix)
-    raise ValueError(f"unknown Weber function {which!r} (use f, f1 or f2)")
+    if key not in _WEBER:
+        raise ValueError(f"unknown Weber function {which!r} (use f, f1 or f2)")
+    prefix, grid, sign = _WEBER[key]
+    if not order > prefix:
+        raise ValueError(f"order must exceed {prefix}")
+    rel = order - prefix
+    # the steps n = 1, 1 + grid, 1 + 2 grid, ... with n/grid below rel
+    steps = range(1, largest_int_below(grid * rel) + 1, grid)
+    return _binomial_product(grid, steps, sign, rel).shift(prefix)
 
 
 def named_series(name, order):

@@ -6,14 +6,23 @@ general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
 :data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
 is its leading exponent), its rhs builder, its constant where that is fixed
-(Weber), and, for a lattice sum, the same rhs built by tuple enumeration.
-Verification never trusts a
+(Weber), and, for a lattice sum, the same rhs built by tuple enumeration
+and as one Wronskian.  Verification never trusts a
 printed normalisation: the constant is fixed empirically from the leading
 nonzero coefficients, then every remaining coefficient below the requested
 order must match exactly against that single constant.
 
-Each sum is built on one of two paths, chosen by its headroom (the order
-minus the sum's leading exponent):
+Both families are one tuple walk (``_walk``) over per-coordinate windows
+of integer picks ``(cost, coordinate, sign, square)``.  It compares integer
+partial costs (sums of squares, or twice the exponent) with one integer
+cap, pruned by the least cost of the coordinates still to pick, and weighs
+a tuple by its signs times the :func:`~qetakit.wronskian.vandermonde` of
+its squares, all in ints; only an emitted term's exponent and weight are
+rationals.  ``general_terms`` and ``macdonald_terms`` only build windows.
+
+Each sum is built on one of two paths, chosen by one rule
+(``_lattice_entry``) from its headroom, the order minus the sum's leading
+exponent:
 
 * At a headroom of :data:`LATTICE_DETERMINANT_HEADROOM` or more, the sum is
   one Wronskian.  The Vandermonde of the squares is ``det[x_j^(i-1)]`` and
@@ -22,14 +31,10 @@ minus the sum's leading exponent):
   ``(4st)^(i-1)`` times the (i-1)-th ``q d/dq`` derivative of the chi-form
   numerator of label j, so the sum is ``(4st)^(k(k-1)/2)`` times the
   Wronskian of those numerators.  The s = 2 sum is the (2, 2k+1) model's.
-* Below it, the tuples are enumerated (``general_terms``,
-  ``macdonald_terms``); enumerated at any headroom they are the independent
-  oracle of the Wronskian path.  An entry's ``tuples`` and ``determinant``
-  build its sum each way at any headroom.  Each walk
-  compares integer partial sums (of squares, or of twice the exponent)
-  with one integer cap: a coordinate value is taken while the least sum of
-  any tuple containing it stays within the cap, and the walk stops at the
-  first value past it, so no contributing tuple is missed.
+* Below it, the tuples are walked; walked at any headroom they are the
+  independent oracle of the Wronskian path.  An entry's ``tuples`` and
+  ``determinant`` build its sum each way at any headroom, and
+  :func:`audit_identity` compares the two.
 
 The determinant costs O(k^2) series products even when few tuples
 contribute, while the tuple count grows like order^(k/2); the crossover
@@ -61,11 +66,12 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: this is built as one Wronskian of chi-form numerators; below it the
 #: tuples are enumerated, which is faster while few of them contribute.
 #: Swept over one model per k = 2..14 and the s = 2 models up to k = 9 at
-#: headrooms 4-24 (Python 3.11, 2-vCPU Intel Xeon), 10 gives the least
-#: total time, 12 is within 1% of it; the determinant wins from 8-14 for
-#: s >= 3, while the s = 2 sums with k >= 5 stay cheaper to enumerate up
-#: to headroom 16-24.
-LATTICE_DETERMINANT_HEADROOM = 10
+#: headrooms 4-24 in steps of 2 (Python 3.11, 2-vCPU Intel Xeon), the
+#: constants 10/12/14/16/18/20 summed to 1.68/1.59/1.51/1.43/1.39/1.38 s
+#: (best of 3) and 1.40/1.33/1.27/1.21/1.17/1.15 s (best of 5).  20 gains
+#: under 2% on that grid but would send the (5,8) sum at headroom 19.25 to
+#: its tuples, which take 64 ms there against 46 ms for the Wronskian.
+LATTICE_DETERMINANT_HEADROOM = 18
 
 
 def _denominator_power(k):
@@ -115,8 +121,60 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
+# the tuple walk
+# ----------------------------------------------------------------------
+
+def _walk(windows, cap, exponent, sign):
+    """Every tuple that takes one pick ``(cost, coordinate, sign, square)``
+    from each window (sorted by cost) and whose costs sum to at most the
+    integer ``cap``, lexicographic in the windows' order.  A tuple of
+    nonzero weight ``sign * prod(pick signs) * vandermonde(squares)``, all
+    in ints, is a term at ``exponent(cost sum)``.  A pick is taken while
+    the least cost of any tuple containing it stays within the cap, and its
+    window is left at the first pick past it, so no contributing tuple is
+    missed."""
+    if not all(windows):
+        return []
+    k = len(windows)
+    floor = [0] * (k + 1)  # least cost of the coordinates from i on
+    for i in range(k - 1, -1, -1):
+        floor[i] = floor[i + 1] + windows[i][0][0]
+    terms = []
+    n_vec = [0] * k
+    squares = [0] * k
+
+    def descend(i, cost, sign):
+        if i == k:
+            weight = vandermonde(squares)
+            if weight:
+                terms.append(LatticeTerm(tuple(n_vec), exponent(cost),
+                                         Rational(sign * weight)))
+            return
+        room = cap - floor[i + 1]
+        for c, n, s, square in windows[i]:
+            if cost + c > room:
+                break
+            n_vec[i] = n
+            squares[i] = square
+            descend(i + 1, cost + c, sign * s)
+
+    descend(0, 0, sign)
+    return terms
+
+
+def _sum_terms(terms, order):
+    return QSeries.from_terms(((t.exponent, t.weight) for t in terms), order)
+
+
+# ----------------------------------------------------------------------
 # the s = 2 family: signed sum with square-difference weights
 # ----------------------------------------------------------------------
+
+def _pair_sign(k):
+    """``(-1)^(k(k-1)/2)``, the sign of reversing k coordinates, which
+    turns a Vandermonde into a product of pairwise differences."""
+    return -1 if (k * (k - 1) // 2) % 2 else 1
+
 
 def chi_d(k, n_vec):
     """Pairwise weight ``prod_{i<j} (d_i^2 - d_j^2)`` with
@@ -124,15 +182,8 @@ def chi_d(k, n_vec):
     k = int(k)
     if len(n_vec) != k:
         raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
-    d_sq = [(2 * (i + 1) - 1 + n * (4 * k + 2)) ** 2
-            for i, n in enumerate(n_vec)]
-    result = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            result *= d_sq[i] - d_sq[j]
-            if not result:
-                return 0
-    return result
+    return _pair_sign(k) * vandermonde(
+        [(2 * i + 1 + n * (4 * k + 2)) ** 2 for i, n in enumerate(n_vec)])
 
 
 def lattice_exponent(k, n_vec):
@@ -158,20 +209,18 @@ def c_k_constant(k):
     return Rational(1, denom)
 
 
-def _coordinate_window(coeff_sq, coeff_lin, cap):
-    """All integers n with ``coeff_sq*n^2 + coeff_lin*n <= cap``, as
-    (that value, n) sorted by value."""
-    values = []
+def _coordinate_window(k, i, cap):
+    """The picks of coordinate i of the rank-k sum: every integer n whose
+    cost ``(2k+1)n^2 + (2i-1)n`` (twice its exponent) is at most ``cap``,
+    with sign ``(-1)^n`` and square ``d_i^2``, sorted by cost."""
+    picks = []
     for n, step in ((0, 1), (-1, -1)):
-        while (f := coeff_sq * n * n + coeff_lin * n) <= cap:
-            values.append((f, n))
+        while (cost := (2 * k + 1) * n * n + (2 * i - 1) * n) <= cap:
+            picks.append((cost, n, -1 if n & 1 else 1,
+                          (2 * i - 1 + n * (4 * k + 2)) ** 2))
             n += step
-    values.sort()
-    return values
-
-
-def _sum_terms(terms, order):
-    return QSeries.from_terms(((t.exponent, t.weight) for t in terms), order)
+    picks.sort()
+    return picks
 
 
 def macdonald_terms(k, order):
@@ -181,38 +230,20 @@ def macdonald_terms(k, order):
     if k < 2:
         raise ValueError("k must be >= 2")
     order = rational(order)
-    base = Rational(2 * k * k - k, 24)
+    power = _denominator_power(k)
+    base = Rational(power, 24)
     if not order > base:
         return []
     # twice the exponent above base is an integer, at most this cap
     cap = largest_int_below(2 * (order - base))
-    windows = [_coordinate_window(2 * k + 1, 2 * i - 1, cap)
-               for i in range(1, k + 1)]
-    terms = []
-    n_vec = [0] * k
-
-    def descend(i, partial, parity):
-        if i == k:
-            weight = chi_d(k, n_vec)
-            if weight:
-                terms.append(LatticeTerm(
-                    tuple(n_vec), base + Rational(partial, 2),
-                    Rational(-weight if parity else weight)))
-            return
-        for f, n in windows[i]:
-            if partial + f > cap:
-                break
-            n_vec[i] = n
-            descend(i + 1, partial + f, parity ^ (n & 1))
-
-    descend(0, 0, 0)
-    return terms
+    windows = [_coordinate_window(k, i, cap) for i in range(1, k + 1)]
+    return _walk(windows, cap, lambda cost: Rational(power + 12 * cost, 24),
+                 _pair_sign(k))
 
 
 def _macdonald_prefactor(k):
     """The closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``."""
-    prefactor = c_k_constant(k)
-    return -prefactor if (k * (k - 1) // 2) % 2 else prefactor
+    return c_k_constant(k) * _pair_sign(k)
 
 
 def macdonald_rhs(k, order):
@@ -226,26 +257,7 @@ def macdonald_rhs(k, order):
     ``LATTICE_DETERMINANT_HEADROOM`` or more it is that model's Wronskian
     form; below it, the tuples of :func:`macdonald_terms` are summed.
     """
-    k = int(k)
-    order = rational(order)
-    base = Rational(_denominator_power(k), 24)
-    if not order > base:
-        raise ValueError(f"insufficient order: must exceed {base}")
-    if order - base < LATTICE_DETERMINANT_HEADROOM:
-        return _macdonald_tuples(k, order)
-    return _macdonald_determinant(k, order)
-
-
-def _macdonald_tuples(k, order):
-    """:func:`macdonald_rhs` from its tuples at any headroom: its oracle."""
-    return _sum_terms(macdonald_terms(k, order), order) * \
-        _macdonald_prefactor(k)
-
-
-def _macdonald_determinant(k, order):
-    """:func:`macdonald_rhs` as one Wronskian at any headroom."""
-    return _lattice_determinant(make_model(2, 2 * k + 1), order) * \
-        _macdonald_prefactor(k)
+    return IDENTITIES["macdonald"].rhs(order, k=k)
 
 
 # ----------------------------------------------------------------------
@@ -276,39 +288,13 @@ def general_terms(model, order):
     order = rational(order)
     if not order > 0:
         raise ValueError("order must be positive")
-    k = model.k
     st4 = 4 * model.s * model.t
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
-    supports = [_chi_support_values(model, lab, cap)
-                for lab in distinct_weights(model)]
-    if any(not sup for sup in supports):
-        return []
-    suffix_min = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + supports[i][0][0] ** 2
-    terms = []
-    n_vec = [0] * k
-    squares = [0] * k
-
-    def descend(i, partial_sq, sign):
-        if i == k:
-            weight = vandermonde(squares)
-            if weight:
-                terms.append(LatticeTerm(
-                    tuple(n_vec), Rational(partial_sq, st4),
-                    Rational(sign * weight)))
-            return
-        for v, s in supports[i]:
-            nxt = partial_sq + v * v
-            if nxt + suffix_min[i + 1] > cap:
-                break
-            n_vec[i] = v
-            squares[i] = v * v
-            descend(i + 1, nxt, sign * s)
-
-    descend(0, 0, 1)
-    return terms
+    windows = [[(v * v, v, sign, v * v)
+                for v, sign in _chi_support_values(model, lab, cap)]
+               for lab in distinct_weights(model)]
+    return _walk(windows, cap, lambda cost: Rational(cost, st4), 1)
 
 
 def _lattice_determinant(model, order):
@@ -335,16 +321,7 @@ def general_rhs(model, order):
     as one Wronskian of the chi-form numerators; below it, the tuples of
     :func:`general_terms` are summed.
     """
-    order = rational(order)
-    if (order - Rational(_denominator_power(model.k), 24)
-            >= LATTICE_DETERMINANT_HEADROOM):
-        return _lattice_determinant(model, order)
-    return _general_tuples(model, order)
-
-
-def _general_tuples(model, order):
-    """:func:`general_rhs` from its tuples at any headroom: its oracle."""
-    return _sum_terms(general_terms(model, order), order)
+    return IDENTITIES["denominator"].rhs(order, s=model.s, t=model.t)
 
 
 # ----------------------------------------------------------------------
@@ -419,10 +396,27 @@ class Identity(NamedTuple):
     rhs: Callable         # (order, **params) -> QSeries
     constant: Optional[object] = None  # the one constant that matches
     # a lattice sum's rhs built by tuple enumeration and as one Wronskian,
-    # each at any headroom, which --window-audit compares with each other;
+    # each at any headroom, which audit_identity compares with each other;
     # None off the lattice sums
     tuples: Optional[Callable] = None
     determinant: Optional[Callable] = None
+
+
+def _lattice_entry(params, power, tuples, determinant):
+    """The entry of a lattice sum, whose rhs is built by ``tuples`` at a
+    headroom (order minus ``power/24``) below
+    :data:`LATTICE_DETERMINANT_HEADROOM`, read when it is called, and by
+    ``determinant`` from there on."""
+    def rhs(order, **values):
+        order = rational(order)
+        base = Rational(power(**values), 24)
+        if not order > base:
+            raise ValueError(f"insufficient order: must exceed {base}")
+        if order - base < LATTICE_DETERMINANT_HEADROOM:
+            return tuples(order, **values)
+        return determinant(order, **values)
+    return Identity(params, power, rhs, tuples=tuples,
+                    determinant=determinant)
 
 
 # Each builder is looked up as a module global when its entry is called, so
@@ -432,17 +426,17 @@ IDENTITIES = {
                       lambda order: pentagonal_sum_series(order)),
     "jacobi": Identity((), lambda: 3,
                        lambda order: jacobi_cube_series(order)),
-    "macdonald": Identity(
+    "macdonald": _lattice_entry(
         ("k",), _denominator_power,
-        lambda order, k: macdonald_rhs(k, order),
-        tuples=lambda order, k: _macdonald_tuples(k, order),
-        determinant=lambda order, k: _macdonald_determinant(k, order)),
-    "denominator": Identity(
+        lambda order, k: _sum_terms(macdonald_terms(k, order), order)
+        * _macdonald_prefactor(k),
+        lambda order, k: _lattice_determinant(make_model(2, 2 * k + 1), order)
+        * _macdonald_prefactor(k)),
+    "denominator": _lattice_entry(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
-        lambda order, s, t: general_rhs(make_model(s, t), order),
-        tuples=lambda order, s, t: _general_tuples(make_model(s, t), order),
-        determinant=lambda order, s, t: _lattice_determinant(
-            make_model(s, t), order)),
+        lambda order, s, t: _sum_terms(general_terms(make_model(s, t), order),
+                                       order),
+        lambda order, s, t: _lattice_determinant(make_model(s, t), order)),
     "wronskian_raw": Identity(
         ("s", "t"),
         lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),
@@ -494,6 +488,29 @@ def identity_lowest_exponent(name, **params):
     return Rational(IDENTITIES[name].power(**params), 24)
 
 
+def _admissible(name, order, params):
+    """``order`` and ``params`` for a verification of ``name``, checked;
+    ValueError unless ``order`` exceeds the identity's leading exponent."""
+    order = rational(order)
+    params = identity_params(name, params)
+    base = Rational(IDENTITIES[name].power(**params), 24)
+    if not order > base:
+        raise ValueError(f"insufficient order {order} for {name}: the "
+                         f"minimal admissible order must exceed {base}")
+    return order, params
+
+
+def _compare(name, params, order, rhs):
+    """The report of ``rhs`` against ``eta_power(power)`` of the entry
+    ``name``; a match needs the entry's constant, if it has one."""
+    entry = IDENTITIES[name]
+    lhs = eta_power(entry.power(**params), order)
+    report = empirical_constant(lhs, rhs, order, identity=name, params=params)
+    if entry.constant is not None and report.constant != entry.constant:
+        report = replace(report, match=False)
+    return report
+
+
 def verify_identity(name, *, order=20, **params):
     """Compare ``eta_power(power)`` with the rhs of the entry ``name`` of
     :data:`IDENTITIES` (params as in :func:`identity_params`), built on the
@@ -501,17 +518,25 @@ def verify_identity(name, *, order=20, **params):
     report carries the constant found, which must equal the entry's
     expected constant, if it has one (Weber, 7/256), for a match.
     """
-    order = rational(order)
-    params = identity_params(name, params)
+    order, params = _admissible(name, order, params)
+    return _compare(name, params, order, IDENTITIES[name].rhs(order, **params))
+
+
+def audit_identity(name, *, order, **params):
+    """:func:`verify_identity` for a lattice sum, built once by its tuples
+    and once as its Wronskian whatever its headroom: RuntimeError if the two
+    differ below ``order``, else the report of either against the eta
+    power."""
+    order, params = _admissible(name, order, params)
     entry = IDENTITIES[name]
-    power = entry.power(**params)
-    base = Rational(power, 24)
-    if not order > base:
-        raise ValueError(f"insufficient order {order} for {name}: the "
-                         f"minimal admissible order must exceed {base}")
-    lhs = eta_power(power, order)
-    rhs = entry.rhs(order, **params)
-    report = empirical_constant(lhs, rhs, order, identity=name, params=params)
-    if entry.constant is not None and report.constant != entry.constant:
-        report = replace(report, match=False)
-    return report
+    if entry.tuples is None:
+        lattice = [key for key, other in IDENTITIES.items()
+                   if other.tuples is not None]
+        raise ValueError("--window-audit applies to the lattice-sum "
+                         f"identities ({', '.join(lattice)})")
+    rhs = entry.tuples(order, **params)
+    if entry.determinant(order, **params) != rhs:
+        raise RuntimeError(f"window audit failed for {name}: the Wronskian "
+                           "form differs from the tuple enumeration below "
+                           "the order")
+    return _compare(name, params, order, rhs)

@@ -41,9 +41,10 @@ from .series import QSeries
 
 
 def vandermonde(values):
-    """Product of pairwise differences ``prod_{j<i}(x_i - x_j)``; 1 for k <= 1."""
+    """Product of pairwise differences ``prod_{j<i}(x_i - x_j)``: an int
+    for ints, a Rational for Rationals; 1 for k <= 1."""
     xs = list(values)
-    result = Rational(1)
+    result = 1
     for i in range(1, len(xs)):
         xi = xs[i]
         for j in range(i):

@@ -8,14 +8,16 @@ elimination of the derivative matrix, and Gaussian elimination over
 ``Fraction``.  None of it shares arithmetic with the package under test:
 the series oracles use only the public ``QSeries`` constructors, views and
 ring operators (the Bareiss oracle also the package's reduction to
-distinct leading exponents, which it does not test), and the residue
+distinct leading exponents, which it does not test), the residue
 indicator reads the package's sign classes (``chi_support``) one integer
-at a time.
+at a time, and the lattice-sum terms come from a box enumeration that
+writes the paper's summands out in full.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, lcm
+from itertools import product
+from math import ceil, gcd, isqrt, lcm
 import random
 
 
@@ -326,3 +328,78 @@ def chi_indicator(model, label, r):
     if rem in minus:
         return -1
     return 0
+
+
+def _box_terms(columns, exponent, order, sign=1):
+    """(tuple, exponent, weight) for every pick of one ``(n, sign, d)``
+    from each column with ``exponent(tuple) < order`` and a nonzero weight
+    ``sign * prod(signs) * prod_{i<j}(d_i^2 - d_j^2)``, in the order of
+    ``itertools.product``."""
+    terms = []
+    for picks in product(*columns):
+        n_vec = tuple(n for n, _, _ in picks)
+        e = exponent(n_vec)
+        if not e < order:
+            continue
+        weight = sign
+        for _, s, _ in picks:
+            weight *= s
+        for i in range(len(picks)):
+            for j in range(i + 1, len(picks)):
+                weight *= picks[i][2] ** 2 - picks[j][2] ** 2
+        if weight:
+            terms.append((n_vec, e, weight))
+    return terms
+
+
+def general_terms_box(model, order):
+    """The per-model lattice sum's terms below ``order``, by brute force.
+
+    Coordinate j runs over every integer ``0 <= v <= sqrt(cap)``, where
+    ``cap`` is the largest integer below ``4st * order``, and keeps the
+    values where the indicator of the j-th label ``(m, n)`` is nonzero:
+    +1 on ``v = +-(ns - mt)`` and -1 on ``v = +-(ns + mt)`` mod 2st.  A
+    tuple is weighted by its signs times ``prod_{j<i}(v_i^2 - v_j^2)`` at
+    ``q^(sum v^2 / 4st)``.
+    """
+    from qetakit import distinct_weights
+
+    order = Fraction(order)
+    s, t = model.s, model.t
+    modulus, st4 = 2 * s * t, 4 * s * t
+    top = isqrt(ceil(order * st4) - 1)
+    columns = []
+    for label in distinct_weights(model):
+        a, b = label.n * s - label.m * t, label.n * s + label.m * t
+        column = []
+        for v in range(top + 1):
+            if (v - a) % modulus == 0 or (v + a) % modulus == 0:
+                column.append((v, 1, v))
+            elif (v - b) % modulus == 0 or (v + b) % modulus == 0:
+                column.append((v, -1, v))
+        columns.append(column)
+    k = model.k
+    # prod_{j<i} is prod_{i<j} times the sign of reversing k coordinates
+    return _box_terms(columns, lambda vs: Fraction(sum(v * v for v in vs),
+                                                   st4), order,
+                      (-1) ** (k * (k - 1) // 2))
+
+
+def macdonald_terms_box(k, order):
+    """The A_2k^(2) Macdonald sum's terms below ``order``, without its
+    prefactor, by brute force over every ``|n_i| <= sqrt(cap)``, where
+    ``cap`` is the largest integer below twice the order's excess over
+    ``(2k^2 - k)/24``: weight ``(-1)^(n_1+...+n_k) prod_{i<j}(d_i^2 -
+    d_j^2)`` with ``d_i = 2i - 1 + (4k + 2) n_i``, at exponent
+    ``(2k^2 - k)/24 + sum_i ((2k + 1) n_i^2 + (2i - 1) n_i)/2``.
+    """
+    order = Fraction(order)
+    base = Fraction(2 * k * k - k, 24)
+    if not order > base:
+        return []
+    top = isqrt(ceil(2 * (order - base)) - 1)
+    columns = [[(n, -1 if n % 2 else 1, 2 * i - 1 + (4 * k + 2) * n)
+                for n in range(-top, top + 1)] for i in range(1, k + 1)]
+    return _box_terms(columns, lambda ns: base + Fraction(sum(
+        (2 * k + 1) * n * n + (2 * i - 1) * n
+        for i, n in enumerate(ns, start=1)), 2), order)

@@ -176,6 +176,32 @@ class TestVerifyCommand:
                                "--t", "4", "--order", "20", "--window-audit")
         assert code == 2 and "window audit failed" in err
 
+    def test_window_audit_builds_each_path_once(self, capsys, monkeypatch):
+        # the verification compares the sum the audit built, on either side
+        # of the crossover, instead of building it again
+        import qetakit.identities as identities
+        calls = {}
+
+        def counted(name):
+            inner = getattr(identities, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("general_terms", "macdonald_terms", "wronskian"):
+            monkeypatch.setattr(identities, name, counted(name))
+        for walk, argv in (("macdonald_terms", ("macdonald", "--k", "3")),
+                           ("general_terms",
+                            ("denominator", "--s", "3", "--t", "4"))):
+            for order in ("5", "20"):
+                calls.clear()
+                code, out, _ = run_cli(capsys, "verify", *argv, "--order",
+                                       order, "--window-audit")
+                assert code == 0 and "match=true" in out
+                assert calls == {walk: 1, "wronskian": 1}, (argv, order)
+
     def test_window_audit_wrong_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "euler", "--order", "40",
                                "--window-audit")

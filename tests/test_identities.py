@@ -13,6 +13,10 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
+from oracles import general_terms_box, macdonald_terms_box
+
+#: Small headrooms (order minus leading exponent) for the box oracles.
+BOX_HEADROOMS = (1, Rational(5, 2), 4)
 
 # empirically determined and order-stable; the closed-form prefactor is off
 # from the eta-power leading coefficient by exactly this sign
@@ -94,6 +98,14 @@ class TestMacdonaldSum:
         for term in macdonald_terms(2, 12):
             assert term.weight != 0
 
+    @pytest.mark.parametrize("headroom", BOX_HEADROOMS)
+    def test_terms_are_the_box_enumeration(self, headroom):
+        for k in (2, 3, 4):
+            order = identity_lowest_exponent("macdonald", k=k) + headroom
+            terms = macdonald_terms(k, order)
+            assert terms and sorted(terms) == \
+                sorted(macdonald_terms_box(k, order)), k
+
     @pytest.mark.parametrize("k", (2, 3))
     def test_rhs_is_its_tuple_sum(self, k):
         # below the crossover and above it, where the rhs is a Wronskian
@@ -120,6 +132,37 @@ class TestGeneralSum:
             n1, n2 = term.n_vec
             assert n1 * n1 != n2 * n2
             assert term.weight != 0
+
+    @pytest.mark.parametrize("headroom", BOX_HEADROOMS)
+    def test_terms_are_the_box_enumeration(self, headroom):
+        for model in coprime_models(30):
+            order = identity_lowest_exponent("denominator", s=model.s,
+                                             t=model.t) + headroom
+            terms = general_terms(model, order)
+            assert terms and terms == general_terms_box(model, order), model
+
+    def test_leaves_build_no_fraction_beyond_the_term(self, monkeypatch):
+        # each emitted term builds its exponent and its weight; the walk
+        # itself runs on ints, so nothing else grows with the tuple count
+        from fractions import Fraction
+        build = Fraction.__new__
+        built = [0]
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return build(cls, *args, **kwargs)
+
+        for s, t, headroom in ((2, 5, 30), (3, 4, 20), (3, 5, 12),
+                               (4, 7, 6)):
+            model = make_model(s, t)
+            order = identity_lowest_exponent("denominator", s=s,
+                                             t=t) + headroom
+            built[0] = 0
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            terms = general_terms(model, order)
+            monkeypatch.undo()
+            assert len(terms) > 20
+            assert built[0] <= 2 * len(terms) + 40, (s, t, built[0])
 
     def test_ising_eta_power_15(self):
         model = make_model(3, 4)

@@ -36,6 +36,10 @@ class TestVandermonde:
     def test_direct_product(self):
         assert vandermonde([1, 2, 3]) == 2
 
+    def test_ints_give_an_int(self):
+        # the lattice walks weigh every tuple by it, so it stays off Fraction
+        assert type(vandermonde([1, 2, 3])) is int
+
     def test_repeated_entry(self):
         assert vandermonde([4, 7, 4]) == 0
 
