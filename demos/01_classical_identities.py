@@ -5,23 +5,25 @@ precision bound and every printed coefficient is provably exact.
 """
 
 from qetakit import (QSeries, eta_series, eta_power, euler_inverse,
-                     jacobi_cube_series, pentagonal_sum_series, rational,
+                     euler_product, jacobi_cube_series, rational,
                      verify_identity)
 
 # ---------------------------------------------------------------------------
 # Build a series, look at it, serialize it.
 # ---------------------------------------------------------------------------
+# eta is built from Euler's pentagonal sum: alternating signs at the
+# generalized pentagonal numbers.
 eta = eta_series(15)
-print("eta as a truncated product:")
+print("eta as the pentagonal sum:")
 print("   ", eta)
 print("text interchange format:")
 print(eta_series(5).to_text())
 
-# The same object from the sum side: alternating signs at the generalized
-# pentagonal numbers.  The two constructions share no code.
-pent = pentagonal_sum_series(15)
-print("pentagonal sum side:    ", pent)
-print("product == sum below 15:", eta.equal_up_to(pent, 15))
+# The same object from the product side: q^(1/24) prod (1 - q^i), multiplied
+# out one binomial factor at a time.  The two constructions share no code.
+product = euler_product(15 - rational("1/24")).shift(rational("1/24"))
+print("binomial product side:  ", product)
+print("product == sum below 15:", product.equal_up_to(eta, 15))
 
 # ---------------------------------------------------------------------------
 # The ring operations track precision pessimistically.

@@ -1,12 +1,15 @@
 """Builders for the classical named q-series.
 
 Everything here is an exact truncated expansion: the Dedekind eta function
-``q^(1/24) * prod(1 - q^i)``, its classical sum-side companions (the
-pentagonal-number sum and the cube-identity sum), the weight-two
+``q^(1/24) * prod(1 - q^i)``, its cube-identity sum side, the weight-two
 quasimodular Eisenstein series, and Weber's three half-integer product
-functions.  Every infinite sum or product is cut at the analytically forced
-bound: the first omitted factor or summand cannot touch any exponent below
-the requested order, so all reported coefficients are exact.
+functions.  Eta is built as Euler's pentagonal-number sum, which has
+O(sqrt(order)) terms and needs no product; the binomial product
+:func:`euler_product` is kept as the independent side of the ``euler``
+identity, and Weber's products stay products.  Every infinite sum or
+product is cut at the analytically forced bound: the first omitted factor
+or summand cannot touch any exponent below the requested order, so all
+reported coefficients are exact.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def euler_product(order):
 
 @lru_cache(maxsize=None)
 def _euler_inverse_cached(count):
-    return _euler_product_cached(count).invert()
+    return _pentagonal_sum(count).invert()
 
 
 def euler_inverse(order):
@@ -64,11 +67,14 @@ def euler_inverse(order):
 
 
 def eta_series(order):
-    """Dedekind eta: ``q^(1/24) * prod_{i>=1}(1 - q^i)``, exact below order."""
-    order = rational(order)
-    if not order > ETA_EXPONENT:
-        raise ValueError("order must exceed 1/24")
-    return euler_product(order - ETA_EXPONENT).shift(ETA_EXPONENT)
+    """Dedekind eta ``q^(1/24) * prod_{i>=1}(1 - q^i)``, exact below order.
+
+    It is built as Euler's pentagonal sum (:func:`pentagonal_sum_series`),
+    the same series, precision included, as
+    ``euler_product(order - 1/24).shift(1/24)``, which stays the
+    independent side of the ``euler`` identity.
+    """
+    return pentagonal_sum_series(order)
 
 
 def eta_power(exponent, order):
@@ -92,6 +98,22 @@ def eta_power(exponent, order):
     return result
 
 
+def _pentagonal_sum(rel):
+    """``sum_{n in Z} (-1)^n q^((3n^2-n)/2)`` with every exponent below
+    ``rel > 0``, which by Euler's pentagonal number theorem is
+    ``prod_{i>=1} (1 - q^i)``; n > 0 gives the exponent ``lo`` and -n the
+    exponent ``lo + n``."""
+    num = {0: 1}
+    n = 1
+    while (lo := (3 * n * n - n) // 2) < rel:
+        sign = -1 if n & 1 else 1
+        num[lo] = sign
+        if lo + n < rel:
+            num[lo + n] = sign
+        n += 1
+    return QSeries(1, 0, num, rel)
+
+
 def pentagonal_sum_series(order):
     """Sum side of the pentagonal-number identity for eta.
 
@@ -102,20 +124,7 @@ def pentagonal_sum_series(order):
     order = rational(order)
     if not order > ETA_EXPONENT:
         raise ValueError("order must exceed 1/24")
-    rel = order - ETA_EXPONENT
-    terms = [(ETA_EXPONENT, 1)]
-    n = 1
-    while True:
-        lo = (3 * n * n - n) // 2
-        if not lo < rel:
-            break
-        sign = -1 if n % 2 else 1
-        terms.append((ETA_EXPONENT + lo, sign))
-        hi = (3 * n * n + n) // 2
-        if hi < rel:
-            terms.append((ETA_EXPONENT + hi, sign))
-        n += 1
-    return QSeries.from_terms(terms, order)
+    return _pentagonal_sum(order - ETA_EXPONENT).shift(ETA_EXPONENT)
 
 
 def jacobi_cube_series(order):

@@ -52,10 +52,11 @@ on purpose, so that each checks the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 from typing import Callable, NamedTuple, Optional
 
-from .eta import WEBER_F2_EXPONENT, WEBER_F_EXPONENT, eta_power, \
-    jacobi_cube_series, pentagonal_sum_series, weber_series
+from .eta import ETA_EXPONENT, WEBER_F2_EXPONENT, WEBER_F_EXPONENT, \
+    eta_power, euler_product, jacobi_cube_series, weber_series
 from .minimal_models import chi_numerator, chi_support, distinct_weights, \
     make_model, character_double_sum, normalized_character
 from .rationals import Rational, largest_int_below, rat_str, rational
@@ -330,33 +331,36 @@ def general_rhs(model, order):
 
 def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     """Fix ``constant = leading(rhs)/leading(lhs)`` and check
-    ``rhs = constant * lhs`` coefficientwise below ``order``."""
+    ``rhs = constant * lhs`` coefficientwise below ``order``.
+
+    Both series are read as integer numerators on one grid, so with leading
+    numerators ``l0`` and ``r0`` a step matches when ``r * l0 == r0 * l``;
+    rationals are built only for the constant and the first mismatch."""
     order = rational(order)
     if order > lhs.precision or order > rhs.precision:
         raise PrecisionError(f"insufficient precision for comparison at "
                              f"order {order}")
     params = dict(params or {})
-    left = [(e, c) for e, c in lhs.terms() if e < order]
-    right = [(e, c) for e, c in rhs.terms() if e < order]
+    D = lcm(lhs.grid_denominator, rhs.grid_denominator)
+    smax = largest_int_below(order * D)
+    left = lhs._numerators_on(D, lhs._den, smax)
+    right = rhs._numerators_on(D, rhs._den, smax)
     if not left or not right:
         raise ValueError(f"no comparable terms below order {order}; "
                          "raise the order above the leading exponent")
-    exponents = sorted({e for e, _ in left} | {e for e, _ in right})
-    if left[0][0] != right[0][0]:
+    steps = left.keys() | right.keys()
+    s0 = min(left)
+    if s0 != min(right):
         return VerificationReport(identity, params, order, None, False,
-                                  min(left[0][0], right[0][0]),
-                                  len(exponents))
-    constant = right[0][1] / left[0][1]
-    lmap = dict(left)
-    rmap = dict(right)
-    first_mismatch = None
-    for e in exponents:
-        if constant * lmap.get(e, Rational(0)) != rmap.get(e, Rational(0)):
-            first_mismatch = e
-            break
+                                  Rational(min(s0, min(right)), D),
+                                  len(steps))
+    l0 = left[s0]
+    r0 = right[s0]
+    constant = Rational(r0 * lhs._den, l0 * rhs._den)
+    bad = [s for s in steps if right.get(s, 0) * l0 != r0 * left.get(s, 0)]
+    first_mismatch = Rational(min(bad), D) if bad else None
     return VerificationReport(identity, params, order, constant,
-                              first_mismatch is None, first_mismatch,
-                              len(exponents))
+                              not bad, first_mismatch, len(steps))
 
 
 def characters_for_wronskian(model, order, *, normalized=False):
@@ -422,8 +426,10 @@ def _lattice_entry(params, power, tuples, determinant):
 # Each builder is looked up as a module global when its entry is called, so
 # a function patched into this module (by a tracer or a test) is used.
 IDENTITIES = {
+    # eta is built as the pentagonal sum, so the rhs is the product
     "euler": Identity((), lambda: 1,
-                      lambda order: pentagonal_sum_series(order)),
+                      lambda order: euler_product(order - ETA_EXPONENT)
+                      .shift(ETA_EXPONENT)),
     "jacobi": Identity((), lambda: 3,
                        lambda order: jacobi_cube_series(order)),
     "macdonald": _lattice_entry(

@@ -96,6 +96,25 @@ def random_series(rng: random.Random, *, max_terms=5, allow_zero=True):
     return series
 
 
+def empirical_constant_terms(lhs, rhs, order):
+    """``(constant, first_mismatch, terms_compared)`` of ``rhs`` against
+    ``lhs`` below ``order`` on ``Fraction`` term lists: the constant is the
+    ratio of the leading coefficients (None when the leading exponents
+    differ, and the lower one is the mismatch); ValueError when a side has
+    no term below ``order``."""
+    left = {e: c for e, c in lhs.terms() if e < order}
+    right = {e: c for e, c in rhs.terms() if e < order}
+    if not left or not right:
+        raise ValueError("no comparable terms")
+    exponents = sorted(left.keys() | right.keys())
+    if min(left) != min(right):
+        return None, exponents[0], len(exponents)
+    constant = right[exponents[0]] / left[exponents[0]]
+    mismatches = [e for e in exponents
+                  if constant * left.get(e, 0) != right.get(e, 0)]
+    return constant, (mismatches[0] if mismatches else None), len(exponents)
+
+
 def wronskian_subset_minor(entries):
     """The q d/dq Wronskian by column-wise expansion over row-subset minors.
 

@@ -167,10 +167,22 @@ def test_manifests_keep_the_contract(text, name):
 
 
 def test_a_mismatch_is_exit_1(monkeypatch):
-    # the one way to exit 1: a report that says match=false
+    # the one way to exit 1: a report that says match=false; here the
+    # product side of `verify euler` is wrong (the partition series)
     import qetakit.identities as identities
-    monkeypatch.setattr(identities, "pentagonal_sum_series",
-                        lambda order: identities.jacobi_cube_series(order))
+    from qetakit.eta import euler_inverse
+    monkeypatch.setattr(identities, "euler_product", euler_inverse)
+    code, out, err = run(["verify", "euler", "--order", "12"])
+    assert code == 1 and "match=false" in out and err == ""
+    assert_contract(["verify", "euler", "--order", "12"])
+
+
+def test_a_mismatch_on_the_eta_side_is_exit_1(monkeypatch):
+    # the eta side of `verify euler` is the pentagonal sum; a wrong one
+    # must fail the report as well
+    import qetakit.eta as eta
+    monkeypatch.setattr(eta, "pentagonal_sum_series",
+                        lambda order: eta.jacobi_cube_series(order))
     code, out, err = run(["verify", "euler", "--order", "12"])
     assert code == 1 and "match=false" in out and err == ""
     assert_contract(["verify", "euler", "--order", "12"])

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from qetakit import (QSeries, Rational, eisenstein_g2, eta_power, eta_series,
-                     jacobi_cube_series, named_series, pentagonal_sum_series,
-                     rational, weber_series)
+                     euler_inverse, euler_product, jacobi_cube_series,
+                     named_series, pentagonal_sum_series, rational,
+                     verify_identity, weber_series)
 
-from oracles import distinct_partition_count, euler_factors_poly, sigma1
+from oracles import (distinct_partition_count, euler_factors_poly,
+                     partition_count, sigma1)
 
 PREFIX = Rational(1, 24)
 
@@ -28,9 +30,23 @@ def test_eta_times_inverse_is_one():
 
 
 def test_eta_matches_pentagonal_sum():
-    for order in (rational("50"), rational("100"), rational("77/2")):
-        assert eta_series(order).equal_up_to(pentagonal_sum_series(order),
-                                             order)
+    # eta is built as the pentagonal sum; its oracle is the binomial
+    # product, equal as a series, precision included
+    orders = [Rational(n) for n in range(1, 101)]
+    orders += [Rational(n, 24) + Rational(1, 48) for n in range(1, 100 * 24, 13)]
+    orders += [n + Rational(1, 3) for n in range(100)]
+    for order in orders:
+        assert eta_series(order) == euler_product(order - PREFIX).shift(PREFIX)
+
+
+def test_euler_inverse_is_the_inverted_product():
+    for order in [Rational(n) for n in range(1, 61)] + [rational("77/2"),
+                                                         rational("1/3")]:
+        inverse = euler_inverse(order)
+        bound = max(order, 1)
+        assert inverse == euler_product(bound).invert().truncate(bound)
+        assert [inverse.coefficient(n) for n in range(math.ceil(bound))] \
+            == [partition_count(n) for n in range(math.ceil(bound))]
 
 
 def test_pentagonal_exponents_and_signs():
@@ -166,3 +182,30 @@ def test_euler_cache_builds_once_per_integer_count():
     assert eta._euler_inverse_cached.cache_info().misses == 1
     eta.euler_product(10 + Rational(1, 24))
     assert eta._euler_product_cached.cache_info().misses == 2
+
+
+def test_only_verify_euler_builds_the_binomial_product(monkeypatch):
+    # eta and the partition series come from the pentagonal sum; the
+    # binomial product is built only as the rhs of euler, once per count
+    from qetakit import eta, minimal_models
+
+    builds = []
+    product = eta._binomial_product
+
+    def counted(grid, steps, sign, precision):
+        builds.append(precision)
+        return product(grid, steps, sign, precision)
+
+    monkeypatch.setattr(eta, "_binomial_product", counted)
+    for module in (eta, minimal_models):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    assert verify_identity("jacobi", order=40).match
+    assert verify_identity("wronskian_raw", s=2, t=5, order=12).match
+    assert verify_identity("macdonald", k=3, order=30).match
+    assert verify_identity("macdonald", k=2, order=8).match
+    assert builds == []
+    for order in ("12", "23/2", "47/4", "12", "13"):
+        assert verify_identity("euler", order=rational(order)).match
+    assert builds == [12, 13]

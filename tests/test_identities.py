@@ -1,5 +1,7 @@
 """Lattice sums, empirical constants, and the verification drivers."""
 
+import random
+
 import pytest
 
 import qetakit.identities as identities
@@ -13,7 +15,8 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
-from oracles import general_terms_box, macdonald_terms_box
+from oracles import (empirical_constant_terms, general_terms_box,
+                     macdonald_terms_box, random_series)
 
 #: Small headrooms (order minus leading exponent) for the box oracles.
 BOX_HEADROOMS = (1, Rational(5, 2), 4)
@@ -391,6 +394,42 @@ class TestEmpiricalConstant:
     def test_nothing_to_compare(self):
         with pytest.raises(ValueError, match="no comparable terms"):
             empirical_constant(eta_power(276, 10), eta_power(276, 10), 10)
+
+    def test_agrees_with_the_term_list_oracle(self):
+        # random pairs on mixed grids and denominators: unrelated, a
+        # rational multiple, or a multiple with one term changed
+        rng = random.Random(20)
+        outcomes = set()
+        for _ in range(600):
+            lhs = random_series(rng, allow_zero=False)
+            kind = rng.randrange(3)
+            if kind == 0:
+                rhs = random_series(rng, allow_zero=False)
+            else:
+                rhs = lhs * Rational(rng.choice((-3, 1, 2)), rng.choice((1, 5)))
+            if kind == 2:
+                e = lhs.lowest_term()[0] + Rational(rng.randint(0, 12), 6)
+                if e < rhs.precision:
+                    rhs = rhs + QSeries.monomial(rng.randint(1, 3), e,
+                                                 rhs.precision)
+            order = min(lhs.precision, rhs.precision) \
+                - Rational(rng.randint(0, 3), 3)
+            try:
+                expected = empirical_constant_terms(lhs, rhs, order)
+            except ValueError:
+                with pytest.raises(ValueError, match="no comparable terms"):
+                    empirical_constant(lhs, rhs, order)
+                outcomes.add("empty")
+                continue
+            report = empirical_constant(lhs, rhs, order)
+            got = (report.constant, report.first_mismatch,
+                   report.terms_compared)
+            assert got == expected, (lhs, rhs, order)
+            assert report.match == (expected[0] is not None
+                                    and expected[1] is None)
+            outcomes.add((report.constant is not None, report.match))
+        assert outcomes == {"empty", (False, False), (True, False),
+                            (True, True)}
 
 
 class TestVerifyIdentity:
