@@ -6,10 +6,12 @@ quasimodular Eisenstein series, and Weber's three half-integer product
 functions.  Eta is built as Euler's pentagonal-number sum, which has
 O(sqrt(order)) terms and needs no product; the binomial product
 :func:`euler_product` is kept as the independent side of the ``euler``
-identity, and Weber's products stay products.  Every infinite sum or
-product is cut at the analytically forced bound: the first omitted factor
-or summand cannot touch any exponent below the requested order, so all
-reported coefficients are exact.
+identity, and Weber's products stay products.  Both binomial products are
+built as balanced product trees, binomial times binomial at the leaves and
+long times long above them.  Every infinite sum or product is cut at the
+analytically forced bound: the first omitted factor or summand cannot touch
+any exponent below the requested order, so all reported coefficients are
+exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rationals import Rational, largest_int_below, rational
-from .series import QSeries
+from .series import PrecisionError, QSeries
 
 ETA_EXPONENT = Rational(1, 24)
 WEBER_F_EXPONENT = Rational(-1, 48)
@@ -29,12 +31,25 @@ NAMED_SERIES = ("eta", "eta^M", "pentagonal_sum", "jacobi_cube_sum", "g2",
 
 
 def _binomial_product(grid, steps, sign, precision):
-    """``prod_n (1 + sign q^(n/grid))`` over ``steps`` in their order,
-    exact below ``precision``; each step must lie below it."""
-    acc = QSeries.one(precision)
-    for n in steps:
-        acc = acc * QSeries(grid, 0, {0: 1, n: sign}, precision)
-    return acc
+    """``prod_n (1 + sign q^(n/grid))`` over the positive ``steps``, exact
+    below ``precision``; PrecisionError unless every step lies below it.
+
+    The factors are multiplied pairwise, level by level, as a balanced
+    product tree: the leaves are binomial times binomial, and the upper
+    levels are long times long, which the Kronecker kernel multiplies.
+    Every factor starts at q^0, so each product is exact below
+    ``precision`` and the tree gives the same series as a left fold.
+    """
+    P = rational(precision)
+    steps = list(steps)
+    if not Rational(max(steps, default=0), grid) < P:
+        raise PrecisionError("term beyond precision")
+    level = [QSeries._from_numerators(grid, 0, {0: 1, n: sign}, 1, P)
+             for n in steps] or [QSeries.one(P)]
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [x * y for x, y in zip(level[::2], level[1::2])] + odd
+    return level[0]
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +214,10 @@ def named_series(name, order):
     if key == "eta":
         return eta_series(order)
     if key.startswith("eta^"):
-        m = int(key[4:])
+        try:
+            m = int(key[4:])
+        except ValueError:
+            raise ValueError("eta power must be an integer (eta^M)") from None
         if m < 1:
             raise ValueError("eta power must be >= 1")
         return eta_power(m, order)

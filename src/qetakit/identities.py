@@ -6,11 +6,12 @@ general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
 :data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
 is its leading exponent), its rhs builder, its constant where that is fixed
-(Weber), and, for a lattice sum, the same rhs built by tuple enumeration
-and as one Wronskian.  Verification never trusts a
-printed normalisation: the constant is fixed empirically from the leading
-nonzero coefficients, then every remaining coefficient below the requested
-order must match exactly against that single constant.
+(1 for Euler and Jacobi, 7/256 for Weber), and, for a lattice sum, the
+same rhs built by tuple enumeration and as one Wronskian.  Verification
+never trusts a printed normalisation: the constant is fixed empirically
+from the leading nonzero coefficients, then every remaining coefficient
+below the requested order must match exactly against that single constant,
+and so must the entry's constant where it has one.
 
 Both families are one tuple walk (``_walk``) over per-coordinate windows
 of integer picks ``(cost, coordinate, sign, square)``.  It compares integer
@@ -429,9 +430,11 @@ IDENTITIES = {
     # eta is built as the pentagonal sum, so the rhs is the product
     "euler": Identity((), lambda: 1,
                       lambda order: euler_product(order - ETA_EXPONENT)
-                      .shift(ETA_EXPONENT)),
+                      .shift(ETA_EXPONENT),
+                      constant=Rational(1)),
     "jacobi": Identity((), lambda: 3,
-                       lambda order: jacobi_cube_series(order)),
+                       lambda order: jacobi_cube_series(order),
+                       constant=Rational(1)),
     "macdonald": _lattice_entry(
         ("k",), _denominator_power,
         lambda order, k: _sum_terms(macdonald_terms(k, order), order)
@@ -522,7 +525,8 @@ def verify_identity(name, *, order=20, **params):
     :data:`IDENTITIES` (params as in :func:`identity_params`), built on the
     path its headroom selects; the entry's ``tuples`` is not consulted.  The
     report carries the constant found, which must equal the entry's
-    expected constant, if it has one (Weber, 7/256), for a match.
+    expected constant, if it has one (1 for euler and jacobi, 7/256 for
+    weber), for a match.
     """
     order, params = _admissible(name, order, params)
     return _compare(name, params, order, IDENTITIES[name].rhs(order, **params))

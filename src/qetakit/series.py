@@ -57,8 +57,9 @@ _HEADER_RE = re.compile(r"^D=(\d+) P=(-?\d+(?:/\d+)?)$")
 #: schoolbook loop; longer factors go through Kronecker substitution.  For
 #: two dense factors of n terms the two cost the same at n = 16 to 20,
 #: whether the numerators have 4, 20 or 100 bits (Python 3.11, 2-vCPU
-#: Intel Xeon); the schoolbook loop stays faster for a short factor times a
-#: long one, such as the binomials of the Euler product.
+#: Intel Xeon); the schoolbook loop stays faster when either factor is
+#: short, as at the low levels of the binomial product trees in
+#: :mod:`qetakit.eta`, whose upper levels go through Kronecker substitution.
 SCHOOLBOOK_TERMS = 16
 
 #: Array typecodes of the unsigned machine words, by size in bytes; a packed

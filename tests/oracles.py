@@ -32,12 +32,20 @@ def poly_mul(a, b, cutoff):
     return {e: c for e, c in out.items() if c}
 
 
+def binomial_factors_poly(steps, sign, cutoff):
+    """Expansion of prod_{n in steps} (1 + sign q^n), left to right,
+    truncated below cutoff.  On the grid q^(1/D), pass the steps in units
+    of 1/D and the least integer at or above D times the precision as
+    cutoff."""
+    acc = {0: 1}
+    for n in steps:
+        acc = poly_mul(acc, {0: 1, n: sign}, cutoff)
+    return acc
+
+
 def euler_factors_poly(count, cutoff):
     """Expansion of prod_{i=1..count} (1 - q^i) truncated below cutoff."""
-    acc = {0: 1}
-    for i in range(1, count + 1):
-        acc = poly_mul(acc, {0: 1, i: -1}, cutoff)
-    return acc
+    return binomial_factors_poly(range(1, count + 1), -1, cutoff)
 
 
 def geometric_poly(step, cutoff):

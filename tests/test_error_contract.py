@@ -186,3 +186,32 @@ def test_a_mismatch_on_the_eta_side_is_exit_1(monkeypatch):
     code, out, err = run(["verify", "euler", "--order", "12"])
     assert code == 1 and "match=false" in out and err == ""
     assert_contract(["verify", "euler", "--order", "12"])
+
+
+def test_a_wrong_constant_on_jacobi_is_exit_1(monkeypatch):
+    # jacobi's constant is 1: twice the cube sum is proportional to eta^3
+    # but does not match, even at an order that compares one term
+    import qetakit.identities as identities
+    from qetakit.eta import jacobi_cube_series
+    monkeypatch.setattr(identities, "jacobi_cube_series",
+                        lambda order: jacobi_cube_series(order) * 2)
+    for order in ("1/7", "12"):
+        code, out, err = run(["verify", "jacobi", "--order", order])
+        assert code == 1 and "constant=2 match=false" in out and err == ""
+
+
+def test_a_wrong_constant_on_euler_is_exit_1(monkeypatch):
+    # euler's constant is 1: the product scaled by -1 does not match
+    import qetakit.identities as identities
+    from qetakit.eta import euler_product
+    monkeypatch.setattr(identities, "euler_product",
+                        lambda order: euler_product(order) * -1)
+    code, out, err = run(["verify", "euler", "--order", "12"])
+    assert code == 1 and "constant=-1 match=false" in out and err == ""
+
+
+def test_a_non_integer_eta_power_is_named():
+    code, out, err = run(["series", "eta^x", "--order", "3"])
+    assert (code, out) == (2, "")
+    assert err == ("qetakit: error: eta power must be an integer "
+                   "(eta^M)\n")

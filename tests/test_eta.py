@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qetakit import (QSeries, Rational, eisenstein_g2, eta_power, eta_series,
-                     euler_inverse, euler_product, jacobi_cube_series,
-                     named_series, pentagonal_sum_series, rational,
-                     verify_identity, weber_series)
+from qetakit import (PrecisionError, QSeries, Rational, eisenstein_g2,
+                     eta_power, eta_series, euler_inverse, euler_product,
+                     jacobi_cube_series, named_series, pentagonal_sum_series,
+                     rational, verify_identity, weber_series)
+from qetakit.eta import _binomial_product
+from qetakit.rationals import largest_int_below
 
-from oracles import (distinct_partition_count, euler_factors_poly,
-                     partition_count, sigma1)
+from oracles import (binomial_factors_poly, distinct_partition_count,
+                     euler_factors_poly, partition_count, sigma1)
 
 PREFIX = Rational(1, 24)
 
@@ -153,6 +156,8 @@ def test_named_series_dispatch():
     assert named_series("jacobi_cube_sum", 5) == jacobi_cube_series(5)
     with pytest.raises(ValueError, match="unknown series name"):
         named_series("zeta", 5)
+    with pytest.raises(ValueError, match=r"integer \(eta\^M\)"):
+        named_series("eta^x", 5)
 
 
 def test_eta_order_precondition():
@@ -160,6 +165,62 @@ def test_eta_order_precondition():
         eta_series(rational("1/24"))
     with pytest.raises(ValueError, match="1/24"):
         pentagonal_sum_series(rational("1/48"))
+
+
+def binomial_oracle(grid, steps, sign, precision):
+    """The binomial product as a QSeries from the dict-polynomial fold."""
+    poly = binomial_factors_poly(steps, sign, math.ceil(precision * grid))
+    return QSeries.from_terms(
+        ((Rational(n, grid), c) for n, c in poly.items()), precision)
+
+
+# orders up to 450; a grid runs those with at most 450 steps below the
+# order, because the oracle's fold is quadratic in the step count
+BINOMIAL_ORDERS = [Rational(1, 3), Rational(1), Rational(5, 2),
+                   7 + Rational(1, 48), Rational(12), 31 + Rational(1, 3),
+                   64 + Rational(1, 24), Rational(100), 149 + Rational(1, 2),
+                   Rational(450)]
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_product_matches_the_fold_oracle(grid, sign):
+    for order in BINOMIAL_ORDERS:
+        if grid * order > 450:
+            continue
+        top = largest_int_below(grid * order)
+        every = list(range(1, top + 1))
+        sparse = every[::2]
+        odd = sparse if len(sparse) % 2 else sparse[:-1]
+        even = every[:-1] if len(every) % 2 else every
+        for steps in ([], every[-1:], odd, even):
+            # the product does not depend on the order of its factors
+            expected = binomial_oracle(grid, steps, sign, order)
+            for ordered in (steps, steps[::-1]):
+                got = _binomial_product(grid, ordered, sign, order)
+                assert got == expected, (grid, sign, order, ordered)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.sampled_from([1, -1]),
+       st.integers(1, 160).map(lambda n: Rational(n, 4)), st.data())
+def test_binomial_product_of_any_step_subset(grid, sign, precision, data):
+    top = largest_int_below(grid * precision)
+    steps = data.draw(st.lists(st.integers(1, top), unique=True, max_size=40)
+                      if top else st.just([]))
+    assert (_binomial_product(grid, steps, sign, precision)
+            == binomial_oracle(grid, steps, sign, precision))
+
+
+def test_binomial_product_steps_must_lie_below_the_precision():
+    with pytest.raises(PrecisionError):
+        _binomial_product(1, range(1, 13), -1, 12)
+    with pytest.raises(PrecisionError):  # the largest step comes first
+        _binomial_product(2, [7, 1, 3], 1, Rational(7, 2))
+    with pytest.raises(PrecisionError):  # as for QSeries.one(0)
+        _binomial_product(1, [], -1, 0)
+    assert _binomial_product(2, [7, 1, 3], 1, Rational(15, 4)) == (
+        binomial_oracle(2, [1, 3, 7], 1, Rational(15, 4)))
 
 
 def test_euler_cache_builds_once_per_integer_count():

@@ -552,7 +552,8 @@ class TestIdentityTable:
                     if getattr(entry, field) is not None} == \
                 {"macdonald", "denominator"}
         assert {name: entry.constant for name, entry in IDENTITIES.items()
-                if entry.constant is not None} == {"weber": Rational(7, 256)}
+                if entry.constant is not None} == {
+                    "euler": 1, "jacobi": 1, "weber": Rational(7, 256)}
 
     def test_canonical_params(self):
         assert identity_params("denominator", {"s": 5, "t": 2}) == \
