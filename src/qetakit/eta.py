@@ -3,20 +3,27 @@
 Everything here is an exact truncated expansion: the Dedekind eta function
 ``q^(1/24) * prod(1 - q^i)``, its cube-identity sum side, the weight-two
 quasimodular Eisenstein series, and Weber's three half-integer product
-functions.  Eta is built as Euler's pentagonal-number sum, which has
-O(sqrt(order)) terms and needs no product; the binomial product
-:func:`euler_product` is kept as the independent side of the ``euler``
-identity, and Weber's products stay products.  Both binomial products are
-built as balanced product trees, binomial times binomial at the leaves and
-long times long above them.  Every infinite sum or product is cut at the
-analytically forced bound: the first omitted factor or summand cannot touch
-any exponent below the requested order, so all reported coefficients are
+functions.  Eta and its cube are unary theta series
+``sum_(v >= 1) sign(v mod M) * v^delta * q^(v^2/S)`` (:func:`unary_theta`):
+Euler's pentagonal sum is ``chi_12(v) q^(v^2/24)`` with O(sqrt(order))
+terms and no product, and Jacobi's cube sum is the weighted
+``(-1)^((v-1)/2) v q^(v^2/8)`` over odd v.  The residue-class windows of
+:func:`theta_window` also build the chi-form numerators of
+:mod:`qetakit.minimal_models` and the lattice sums of
+:mod:`qetakit.identities`.  The binomial product :func:`euler_product` is
+kept as the independent side of the ``euler`` identity, and Weber's
+products stay products.  Both binomial products are built as balanced
+product trees, binomial times binomial at the leaves and long times long
+above them.  Every infinite sum or product is cut at the analytically
+forced bound: the first omitted factor or summand cannot touch any
+exponent below the requested order, so all reported coefficients are
 exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .rationals import Rational, largest_int_below, rational
 from .series import PrecisionError, QSeries
@@ -25,9 +32,36 @@ ETA_EXPONENT = Rational(1, 24)
 WEBER_F_EXPONENT = Rational(-1, 48)
 WEBER_F2_EXPONENT = Rational(1, 24)
 
+#: chi_12: the sign of v mod 12 in Euler's pentagonal sum for eta.
+_CHI_12 = {1: 1, 11: 1, 5: -1, 7: -1}
+#: The sign of v mod 4 in Jacobi's cube sum for eta^3 (odd v only).
+_CUBE_SIGNS = {1: 1, 3: -1}
+
 #: Names understood by :func:`named_series` (eta powers are ``eta^M``).
 NAMED_SERIES = ("eta", "eta^M", "pentagonal_sum", "jacobi_cube_sum", "g2",
                 "weber_f", "weber_f1", "weber_f2")
+
+
+def theta_window(modulus, signs, cap):
+    """The picks ``(v^2, v, sign, v^2)`` of every v >= 1 whose residue mod
+    ``modulus`` has a sign in the residue -> +-1 map ``signs`` and whose
+    square is at most the integer ``cap``, in ascending order: one
+    coordinate's window of a lattice tuple walk, and the terms of
+    :func:`unary_theta`."""
+    top = isqrt(max(cap, 0))
+    return sorted((v * v, v, sign, v * v) for r, sign in signs.items()
+                  for v in range(r or modulus, top + 1, modulus))
+
+
+def unary_theta(modulus, signs, scale, precision, *, weighted=False):
+    """``sum_(v >= 1) signs[v mod modulus] * v^delta * q^(v^2/scale)``,
+    with delta 1 when ``weighted`` and 0 otherwise, over the v of
+    :func:`theta_window`; exact below ``precision``."""
+    P = rational(precision)
+    window = theta_window(modulus, signs, largest_int_below(P * scale))
+    num = {square: sign * v if weighted else sign
+           for square, v, sign, _ in window}
+    return QSeries._from_numerators(scale, 0, num, 1, P)
 
 
 def _binomial_product(grid, steps, sign, precision):
@@ -72,7 +106,9 @@ def euler_product(order):
 
 @lru_cache(maxsize=None)
 def _euler_inverse_cached(count):
-    return _pentagonal_sum(count).invert()
+    # prod(1 - q^i) is eta's pentagonal sum without its q^(1/24)
+    return unary_theta(12, _CHI_12, 24, count + ETA_EXPONENT).shift(
+        -ETA_EXPONENT).invert()
 
 
 def euler_inverse(order):
@@ -113,54 +149,30 @@ def eta_power(exponent, order):
     return result
 
 
-def _pentagonal_sum(rel):
-    """``sum_{n in Z} (-1)^n q^((3n^2-n)/2)`` with every exponent below
-    ``rel > 0``, which by Euler's pentagonal number theorem is
-    ``prod_{i>=1} (1 - q^i)``; n > 0 gives the exponent ``lo`` and -n the
-    exponent ``lo + n``."""
-    num = {0: 1}
-    n = 1
-    while (lo := (3 * n * n - n) // 2) < rel:
-        sign = -1 if n & 1 else 1
-        num[lo] = sign
-        if lo + n < rel:
-            num[lo + n] = sign
-        n += 1
-    return QSeries(1, 0, num, rel)
-
-
 def pentagonal_sum_series(order):
     """Sum side of the pentagonal-number identity for eta.
 
-    ``q^(1/24) * sum_{n in Z} (-1)^n q^((3n^2-n)/2)`` with every exponent
-    below ``order`` present; the summation window is found by exact integer
-    search on ``(3n^2 - |n|)/2``.
+    ``q^(1/24) * sum_{n in Z} (-1)^n q^((3n^2-n)/2)``, which is
+    ``sum_(v >= 1) chi_12(v) q^(v^2/24)`` with ``v = |6n - 1|``, with every
+    exponent below ``order`` present.
     """
     order = rational(order)
     if not order > ETA_EXPONENT:
         raise ValueError("order must exceed 1/24")
-    return _pentagonal_sum(order - ETA_EXPONENT).shift(ETA_EXPONENT)
+    return unary_theta(12, _CHI_12, 24, order)
 
 
 def jacobi_cube_series(order):
     """Sum side of the eta-cube identity.
 
-    ``q^(1/8) * sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2)`` truncated below order.
+    ``q^(1/8) * sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2)``, which is
+    ``sum v (-1)^((v-1)/2) q^(v^2/8)`` over odd ``v = 2m + 1``, truncated
+    below order.
     """
     order = rational(order)
-    prefix = Rational(1, 8)
-    if not order > prefix:
+    if not order > Rational(1, 8):
         raise ValueError("order must exceed 1/8")
-    rel = order - prefix
-    terms = []
-    m = 0
-    while True:
-        e = m * (m + 1) // 2
-        if not e < rel:
-            break
-        terms.append((prefix + e, (2 * m + 1) * (-1 if m % 2 else 1)))
-        m += 1
-    return QSeries.from_terms(terms, order)
+    return unary_theta(4, _CUBE_SIGNS, 8, order, weighted=True)
 
 
 def eisenstein_g2(order):

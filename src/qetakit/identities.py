@@ -5,20 +5,27 @@ with the pairwise square-difference weight (for the s = 2 family) and the
 general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
 :data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
-is its leading exponent), its rhs builder, its constant where that is fixed
-(1 for Euler and Jacobi, 7/256 for Weber), and, for a lattice sum, the
-same rhs built by tuple enumeration and as one Wronskian.  Verification
-never trusts a printed normalisation: the constant is fixed empirically
-from the leading nonzero coefficients, then every remaining coefficient
-below the requested order must match exactly against that single constant,
-and so must the entry's constant where it has one.
+is its leading exponent), its rhs builder, its predicted constant, and, for
+a lattice sum, the same rhs built by tuple enumeration and as one
+Wronskian.  Verification fixes the constant from the leading nonzero
+coefficients, then every remaining coefficient below the requested order
+must match exactly against that single constant, and the constant must
+equal the prediction.  The predictions are 1 for Euler and Jacobi, 7/256
+for Weber and ``(-1)^(k(k-1)/2)`` for Macdonald.  A per-model Wronskian
+leads with the Vandermonde of its entries' leading exponents, and the
+characters, the normalized characters and the chi-form numerators each
+lead with coefficient 1, so ``wronskian_raw`` and ``wronskian_normalized``
+predict the Vandermonde of the h_bar values and ``denominator``
+``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.
 
-Both families are one tuple walk (``_walk``) over per-coordinate windows
-of integer picks ``(cost, coordinate, sign, square)``.  It compares integer
-partial costs (sums of squares, or twice the exponent) with one integer
-cap, pruned by the least cost of the coordinates still to pick, and weighs
-a tuple by its signs times the :func:`~qetakit.wronskian.vandermonde` of
-its squares, all in ints; only an emitted term's exponent and weight are
+Both families are one tuple walk (``_walk``) over per-coordinate windows,
+each a :func:`~qetakit.eta.theta_window`: the integers v >= 1 in signed
+residue classes, as picks ``(cost, coordinate, sign, square)`` with cost
+and square ``v^2`` (Macdonald's coordinate is its lattice index n).  The
+walk compares integer partial sums of squares with one integer cap,
+pruned by the least cost of the coordinates still to pick, and weighs a
+tuple by its signs times the :func:`~qetakit.wronskian.vandermonde` of its
+squares, all in ints; only an emitted term's exponent and weight are
 rationals.  ``general_terms`` and ``macdonald_terms`` only build windows.
 
 Each sum is built on one of two paths, chosen by one rule
@@ -57,8 +64,8 @@ from math import lcm
 from typing import Callable, NamedTuple, Optional
 
 from .eta import ETA_EXPONENT, WEBER_F2_EXPONENT, WEBER_F_EXPONENT, \
-    eta_power, euler_product, jacobi_cube_series, weber_series
-from .minimal_models import chi_numerator, chi_support, distinct_weights, \
+    eta_power, euler_product, jacobi_cube_series, theta_window, weber_series
+from .minimal_models import _chi_signs, chi_numerator, distinct_weights, \
     make_model, character_double_sum, normalized_character
 from .rationals import Rational, largest_int_below, rat_str, rational
 from .series import PrecisionError, QSeries
@@ -211,35 +218,30 @@ def c_k_constant(k):
     return Rational(1, denom)
 
 
-def _coordinate_window(k, i, cap):
-    """The picks of coordinate i of the rank-k sum: every integer n whose
-    cost ``(2k+1)n^2 + (2i-1)n`` (twice its exponent) is at most ``cap``,
-    with sign ``(-1)^n`` and square ``d_i^2``, sorted by cost."""
-    picks = []
-    for n, step in ((0, 1), (-1, -1)):
-        while (cost := (2 * k + 1) * n * n + (2 * i - 1) * n) <= cap:
-            picks.append((cost, n, -1 if n & 1 else 1,
-                          (2 * i - 1 + n * (4 * k + 2)) ** 2))
-            n += step
-    picks.sort()
-    return picks
-
-
 def macdonald_terms(k, order):
     """Every lattice term with exponent below ``order``, without the
-    closed-form prefactor; deterministic lexicographic enumeration."""
+    closed-form prefactor; deterministic lexicographic enumeration.
+
+    The exponent is ``sum_i d_i^2 / (16k+8)``, so coordinate i is a
+    :func:`~qetakit.eta.theta_window` mod 8k+4 of ``v = |d_i|``: with
+    ``c = 2i - 1``, the classes +-c (even n, sign +1) and +-(c + 4k + 2)
+    (odd n, sign -1), and ``n = (+-v - c)/(4k + 2)``.
+    """
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
     order = rational(order)
-    power = _denominator_power(k)
-    base = Rational(power, 24)
-    if not order > base:
-        return []
-    # twice the exponent above base is an integer, at most this cap
-    cap = largest_int_below(2 * (order - base))
-    windows = [_coordinate_window(k, i, cap) for i in range(1, k + 1)]
-    return _walk(windows, cap, lambda cost: Rational(power + 12 * cost, 24),
+    step = 4 * k + 2
+    scale = 4 * step
+    # a tuple's sum of squares is an integer, at most this cap
+    cap = largest_int_below(order * scale)
+    windows = []
+    for c in range(1, 2 * k, 2):
+        signs = {c: 1, 2 * step - c: 1, c + step: -1, step - c: -1}
+        windows.append([(cost, ((v if v % step == c else -v) - c) // step,
+                         sign, square) for cost, v, sign, square
+                        in theta_window(2 * step, signs, cap)])
+    return _walk(windows, cap, lambda cost: Rational(cost, scale),
                  _pair_sign(k))
 
 
@@ -266,23 +268,6 @@ def macdonald_rhs(k, order):
 # the general family: residue-class supports with Vandermonde weights
 # ----------------------------------------------------------------------
 
-def _chi_support_values(model, label, cap):
-    """Non-negative integers v in the indicator support with ``v^2 <= cap``,
-    as (v, sign) sorted ascending."""
-    plus, minus = chi_support(model, label)
-    modulus = 2 * model.s * model.t
-    values = []
-    v = 0
-    while v * v <= cap:
-        rem = v % modulus
-        if rem in plus:
-            values.append((v, 1))
-        elif rem in minus:
-            values.append((v, -1))
-        v += 1
-    return values
-
-
 def general_terms(model, order):
     """Lattice terms of the per-model sum: tuples from the indicator
     supports, weighted by the sign product times the Vandermonde of the
@@ -293,8 +278,7 @@ def general_terms(model, order):
     st4 = 4 * model.s * model.t
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
-    windows = [[(v * v, v, sign, v * v)
-                for v, sign in _chi_support_values(model, lab, cap)]
+    windows = [theta_window(2 * model.s * model.t, _chi_signs(model, lab), cap)
                for lab in distinct_weights(model)]
     return _walk(windows, cap, lambda cost: Rational(cost, st4), 1)
 
@@ -304,10 +288,9 @@ def _lattice_determinant(model, order):
     chi-form numerators, exact below ``order`` (which must exceed the sum
     of their leading exponents, ``(2k-1)k/24``)."""
     st4 = 4 * model.s * model.t
-    # each numerator starts at min(support)^2 / (4st)
-    lows = [Rational(min(plus | minus) ** 2, st4)
-            for plus, minus in (chi_support(model, lab)
-                                for lab in distinct_weights(model))]
+    # each numerator starts at (its least residue)^2 / (4st)
+    lows = [Rational(min(_chi_signs(model, lab)) ** 2, st4)
+            for lab in distinct_weights(model)]
     precision = wronskian_entry_precision(lows, order)
     numerators = [chi_numerator(model, lab, precision)
                   for lab in distinct_weights(model)]
@@ -332,7 +315,10 @@ def general_rhs(model, order):
 
 def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     """Fix ``constant = leading(rhs)/leading(lhs)`` and check
-    ``rhs = constant * lhs`` coefficientwise below ``order``.
+    ``rhs = constant * lhs`` coefficientwise below ``order``.  Leading
+    terms at different exponents, or a side with no term below ``order``,
+    are a mismatch with no constant at the lowest exponent of either side;
+    ValueError when neither side has a term below ``order``.
 
     Both series are read as integer numerators on one grid, so with leading
     numerators ``l0`` and ``r0`` a step matches when ``r * l0 == r0 * l``;
@@ -346,15 +332,14 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     smax = largest_int_below(order * D)
     left = lhs._numerators_on(D, lhs._den, smax)
     right = rhs._numerators_on(D, rhs._den, smax)
-    if not left or not right:
+    steps = left.keys() | right.keys()
+    if not steps:
         raise ValueError(f"no comparable terms below order {order}; "
                          "raise the order above the leading exponent")
-    steps = left.keys() | right.keys()
-    s0 = min(left)
-    if s0 != min(right):
+    s0 = min(steps)
+    if s0 not in left or s0 not in right:
         return VerificationReport(identity, params, order, None, False,
-                                  Rational(min(s0, min(right)), D),
-                                  len(steps))
+                                  Rational(s0, D), len(steps))
     l0 = left[s0]
     r0 = right[s0]
     constant = Rational(r0 * lhs._den, l0 * rhs._den)
@@ -394,12 +379,12 @@ def _weber_wronskian(order):
 
 class Identity(NamedTuple):
     """An identity ``rhs = constant * eta^power``, whose leading exponent is
-    ``power / 24``; ``power``, ``rhs`` and ``tuples`` take the canonical
-    params as keyword arguments."""
+    ``power / 24``; ``power``, ``rhs``, ``constant`` and ``tuples`` take the
+    canonical params as keyword arguments."""
     params: tuple         # names of the int params it takes
     power: Callable       # (**params) -> eta power of the lhs
     rhs: Callable         # (order, **params) -> QSeries
-    constant: Optional[object] = None  # the one constant that matches
+    constant: Callable    # (**params) -> the one constant that matches
     # a lattice sum's rhs built by tuple enumeration and as one Wronskian,
     # each at any headroom, which audit_identity compares with each other;
     # None off the lattice sums
@@ -407,7 +392,7 @@ class Identity(NamedTuple):
     determinant: Optional[Callable] = None
 
 
-def _lattice_entry(params, power, tuples, determinant):
+def _lattice_entry(params, power, constant, tuples, determinant):
     """The entry of a lattice sum, whose rhs is built by ``tuples`` at a
     headroom (order minus ``power/24``) below
     :data:`LATTICE_DETERMINANT_HEADROOM`, read when it is called, and by
@@ -420,8 +405,19 @@ def _lattice_entry(params, power, tuples, determinant):
         if order - base < LATTICE_DETERMINANT_HEADROOM:
             return tuples(order, **values)
         return determinant(order, **values)
-    return Identity(params, power, rhs, tuples=tuples,
-                    determinant=determinant)
+    return Identity(params, power, rhs, constant, tuples, determinant)
+
+
+def _weight_vandermonde(s, t, scale=1):
+    """``scale^(k(k-1)/2)`` times the Vandermonde of the h_bar values of the
+    (s, t) model, in ``distinct_weights`` order.  As ``h_bar = (ns - mt)^2
+    / (4st) - 1/24``, that is the Vandermonde of the integer squares
+    ``(ns - mt)^2`` times ``(scale / 4st)^(k(k-1)/2)``."""
+    model = make_model(s, t)
+    k = model.k
+    return vandermonde([(label.n * s - label.m * t) ** 2
+                        for label in distinct_weights(model)]) \
+        * Rational(scale, 4 * s * t) ** (k * (k - 1) // 2)
 
 
 # Each builder is looked up as a module global when its entry is called, so
@@ -430,33 +426,34 @@ IDENTITIES = {
     # eta is built as the pentagonal sum, so the rhs is the product
     "euler": Identity((), lambda: 1,
                       lambda order: euler_product(order - ETA_EXPONENT)
-                      .shift(ETA_EXPONENT),
-                      constant=Rational(1)),
+                      .shift(ETA_EXPONENT), lambda: 1),
     "jacobi": Identity((), lambda: 3,
-                       lambda order: jacobi_cube_series(order),
-                       constant=Rational(1)),
+                       lambda order: jacobi_cube_series(order), lambda: 1),
     "macdonald": _lattice_entry(
-        ("k",), _denominator_power,
+        ("k",), _denominator_power, _pair_sign,
         lambda order, k: _sum_terms(macdonald_terms(k, order), order)
         * _macdonald_prefactor(k),
         lambda order, k: _lattice_determinant(make_model(2, 2 * k + 1), order)
         * _macdonald_prefactor(k)),
     "denominator": _lattice_entry(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
+        lambda s, t: _weight_vandermonde(s, t, 4 * s * t),
         lambda order, s, t: _sum_terms(general_terms(make_model(s, t), order),
                                        order),
         lambda order, s, t: _lattice_determinant(make_model(s, t), order)),
     "wronskian_raw": Identity(
         ("s", "t"),
         lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),
-        lambda order, s, t: wronskian_of_characters(make_model(s, t), order)),
+        lambda order, s, t: wronskian_of_characters(make_model(s, t), order),
+        _weight_vandermonde),
     "wronskian_normalized": Identity(
         ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
         lambda order, s, t: wronskian_of_characters(
-            make_model(s, t), order, normalized=True)),
+            make_model(s, t), order, normalized=True),
+        _weight_vandermonde),
     "weber": Identity((), lambda: 12,
                       lambda order: _weber_wronskian(order),
-                      constant=Rational(7, 256)),
+                      lambda: Rational(7, 256)),
 }
 
 IDENTITY_NAMES = tuple(IDENTITIES)
@@ -511,11 +508,11 @@ def _admissible(name, order, params):
 
 def _compare(name, params, order, rhs):
     """The report of ``rhs`` against ``eta_power(power)`` of the entry
-    ``name``; a match needs the entry's constant, if it has one."""
+    ``name``; a match needs the entry's predicted constant."""
     entry = IDENTITIES[name]
     lhs = eta_power(entry.power(**params), order)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
-    if entry.constant is not None and report.constant != entry.constant:
+    if report.constant != entry.constant(**params):
         report = replace(report, match=False)
     return report
 
@@ -525,8 +522,7 @@ def verify_identity(name, *, order=20, **params):
     :data:`IDENTITIES` (params as in :func:`identity_params`), built on the
     path its headroom selects; the entry's ``tuples`` is not consulted.  The
     report carries the constant found, which must equal the entry's
-    expected constant, if it has one (1 for euler and jacobi, 7/256 for
-    weber), for a match.
+    predicted constant for a match.
     """
     order, params = _admissible(name, order, params)
     return _compare(name, params, order, IDENTITIES[name].rhs(order, **params))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .eta import eta_series, euler_inverse
+# eta_series is not called here, but bench/tracing.py wraps it at this site
+from .eta import eta_series, euler_inverse, unary_theta  # noqa: F401
 from .rationals import Rational, rat_ceil, rational
 from .series import QSeries
 
@@ -106,6 +107,12 @@ def chi_support(model, label):
     return plus, minus
 
 
+def _chi_signs(model, label):
+    """The indicator of a label as a residue -> +-1 map mod 2st."""
+    plus, minus = chi_support(model, label)
+    return dict.fromkeys(plus, 1) | dict.fromkeys(minus, -1)
+
+
 def _check_label(model, label):
     s, t = model.s, model.t
     if not (1 <= label.m < s and 1 <= label.n < t):
@@ -162,34 +169,22 @@ def character_double_sum(model, label, order):
 def chi_numerator(model, label, precision):
     """The chi-form numerator ``sum_{r >= 1} chi(r) q^(r^2/(4st))`` of a
     label, with the residue-indicator signs, exact below ``precision``."""
-    precision = rational(precision)
-    plus, minus = chi_support(model, label)
-    st4 = 4 * model.s * model.t
-    modulus = 2 * model.s * model.t
-    bound = precision * st4
-    terms = []
-    r = 1
-    while r * r < bound:
-        rem = r % modulus
-        if rem in plus:
-            terms.append((Rational(r * r, st4), 1))
-        elif rem in minus:
-            terms.append((Rational(r * r, st4), -1))
-        r += 1
-    return QSeries.from_terms(terms, precision)
+    st = model.s * model.t
+    return unary_theta(2 * st, _chi_signs(model, label), 4 * st, precision)
 
 
 def character_chi_form(model, label, order):
     """Graded character from the single-sum residue-indicator formula:
-    :func:`chi_numerator` divided by eta."""
+    :func:`chi_numerator` divided by eta, which is the numerator times the
+    cached partition series, shifted by ``q^(-1/24)``."""
     order = rational(order)
     _check_label(model, label)
     hbar = label.h_bar
     if not order > hbar:
         raise ValueError(f"order must exceed the leading exponent {hbar}")
-    numer = chi_numerator(model, label, order + Rational(1, 24))
-    eta_inv = eta_series(Rational(rat_ceil(order)) + Rational(1, 12)).invert()
-    return (numer * eta_inv).truncate(order)
+    rel = order + Rational(1, 24)
+    numer = chi_numerator(model, label, rel)
+    return (numer * euler_inverse(rel)).shift(Rational(-1, 24)).truncate(order)
 
 
 def character_product_2k1(k, i, order):

@@ -11,7 +11,10 @@ ring operators (the Bareiss oracle also the package's reduction to
 distinct leading exponents, which it does not test), the residue
 indicator reads the package's sign classes (``chi_support``) one integer
 at a time, and the lattice-sum terms come from a box enumeration that
-writes the paper's summands out in full.
+writes the paper's summands out in full.  The walk windows are each
+coordinate's picks built as the sums are written, by n for the A_2k^(2)
+sum and by scanning every integer for the per-model sum, to be fed to the
+package's tuple walk in place of its residue-class windows.
 """
 
 from fractions import Fraction
@@ -46,6 +49,31 @@ def binomial_factors_poly(steps, sign, cutoff):
 def euler_factors_poly(count, cutoff):
     """Expansion of prod_{i=1..count} (1 - q^i) truncated below cutoff."""
     return binomial_factors_poly(range(1, count + 1), -1, cutoff)
+
+
+def cube_sum_terms(order):
+    """Jacobi's cube sum ``q^(1/8) sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2)``
+    as (exponent, coefficient) pairs below ``order``."""
+    terms = []
+    m = 0
+    while (e := Fraction(1, 8) + Fraction(m * (m + 1), 2)) < order:
+        terms.append((e, (-1) ** m * (2 * m + 1)))
+        m += 1
+    return terms
+
+
+def unary_theta_terms(modulus, signs, scale, precision, weighted):
+    """(exponent, coefficient) pairs of ``sum_{v>=1} signs[v % modulus] *
+    v^weighted * q^(v^2/scale)`` below ``precision``, checking every
+    integer v in turn."""
+    terms = []
+    v = 1
+    while Fraction(v * v, scale) < precision:
+        sign = signs.get(v % modulus, 0)
+        if sign:
+            terms.append((Fraction(v * v, scale), sign * (v if weighted else 1)))
+        v += 1
+    return terms
 
 
 def geometric_poly(step, cutoff):
@@ -108,14 +136,15 @@ def empirical_constant_terms(lhs, rhs, order):
     """``(constant, first_mismatch, terms_compared)`` of ``rhs`` against
     ``lhs`` below ``order`` on ``Fraction`` term lists: the constant is the
     ratio of the leading coefficients (None when the leading exponents
-    differ, and the lower one is the mismatch); ValueError when a side has
-    no term below ``order``."""
+    differ or one side has no term below ``order``, and the lowest exponent
+    of either side is the mismatch); ValueError when neither side has a
+    term below ``order``."""
     left = {e: c for e, c in lhs.terms() if e < order}
     right = {e: c for e, c in rhs.terms() if e < order}
-    if not left or not right:
-        raise ValueError("no comparable terms")
     exponents = sorted(left.keys() | right.keys())
-    if min(left) != min(right):
+    if not exponents:
+        raise ValueError("no comparable terms")
+    if exponents[0] not in left or exponents[0] not in right:
         return None, exponents[0], len(exponents)
     constant = right[exponents[0]] / left[exponents[0]]
     mismatches = [e for e in exponents
@@ -430,3 +459,49 @@ def macdonald_terms_box(k, order):
     return _box_terms(columns, lambda ns: base + Fraction(sum(
         (2 * k + 1) * n * n + (2 * i - 1) * n
         for i, n in enumerate(ns, start=1)), 2), order)
+
+
+def general_walk_windows(model, order):
+    """``(windows, cap, exponent, sign)`` of the per-model sum's tuple walk
+    (``qetakit.identities._walk``), scanned one integer at a time: window
+    j has every integer ``v >= 0`` with ``v^2 <= cap``, the largest integer
+    below ``4st * order``, where the j-th label's indicator is nonzero, as
+    picks ``(v^2, v, indicator, v^2)`` in ascending order."""
+    from qetakit import distinct_weights
+
+    st4 = 4 * model.s * model.t
+    cap = ceil(Fraction(order) * st4) - 1
+    windows = []
+    for label in distinct_weights(model):
+        window = []
+        v = 0
+        while v * v <= cap:
+            sign = chi_indicator(model, label, v)
+            if sign:
+                window.append((v * v, v, sign, v * v))
+            v += 1
+        windows.append(window)
+    return windows, cap, lambda cost: Fraction(cost, st4), 1
+
+
+def macdonald_walk_windows(k, order):
+    """``(windows, cap, exponent, sign)`` of the A_2k^(2) sum's tuple walk
+    (``qetakit.identities._walk``) indexed by the lattice n: window i has
+    every integer n, found by stepping outwards from 0, whose cost
+    ``(2k+1) n^2 + (2i-1) n`` (twice its exponent above ``(2k^2-k)/24``)
+    is at most ``cap``, the largest integer below twice the order's
+    excess, as picks ``(cost, n, (-1)^n, d_i^2)`` sorted by cost, with
+    ``d_i = 2i - 1 + n (4k + 2)``."""
+    base = Fraction(2 * k * k - k, 24)
+    cap = ceil(2 * (Fraction(order) - base)) - 1
+    windows = []
+    for i in range(1, k + 1):
+        window = []
+        for n, step in ((0, 1), (-1, -1)):
+            while (cost := (2 * k + 1) * n * n + (2 * i - 1) * n) <= cap:
+                window.append((cost, n, (-1) ** (n % 2),
+                               (2 * i - 1 + n * (4 * k + 2)) ** 2))
+                n += step
+        windows.append(sorted(window))
+    return (windows, cap, lambda cost: base + Fraction(cost, 2),
+            (-1) ** (k * (k - 1) // 2))

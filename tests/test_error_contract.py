@@ -210,6 +210,33 @@ def test_a_wrong_constant_on_euler_is_exit_1(monkeypatch):
     assert code == 1 and "constant=-1 match=false" in out and err == ""
 
 
+@pytest.mark.parametrize("name, params", [
+    ("euler", []), ("jacobi", []), ("weber", []), ("macdonald", ["--k", "3"]),
+    ("denominator", ["--s", "3", "--t", "4"]),
+    ("wronskian_raw", ["--s", "2", "--t", "5"]),
+    ("wronskian_normalized", ["--s", "3", "--t", "4"])])
+def test_a_sign_flipped_prediction_is_exit_1(monkeypatch, name, params):
+    # every entry predicts its constant; with the prediction's sign flipped
+    # the same report, constant included, says match=false
+    argv = ["verify", name, *params, "--order", "12"]
+    code, out, err = run(argv)
+    assert code == 0 and "match=true" in out and err == ""
+    entry = IDENTITIES[name]
+    monkeypatch.setitem(IDENTITIES, name, entry._replace(
+        constant=lambda **values: -entry.constant(**values)))
+    assert run(argv) == (1, out.replace("match=true", "match=false"), "")
+
+
+def test_a_vanished_rhs_is_exit_1(monkeypatch):
+    # a builder that returns zero fails the report; it is not bad input
+    import qetakit.identities as identities
+    from qetakit import QSeries
+    monkeypatch.setattr(identities, "jacobi_cube_series", QSeries.zero)
+    assert run(["verify", "jacobi", "--order", "12"]) == (
+        1, "identity=jacobi params=- order=12 constant=- match=false "
+        "first_mismatch=1/8 terms_compared=5\n", "")
+
+
 def test_a_non_integer_eta_power_is_named():
     code, out, err = run(["series", "eta^x", "--order", "3"])
     assert (code, out) == (2, "")

@@ -9,11 +9,12 @@ from qetakit import (PrecisionError, QSeries, Rational, eisenstein_g2,
                      eta_power, eta_series, euler_inverse, euler_product,
                      jacobi_cube_series, named_series, pentagonal_sum_series,
                      rational, verify_identity, weber_series)
-from qetakit.eta import _binomial_product
+from qetakit.eta import _binomial_product, theta_window, unary_theta
 from qetakit.rationals import largest_int_below
 
-from oracles import (binomial_factors_poly, distinct_partition_count,
-                     euler_factors_poly, partition_count, sigma1)
+from oracles import (binomial_factors_poly, cube_sum_terms,
+                     distinct_partition_count, euler_factors_poly,
+                     partition_count, sigma1, unary_theta_terms)
 
 PREFIX = Rational(1, 24)
 
@@ -73,6 +74,31 @@ def test_jacobi_cube_series_low_terms():
     shift = Rational(1, 8)
     got = {int(e - shift): int(c) for e, c in series.terms()}
     assert got == {0: 1, 1: -3, 3: 5, 6: -7}
+
+
+def test_jacobi_cube_series_is_the_cube_sum():
+    orders = [Rational(p, q) for q in (1, 3, 8, 24) for p in range(1, 40 * q)
+              if Rational(p, q) > Rational(1, 8)]
+    orders += [Rational(9, 8), Rational(1, 8) + Rational(1, 10**6), 670]
+    for order in orders:
+        assert jacobi_cube_series(order) == QSeries.from_terms(
+            cube_sum_terms(order), order), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=st.integers(1, 30), scale=st.integers(1, 60),
+       precision=st.fractions(-2, 30, max_denominator=48),
+       weighted=st.booleans(), data=st.data())
+def test_unary_theta_matches_the_brute_force_oracle(modulus, scale, precision,
+                                                    weighted, data):
+    signs = data.draw(st.dictionaries(st.integers(0, modulus - 1),
+                                      st.sampled_from((1, -1))))
+    terms = unary_theta_terms(modulus, signs, scale, precision, weighted)
+    series = unary_theta(modulus, signs, scale, precision, weighted=weighted)
+    assert series == QSeries.from_terms(terms, precision)
+    window = theta_window(modulus, signs, largest_int_below(precision * scale))
+    assert [(Rational(square, scale), sign * (v if weighted else 1))
+            for square, v, sign, _ in window] == terms
 
 
 def test_jacobi_equals_eta_cubed():

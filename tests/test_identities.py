@@ -1,6 +1,7 @@
 """Lattice sums, empirical constants, and the verification drivers."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -15,8 +16,10 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
-from oracles import (empirical_constant_terms, general_terms_box,
-                     macdonald_terms_box, random_series)
+from oracles import (chi_indicator, empirical_constant_terms,
+                     general_terms_box, general_walk_windows,
+                     macdonald_terms_box, macdonald_walk_windows,
+                     random_series)
 
 #: Small headrooms (order minus leading exponent) for the box oracles.
 BOX_HEADROOMS = (1, Rational(5, 2), 4)
@@ -307,12 +310,37 @@ class TestLatticeDeterminant:
     def test_chi_numerator_is_the_tuple_support(self):
         model = make_model(3, 4)
         order = rational("61/2")
+        top = isqrt(largest_int_below(order * 48))
         for label in distinct_weights(model):
-            values = identities._chi_support_values(
-                model, label, largest_int_below(order * 48))
             expected = QSeries.from_terms(
-                ((Rational(v * v, 48), sign) for v, sign in values), order)
+                ((Rational(v * v, 48), chi_indicator(model, label, v))
+                 for v in range(top + 1)), order)
             assert chi_numerator(model, label, order) == expected
+
+
+class TestWindows:
+    """The residue-class windows give the very term lists, order included,
+    of the windows built as the sums are written."""
+
+    def test_general_terms(self):
+        for model in coprime_models(70):
+            base = identity_lowest_exponent("denominator", s=model.s,
+                                            t=model.t)
+            for headroom in (Rational(1, 3), 1, Rational(5, 2), 4,
+                             Rational(13, 2), 9):
+                order = base + headroom
+                terms = general_terms(model, order)
+                assert terms and terms == identities._walk(
+                    *general_walk_windows(model, order)), (model, headroom)
+
+    def test_macdonald_terms(self):
+        for k in range(2, 7):
+            base = identity_lowest_exponent("macdonald", k=k)
+            for headroom in (-1, 0, Rational(1, 3), 1, Rational(5, 2), 6, 11,
+                             17):
+                order = base + headroom
+                assert macdonald_terms(k, order) == identities._walk(
+                    *macdonald_walk_windows(k, order)), (k, headroom)
 
 
 class TestOneTheorem:
@@ -390,6 +418,15 @@ class TestEmpiricalConstant:
     def test_insufficient_precision(self):
         with pytest.raises(ValueError, match="insufficient precision"):
             empirical_constant(eta_series(5), eta_series(5), 6)
+
+    def test_a_vanished_side_is_a_mismatch(self):
+        eta = eta_series(10)
+        zero = QSeries.zero(10)
+        for lhs, rhs in ((eta, zero), (zero, eta)):
+            report = empirical_constant(lhs, rhs, 10)
+            assert (report.constant, report.match, report.first_mismatch,
+                    report.terms_compared) == (None, False, Rational(1, 24),
+                                               len(eta.terms()))
 
     def test_nothing_to_compare(self):
         with pytest.raises(ValueError, match="no comparable terms"):
@@ -530,6 +567,34 @@ class TestReportSerialization:
 SAMPLE_PARAMS = {(): {}, ("k",): {"k": 3}, ("s", "t"): {"s": 3, "t": 5}}
 
 
+class TestPredictedConstants:
+    """Each entry's constant, predicted from its params, is the empirical
+    ratio of the leading coefficients."""
+
+    @staticmethod
+    def _empirical(name, **params):
+        entry = IDENTITIES[name]
+        order = identity_lowest_exponent(name, **params) + Rational(1, 2)
+        lhs = eta_power(entry.power(**params), order)
+        return empirical_constant(lhs, entry.rhs(order, **params),
+                                  order).constant
+
+    @pytest.mark.parametrize("name, max_st", [
+        ("wronskian_raw", 70), ("wronskian_normalized", 70),
+        ("denominator", 120)])
+    def test_per_model(self, name, max_st):
+        for model in coprime_models(max_st):
+            params = {"s": model.s, "t": model.t}
+            assert self._empirical(name, **params) == \
+                IDENTITIES[name].constant(**params), model
+
+    def test_macdonald(self):
+        for k in range(2, 11):
+            assert self._empirical("macdonald", k=k) == \
+                IDENTITIES["macdonald"].constant(k=k) == \
+                (-1) ** (k * (k - 1) // 2), k
+
+
 class TestIdentityTable:
     @pytest.mark.parametrize("name", sorted(IDENTITIES))
     def test_leading_exponent_is_the_power_over_24(self, name):
@@ -551,8 +616,8 @@ class TestIdentityTable:
             assert {name for name, entry in IDENTITIES.items()
                     if getattr(entry, field) is not None} == \
                 {"macdonald", "denominator"}
-        assert {name: entry.constant for name, entry in IDENTITIES.items()
-                if entry.constant is not None} == {
+        assert {name: entry.constant() for name, entry in IDENTITIES.items()
+                if not entry.params} == {
                     "euler": 1, "jacobi": 1, "weber": Rational(7, 256)}
 
     def test_canonical_params(self):

@@ -120,11 +120,24 @@ class TestCharacters:
                 assert numer.lowest_term()[0] >= 0
 
     def test_cross_formula_small_grid(self):
-        for model in coprime_models(20):
+        # the chi form is the double-sum character, precision included
+        for model in coprime_models(40):
             for label in distinct_weights(model):
-                d = character_double_sum(model, label, 25)
-                c = character_chi_form(model, label, 25)
-                assert d.equal_up_to(c, 25)
+                for order in (label.h_bar + Rational(1, 100),
+                              label.h_bar + 3, Rational(61, 3), 25):
+                    d = character_double_sum(model, label, order)
+                    c = character_chi_form(model, label, order)
+                    assert d == c, (model, label, order)
+
+    def test_chi_form_reuses_the_partition_series(self, monkeypatch):
+        # dividing by eta multiplies by the cached partition series, so a
+        # chi-form character inverts no series once that cache is warm
+        model = make_model(3, 5)
+        cases = [(label, order) for label in distinct_weights(model)
+                 for order in (label.h_bar + 1, 12, 30)]
+        first = [character_chi_form(model, *case) for case in cases]
+        monkeypatch.setattr(QSeries, "invert", None)
+        assert [character_chi_form(model, *case) for case in cases] == first
 
     def test_product_form_matches(self):
         for k, t in ((2, 5), (3, 7)):
