@@ -74,12 +74,13 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: A lattice sum whose headroom (order minus leading exponent) is at least
 #: this is built as one Wronskian of chi-form numerators; below it the
 #: tuples are enumerated, which is faster while few of them contribute.
-#: Swept over one model per k = 2..14 and the s = 2 models up to k = 9 at
-#: headrooms 4-24 in steps of 2 (Python 3.11, 2-vCPU Intel Xeon), the
-#: constants 10/12/14/16/18/20 summed to 1.68/1.59/1.51/1.43/1.39/1.38 s
-#: (best of 3) and 1.40/1.33/1.27/1.21/1.17/1.15 s (best of 5).  20 gains
-#: under 2% on that grid but would send the (5,8) sum at headroom 19.25 to
-#: its tuples, which take 64 ms there against 46 ms for the Wronskian.
+#: Swept over one model per k = 2..14 (the largest s) and the s = 2 models
+#: up to k = 9 at headrooms 4-24 in steps of 2 (Python 3.11, 2-vCPU Intel
+#: Xeon, best of 3), the constants 10/12/14/16/18/20 summed to
+#: 1.04/0.99/0.94/0.91/0.91/0.97 s, against 1.18/1.12/1.06/1.01/0.99/1.01 s
+#: for the recursion on whole entries on the same host.  16 and 18 tie, so
+#: 18 stays.  The (2,17), (2,19) and (2,23) sums still take 1.4-1.9x
+#: longer by the Wronskian than by their tuples at headrooms 18-20.
 LATTICE_DETERMINANT_HEADROOM = 18
 
 

@@ -26,7 +26,9 @@ Otherwise it uses Kronecker substitution (Harvey, J. Symb. Comp. 2009): both
 numerator vectors, taken on the common stride of their steps, are packed
 into one big integer each, one fixed-width digit per stride, and multiplied
 once; the digits of the product are read back with a bias that makes signed
-digits non-negative.  Values are immutable after construction and safe to
+digits non-negative.  The fused difference ``a._mul_sub(b, c, d)`` of two
+products runs the same two loops on both products at once and reads the
+result back once.  Values are immutable after construction and safe to
 share between threads.
 """
 
@@ -81,20 +83,13 @@ def _canonical(D, a, num, den, P):
         num = {n - lo: c for n, c in num.items()}
     g = gcd(D, a)
     if g > 1:
-        for n in num:
-            g = gcd(g, n)
-            if g == 1:
-                break
+        g = gcd(g, *num)
         if g > 1:
             D //= g
             a //= g
             num = {n // g: c for n, c in num.items()}
     if den != 1:
-        g = den
-        for c in num.values():
-            g = gcd(g, c)
-            if g == 1:
-                break
+        g = gcd(den, *num.values())
         if g > 1:
             den //= g
             num = {n: c // g for n, c in num.items()}
@@ -150,53 +145,77 @@ def _pack(num, stride, width, signs):
     return value - ((value & signs) << 1)
 
 
-def _schoolbook_product(xs, ys, cap):
-    """step -> numerator of the product of two step -> numerator maps,
-    keeping steps up to ``cap``."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    xs = iter(xs.items())
-    ys = ys.items()
-    sx, cx = next(xs)
-    acc = {sx + sy: cx * cy for sy, cy in ys if sy <= cap - sx}
-    get = acc.get
-    for sx, cx in xs:
-        rem = cap - sx
-        for sy, cy in ys:
-            if sy <= rem:
-                s = sx + sy
-                acc[s] = get(s, 0) + cx * cy
+def _schoolbook_product(pairs, cap):
+    """step -> numerator of the sum of the products ``q**shift * xs * ys``
+    over the ``(shift, xs, ys)`` of ``pairs`` (step -> numerator maps),
+    keeping steps up to ``cap``; one pair at shift 0 is a plain product."""
+    acc = {}
+    for shift, xs, ys in pairs:
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        xs = iter(xs.items())
+        ys = ys.items()
+        if not acc:
+            sx, cx = next(xs)
+            rem = cap - shift - sx
+            sx += shift
+            acc = {sx + sy: cx * cy for sy, cy in ys if sy <= rem}
+        get = acc.get
+        for sx, cx in xs:
+            rem = cap - shift - sx
+            sx += shift
+            for sy, cy in ys:
+                if sy <= rem:
+                    s = sx + sy
+                    acc[s] = get(s, 0) + cx * cy
     return {s: c for s, c in acc.items() if c}
 
 
-def _kronecker_product(xs, ys, cap):
-    """The same product as :func:`_schoolbook_product` by one big-integer
-    multiply.
+def _kronecker_product(pairs, cap):
+    """The same sum as :func:`_schoolbook_product` by one big-integer
+    multiply per pair and one read-back.
 
-    Steps are divided by their common stride before packing.  Every product
-    numerator has magnitude at most ``max|x| * max|y| * min(len)``, so a
-    digit of ``width`` bytes with ``2**(8*width - 1)`` above that bound holds
-    it; adding ``2**(8*width - 1)`` to every digit of the product makes all
-    digits non-negative without carries, and the low ``count`` digits are
-    read back from the low bits alone.
+    Steps and shifts are divided by their common stride before packing.  A
+    digit of the sum has magnitude at most the sum over the pairs of
+    ``max|x| * max|y| * min(len)``, so a digit of ``width`` bytes with
+    ``2**(8*width - 1)`` above that bound holds it; each product is shifted
+    by its pair's shift in digits and added, then ``2**(8*width - 1)`` added
+    to every digit makes all digits non-negative without carries, and the
+    low ``count`` digits are read back from the low bits alone.
     """
-    stride = gcd(*xs, *ys)
-    count = min(cap, max(xs) + max(ys)) // stride + 1
-    bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
-             * min(len(xs), len(ys)))
+    stride = bound = top = 0
+    for shift, xs, ys in pairs:
+        stride = gcd(stride, shift, *xs, *ys)
+        bound += (max(map(abs, xs.values())) * max(map(abs, ys.values()))
+                  * min(len(xs), len(ys)))
+        top = max(top, shift + max(xs) + max(ys))
+    stride = stride or 1
+    count = min(cap, top) // stride + 1
     width = (bound.bit_length() + 8) // 8
     width = min((w for w in _WORD_CODES if w >= width), default=width)
     half = 1 << (8 * width - 1)
-    # the top bit of each of the product's digits: the sign bits of a
-    # packed factor, which has no more digits, and the bias that makes the
-    # product's digits non-negative
+    # the top bit of each of the sum's digits: the sign bits of a packed
+    # factor, which has no more digits, and the bias that makes the sum's
+    # digits non-negative
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    px = _pack(xs, stride, width, bias)
-    product = px * px if xs is ys else px * _pack(ys, stride, width, bias)
-    low = (product + bias) & ((1 << (8 * width * count)) - 1)
+    total = 0
+    for shift, xs, ys in pairs:
+        px = _pack(xs, stride, width, bias)
+        product = px * px if xs is ys else px * _pack(ys, stride, width, bias)
+        total += product << (8 * width * (shift // stride))
+    low = (total + bias) & ((1 << (8 * width * count)) - 1)
     return {i * stride: d - half
             for i, d in enumerate(_int_to_words(low, count, width))
             if d != half}
+
+
+def _products(pairs, cap):
+    """The sum of shifted products of :func:`_schoolbook_product`: by the
+    schoolbook loop while the shorter factor of every pair has at most
+    :data:`SCHOOLBOOK_TERMS` terms, by Kronecker substitution otherwise."""
+    if max(min(len(xs), len(ys)) for _, xs, ys in pairs) <= SCHOOLBOOK_TERMS:
+        return _schoolbook_product(pairs, cap)
+    return _kronecker_product(pairs, cap)
 
 
 class _CoefficientView(Mapping):
@@ -336,6 +355,21 @@ class QSeries:
             return self.precision
         return Rational(self.offset, self.grid_denominator)
 
+    def _split_content(self):
+        """``(c, m)`` with ``self == c * m``: ``c`` a reduced Rational and
+        ``m`` primitive (denominator 1, coprime numerators, a positive
+        lowest numerator) with this grid and precision; ``(1, self)`` for
+        the zero series."""
+        num = self._num
+        if not num:
+            return Rational(1), self
+        g = gcd(*num.values())
+        if num[0] < 0:
+            g = -g
+        return Rational(g, self._den), QSeries._from_numerators(
+            self.grid_denominator, self.offset,
+            {n: c // g for n, c in num.items()}, 1, self.precision)
+
     def coefficient(self, exponent):
         """Exact coefficient at the given exponent (it must lie below P)."""
         e = rational(exponent)
@@ -379,10 +413,10 @@ class QSeries:
     # ------------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, numbers.Rational):
+        if not isinstance(other, QSeries):
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
             other = QSeries.monomial(other, 0, self.precision)
-        elif not isinstance(other, QSeries):
-            return NotImplemented
         D = lcm(self.grid_denominator, other.grid_denominator)
         den = lcm(self._den, other._den)
         P = min(self.precision, other.precision)
@@ -419,13 +453,15 @@ class QSeries:
             self._den * c.denominator, self.precision)
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Rational):
-            return self._scale(other)
         if not isinstance(other, QSeries):
+            if isinstance(other, numbers.Rational):
+                return self._scale(other)
             return NotImplemented
         if not self._num or not other._num:
             return QSeries.zero(min(self.precision + other._low_exponent(),
                                     other.precision + self._low_exponent()))
+        # the one-product case of _mul_sub, spelled out because short
+        # products are frequent enough for its loops to show
         Dx, ax = self.grid_denominator, self.offset
         Dy, ay = other.grid_denominator, other.offset
         # P = min(Px + ay/Dy, Py + ax/Dx) as an integer fraction p/q
@@ -444,13 +480,62 @@ class QSeries:
         cap = (p * D - 1) // q - base
         xs = self._steps_up_to(fx, cap)
         ys = xs if other is self else other._steps_up_to(fy, cap)
-        if min(len(xs), len(ys)) <= SCHOOLBOOK_TERMS:
-            num = _schoolbook_product(xs, ys, cap)
-        else:
-            num = _kronecker_product(xs, ys, cap)
-        return QSeries._from_numerators(D, base, num,
+        return QSeries._from_numerators(D, base,
+                                        _products(((0, xs, ys),), cap),
                                         self._den * other._den,
                                         Rational(p, q))
+
+    def _mul_sub(self, b, c, d):
+        """``self * b - c * d``: the very series that the two products and
+        the difference give, precision included, with each product known
+        below ``min(Px + low(y), Py + low(x))`` (a zero series starting at
+        its precision) and the difference below the lesser bound.
+
+        Both products are read on one grid and over one denominator, with
+        the sign and the denominator's cofactor folded into one factor, and
+        are read back once: one schoolbook accumulator takes every term pair
+        of both, or, past :data:`SCHOOLBOOK_TERMS`, both big-integer
+        products are added on one digit grid before a single unpack.  So no
+        full product series is built only to be subtracted.
+        """
+        terms = ((self, b, 1), (c, d, -1))
+        # the precision p/q, compared as integer fractions
+        p = None
+        for x, y, _ in terms:
+            for u, v in ((x, y), (y, x)):
+                if v._num:
+                    n, e = v.offset, v.grid_denominator
+                else:
+                    n, e = v.precision.numerator, v.precision.denominator
+                pu, qu = u.precision.numerator, u.precision.denominator
+                p2, q2 = pu * e + n * qu, qu * e
+                if p is None or p2 * q < p * q2:
+                    p, q = p2, q2
+        P = Rational(p, q)
+        live = [(x, y, sign) for x, y, sign in terms if x._num and y._num]
+        D = lcm(*(z.grid_denominator for x, y, _ in live for z in (x, y)))
+        den = lcm(*(x._den * y._den for x, y, _ in live))
+        # steps are counted from the lower product's lowest term; the last
+        # one kept is the largest s with (base + s)/D < p/q
+        bases = [x.offset * (D // x.grid_denominator)
+                 + y.offset * (D // y.grid_denominator) for x, y, _ in live]
+        base = min(bases, default=0)
+        cap = (p * D - 1) // q - base
+        pairs = []
+        for (x, y, sign), shift in zip(live, bases):
+            shift -= base
+            if shift > cap:
+                continue
+            xs = x._steps_up_to(D // x.grid_denominator, cap - shift)
+            ys = y._steps_up_to(D // y.grid_denominator, cap - shift)
+            m = sign * (den // (x._den * y._den))
+            if m != 1:
+                xs = {s: v * m for s, v in xs.items()}
+            pairs.append((shift, xs, ys))
+        if not pairs:
+            return QSeries.zero(P)
+        return QSeries._from_numerators(D, base, _products(pairs, cap), den,
+                                        P)
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Rational):

@@ -13,6 +13,17 @@ Sylvester (Jacobi) identity for Wronskians gives,
   / V_(d-2)(d-1)``, so ``V_d(j) = W(f_1..f_d, f_j)`` and
   ``W = V_(k-1)(k)``.  Every entry is an exact Wronskian of d + 1 inputs,
   so numerators stay as small as the minors of Bareiss elimination;
+* every entry is kept as ``lambda_j M_j``: a reduced ``Rational`` scalar
+  times a primitive series (denominator 1, coprime numerators, a positive
+  lowest numerator).  Most of an entry's size is a common Vandermonde-type
+  factor, so the scalars take it and only the primitive parts are
+  multiplied and inverted: step d computes ``X = M_d theta M_j - M_j theta
+  M_d`` as one fused difference (:meth:`QSeries._mul_sub`, which reads
+  both products back once), multiplies it by ``M_(d-1)^(-1)`` and takes
+  the content of the result out again, ``lambda_j <- lambda_d lambda_j
+  content / lambda_(d-1)``.  The result is ``lambda_(k-1) M_(k-1)``, the
+  very series the whole entries give.  The scalars are reduced at every
+  step: kept as unreduced integer pairs they grow exponentially in k;
 * the divisor ``W(f_1..f_(d-1))`` starts at ``q^(l_1 + ... + l_(d-1))``
   with the Vandermonde of ``l_1, ..., l_(d-1)`` times the leading
   coefficients: nonzero, because the ``l_i`` are distinct.  So every
@@ -20,9 +31,9 @@ Sylvester (Jacobi) identity for Wronskians gives,
   ``invert()`` (k - 2 in all), and a divisor that starts elsewhere is a
   broken invariant, not a bad input.
 
-Step d takes three products per later entry, 3k(k-1)/2 - (k-1) in all,
-where elimination of the full derivative matrix takes O(k^3).  With
-``R = min_i (P_i - l_i)``, ``V_d(j)`` starts at or above
+Step d takes three products per later entry (two of them fused),
+3k(k-1)/2 - (k-1) in all, where elimination of the full derivative matrix
+takes O(k^3).  With ``R = min_i (P_i - l_i)``, ``V_d(j)`` starts at or above
 ``l_1 + ... + l_d + l_j`` and is exact below that plus R: products add
 leading exponents and keep R, theta keeps both, and the inverse of a
 divisor that starts at S is exact below R - S.  So the result is exact
@@ -73,28 +84,36 @@ def _distinct_leading_exponents(entries):
 
 
 def _jacobi_recursion(columns, lows):
-    """The Wronskian of nonzero columns with the distinct leading exponents
-    ``lows``: step p turns every later entry into ``W(f_0..f_p, f_j)`` from
-    ``W(f_0..f_(p-1), f_j)``, dividing by the pivot of step p - 1 through
-    its inverse; the last pivot divides nothing (k - 2 inverses)."""
-    v = list(columns)
+    """``(c, m)`` with ``c * m`` the Wronskian of nonzero columns with the
+    distinct leading exponents ``lows``: step p turns every later entry
+    into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)``, dividing by
+    the pivot of step p - 1 through its inverse; the last pivot divides
+    nothing (k - 2 inverses).  Every entry is kept as a reduced scalar
+    times a primitive series, and only the primitive parts are multiplied
+    and inverted."""
+    scalars, v = map(list, zip(*(y._split_content() for y in columns)))
     k = len(v)
     low = Rational(0)
     for p in range(k - 1):
         pivot = v[p]
+        ratio = scalars[p]
         scale = None
         if p:
             divisor = v[p - 1]
             if divisor.is_zero or divisor._low_exponent() != low:
                 raise AssertionError(f"divisor {p} does not start at q^{low}")
             scale = divisor.invert()
+            ratio /= scalars[p - 1]
         low += lows[p]
         d_pivot = pivot.theta_derive()
         for j in range(p + 1, k):
             y = v[j]
-            x = pivot * y.theta_derive() - y * d_pivot
-            v[j] = x if scale is None else x * scale
-    return v[k - 1]
+            x = pivot._mul_sub(y.theta_derive(), y, d_pivot)
+            if scale is not None:
+                x = x * scale
+            content, v[j] = x._split_content()
+            scalars[j] *= ratio * content
+    return scalars[k - 1], v[k - 1]
 
 
 def wronskian(entries):
@@ -113,7 +132,8 @@ def wronskian(entries):
     lows = [y._low_exponent() for y in columns]
     if any(y.is_zero for y in columns):
         return QSeries.zero(sum(lows, Rational(0)))
-    return _jacobi_recursion(columns, lows)
+    scalar, part = _jacobi_recursion(columns, lows)
+    return part * scalar
 
 
 def wronskian_entry_precision(lows, order):

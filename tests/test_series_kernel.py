@@ -190,6 +190,63 @@ def test_kronecker_digits_wider_than_a_machine_word(monkeypatch, width,
     assert widths == [width] * 3
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_series(), kernel_series(), kernel_series(), kernel_series())
+def test_fused_difference_matches_two_products(a, b, c, d):
+    # grids, offsets, denominators, zero series, term counts on both sides
+    # of the cutoff and numerators beyond 2**64 as for the products; both
+    # read-backs must give the difference, precision included
+    expected = a * b - c * d
+    for cutoff in (0, SCHOOLBOOK_TERMS, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "SCHOOLBOOK_TERMS", cutoff)
+            assert_same_series(a._mul_sub(b, c, d), expected)
+
+
+X = QSeries(3, 1, {n: Fraction((-1) ** n * (n + 2), 1 + n % 3)
+                   for n in range(0, 60, 2)}, 22)
+Y = QSeries(2, -1, {n: BIG * (n + 1) for n in range(0, 40, 3)}, 20)
+
+
+@pytest.mark.parametrize("a,b,c,d", [
+    # the products start at q^(-1/6) and q^(55/6) and are known below
+    # q^(61/3) and q^(89/3): the second one is cut at the first one's
+    # bound; shifted by 30, none of its terms is left
+    (X, Y, X.shift(3), Y.shift(Fraction(19, 3))),
+    (X, Y, X.shift(30), Y),
+    (QSeries.zero(4), Y, X, Y),
+    (X, Y, X, QSeries.zero(Fraction(1, 3))),
+    (QSeries.zero(4), QSeries.zero(5), X, QSeries.zero(2)),
+    (X, X, Y, Y),
+    (X, Y, X, Y),
+], ids=["shifted", "cut-off", "zero-a", "zero-d", "all-zero", "squares",
+        "cancel"])
+def test_fused_difference_edge_cases(a, b, c, d):
+    assert_same_series(a._mul_sub(b, c, d), a * b - c * d)
+
+
+def test_fused_difference_packs_digits_wider_than_a_word(monkeypatch):
+    # numerators near 2**70 on 32 terms: one digit of the sum needs 19
+    # bytes, which no array typecode holds
+    n = 2 * SCHOOLBOOK_TERMS
+    x = QSeries(1, 0, {i: (-1) ** (i // 5) * (2 ** 70 - 3 * i)
+                       for i in range(n)}, 2 * n)
+    y = QSeries(1, 0, {i: (-1) ** (i // 3) * (2 ** 69 + 7 * i)
+                       for i in range(n)}, 2 * n)
+    widths = []
+    pack = series_module._pack
+
+    def recording_pack(num, stride, w, signs):
+        widths.append(w)
+        return pack(num, stride, w, signs)
+
+    monkeypatch.setattr(series_module, "_pack", recording_pack)
+    fused = x._mul_sub(y.shift(1), y, x.shift(2))
+    monkeypatch.undo()
+    assert_same_series(fused, x * y.shift(1) - y * x.shift(2))
+    assert widths and min(widths) > 8
+
+
 def test_products_cut_by_precision():
     # x has its terms up to q^40 but y is known only below q^3: the product
     # is known below 3 + low(x) = 3

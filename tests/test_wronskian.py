@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      character_double_sum, characters_for_wronskian,
                      chi_numerator, coprime_models, distinct_weights,
-                     eisenstein_g2, eta_series, make_model,
+                     eisenstein_g2, eta_power, eta_series, make_model,
                      normalized_character, rational, vandermonde,
                      weber_series, wronskian, wronskian_entry_precision)
+from qetakit import series as series_module
+from qetakit.identities import IDENTITIES
 from qetakit.minimal_models import chi_support
 from qetakit.wronskian import _jacobi_recursion
 
@@ -203,6 +205,7 @@ class TestKernelAgainstOracles:
         assert len(vec) == k
         products = 0
         series_mul = QSeries.__mul__
+        series_mul_sub = QSeries._mul_sub
 
         def counting_mul(self, other):
             nonlocal products
@@ -210,14 +213,21 @@ class TestKernelAgainstOracles:
                 products += 1
             return series_mul(self, other)
 
+        def counting_mul_sub(self, b, c, d):
+            nonlocal products
+            products += 2
+            return series_mul_sub(self, b, c, d)
+
         monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+        monkeypatch.setattr(QSeries, "_mul_sub", counting_mul_sub)
         wronskian(vec)
         monkeypatch.undo()
-        # two products per entry and step, and one more by the inverse of
-        # the previous pivot after the first step: 3k(k-1)/2 - (k-1) in all;
-        # Bareiss elimination needs 548 for k = 9 and the subset-minor
-        # expansion k * (2^(k-1) - 1) = 2295
-        assert 0 < products <= 3 * k * (k - 1) // 2
+        # two products per entry and step, read back as one fused
+        # difference, and one more by the inverse of the previous pivot
+        # after the first step: 3k(k-1)/2 - (k-1) in all; Bareiss
+        # elimination needs 548 for k = 9 and the subset-minor expansion
+        # k * (2^(k-1) - 1) = 2295
+        assert products == 3 * k * (k - 1) // 2 - (k - 1)
 
     @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
     def test_inverts_every_pivot_but_the_last(self, monkeypatch, s, t, k):
@@ -279,6 +289,53 @@ class TestKernelAgainstBareiss:
     @given(series_vectors())
     def test_property(self, vec):
         assert wronskian(vec) == wronskian_bareiss(vec)
+
+
+class TestContentSplit:
+    """The recursion carries each entry as a reduced scalar times a
+    primitive series, so the Vandermonde-type growth stays in the scalars
+    and the final scalar is the predicted constant."""
+
+    def test_products_see_primitive_numerators(self, monkeypatch):
+        # (5,8), k = 14, chi numerators at headroom 20: multiplying whole
+        # entries passes numerators of up to 768 bits to the product loops
+        chi = next(_model_vectors(make_model(5, 8), 20))
+        widest = 0
+
+        def recording(original):
+            def product(pairs, cap):
+                nonlocal widest
+                for _, xs, ys in pairs:
+                    for c in (*xs.values(), *ys.values()):
+                        widest = max(widest, abs(c).bit_length())
+                return original(pairs, cap)
+            return product
+
+        for name in ("_schoolbook_product", "_kronecker_product"):
+            monkeypatch.setattr(series_module, name,
+                                recording(getattr(series_module, name)))
+        wronskian(chi)
+        assert 0 < widest < 400
+
+    @pytest.mark.parametrize("model", coprime_models(70),
+                             ids=lambda m: f"{m.s},{m.t}")
+    def test_final_scalar_is_the_predicted_constant(self, model):
+        # W(characters) = V eta^P and W(chi numerators) = W(eta chi) =
+        # V eta^(P + k), V the Vandermonde of the h_bar values; eta^P has
+        # integer coefficients and leading coefficient 1, so it is the
+        # primitive part and V the scalar
+        vectors = _model_vectors(model, 3)
+        chi, raw = next(vectors), next(vectors)
+        params = {"s": model.s, "t": model.t}
+        for vec, identity in ((raw, "wronskian_raw"),
+                              (chi, "wronskian_normalized")):
+            entry = IDENTITIES[identity]
+            scalar, part = _jacobi_recursion(
+                vec, [y.lowest_term()[0] for y in vec])
+            assert scalar == entry.constant(**params)
+            eta = eta_power(entry.power(**params), part.precision)
+            assert part.equal_up_to(eta, part.precision)
+            assert len(part.coefficients) > 1 or model.k == 1
 
 
 class TestScaleByMatrix:
