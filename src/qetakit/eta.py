@@ -136,7 +136,7 @@ def eta_power(exponent, order):
     """
     m = int(exponent)
     if m < 0:
-        raise ValueError("eta power exponent must be >= 1")
+        raise ValueError("eta power exponent must be >= 0")
     order = rational(order)
     if m == 0:
         return QSeries.one(order)

@@ -76,11 +76,13 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: tuples are enumerated, which is faster while few of them contribute.
 #: Swept over one model per k = 2..14 (the largest s) and the s = 2 models
 #: up to k = 9 at headrooms 4-24 in steps of 2 (Python 3.11, 2-vCPU Intel
-#: Xeon, best of 3), the constants 10/12/14/16/18/20 summed to
-#: 1.04/0.99/0.94/0.91/0.91/0.97 s, against 1.18/1.12/1.06/1.01/0.99/1.01 s
-#: for the recursion on whole entries on the same host.  16 and 18 tie, so
-#: 18 stays.  The (2,17), (2,19) and (2,23) sums still take 1.4-1.9x
-#: longer by the Wronskian than by their tuples at headrooms 18-20.
+#: Xeon, each path best of 3 with cold caches, median of 5 sweeps), the
+#: constants 10/12/14/16/18/20 summed to 0.56/0.55/0.53/0.54/0.57/0.63 s
+#: with the recursion on integer maps, against 0.81/0.77/0.73/0.71/0.71/
+#: 0.75 s for the recursion on one series per entry on the same host.  14
+#: wins by 0.035 s, less than the 0.07 s spread of the sweeps at 18, so 18
+#: stays.  The (2,17), (2,19) and (2,23) sums still take 1.3-2.5x longer
+#: by the Wronskian than by their tuples at headroom 18.
 LATTICE_DETERMINANT_HEADROOM = 18
 
 

@@ -26,10 +26,10 @@ Otherwise it uses Kronecker substitution (Harvey, J. Symb. Comp. 2009): both
 numerator vectors, taken on the common stride of their steps, are packed
 into one big integer each, one fixed-width digit per stride, and multiplied
 once; the digits of the product are read back with a bias that makes signed
-digits non-negative.  The fused difference ``a._mul_sub(b, c, d)`` of two
-products runs the same two loops on both products at once and reads the
-result back once.  Values are immutable after construction and safe to
-share between threads.
+digits non-negative.  Both loops also take a list of factor pairs and
+return the sum of their products, read back once (:func:`_products`), which
+the Wronskian kernel uses on bare step -> numerator maps.  Values are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -146,24 +146,22 @@ def _pack(num, stride, width, signs):
 
 
 def _schoolbook_product(pairs, cap):
-    """step -> numerator of the sum of the products ``q**shift * xs * ys``
-    over the ``(shift, xs, ys)`` of ``pairs`` (step -> numerator maps),
-    keeping steps up to ``cap``; one pair at shift 0 is a plain product."""
+    """step -> numerator of the sum of the products ``xs * ys`` over the
+    ``(xs, ys)`` of ``pairs`` (nonempty step -> numerator maps), keeping
+    steps up to ``cap``; one pair is a plain product."""
     acc = {}
-    for shift, xs, ys in pairs:
+    for xs, ys in pairs:
         if len(xs) > len(ys):
             xs, ys = ys, xs
         xs = iter(xs.items())
         ys = ys.items()
         if not acc:
             sx, cx = next(xs)
-            rem = cap - shift - sx
-            sx += shift
+            rem = cap - sx
             acc = {sx + sy: cx * cy for sy, cy in ys if sy <= rem}
         get = acc.get
         for sx, cx in xs:
-            rem = cap - shift - sx
-            sx += shift
+            rem = cap - sx
             for sy, cy in ys:
                 if sy <= rem:
                     s = sx + sy
@@ -173,22 +171,23 @@ def _schoolbook_product(pairs, cap):
 
 def _kronecker_product(pairs, cap):
     """The same sum as :func:`_schoolbook_product` by one big-integer
-    multiply per pair and one read-back.
+    multiply per pair and one read-back; no factor has a step above
+    ``cap``.
 
-    Steps and shifts are divided by their common stride before packing.  A
-    digit of the sum has magnitude at most the sum over the pairs of
-    ``max|x| * max|y| * min(len)``, so a digit of ``width`` bytes with
-    ``2**(8*width - 1)`` above that bound holds it; each product is shifted
-    by its pair's shift in digits and added, then ``2**(8*width - 1)`` added
-    to every digit makes all digits non-negative without carries, and the
-    low ``count`` digits are read back from the low bits alone.
+    Steps are divided by their common stride before packing.  A digit of
+    the sum has magnitude at most the sum over the pairs of ``max|x| *
+    max|y| * min(len)``, so a digit of ``width`` bytes with ``2**(8*width -
+    1)`` above that bound holds it; the products are added, then
+    ``2**(8*width - 1)`` added to every digit makes all digits non-negative
+    without carries, and the low ``count`` digits are read back from the
+    low bits alone.
     """
     stride = bound = top = 0
-    for shift, xs, ys in pairs:
-        stride = gcd(stride, shift, *xs, *ys)
+    for xs, ys in pairs:
+        stride = gcd(stride, *xs, *ys)
         bound += (max(map(abs, xs.values())) * max(map(abs, ys.values()))
                   * min(len(xs), len(ys)))
-        top = max(top, shift + max(xs) + max(ys))
+        top = max(top, max(xs) + max(ys))
     stride = stride or 1
     count = min(cap, top) // stride + 1
     width = (bound.bit_length() + 8) // 8
@@ -199,10 +198,9 @@ def _kronecker_product(pairs, cap):
     # digits non-negative
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     total = 0
-    for shift, xs, ys in pairs:
+    for xs, ys in pairs:
         px = _pack(xs, stride, width, bias)
-        product = px * px if xs is ys else px * _pack(ys, stride, width, bias)
-        total += product << (8 * width * (shift // stride))
+        total += px * px if xs is ys else px * _pack(ys, stride, width, bias)
     low = (total + bias) & ((1 << (8 * width * count)) - 1)
     return {i * stride: d - half
             for i, d in enumerate(_int_to_words(low, count, width))
@@ -210,12 +208,50 @@ def _kronecker_product(pairs, cap):
 
 
 def _products(pairs, cap):
-    """The sum of shifted products of :func:`_schoolbook_product`: by the
-    schoolbook loop while the shorter factor of every pair has at most
-    :data:`SCHOOLBOOK_TERMS` terms, by Kronecker substitution otherwise."""
-    if max(min(len(xs), len(ys)) for _, xs, ys in pairs) <= SCHOOLBOOK_TERMS:
+    """The sum of products of :func:`_schoolbook_product` over one or more
+    pairs: by the schoolbook loop while the shorter factor of every pair has
+    at most :data:`SCHOOLBOOK_TERMS` terms, by Kronecker substitution
+    otherwise."""
+    if max(min(len(xs), len(ys)) for xs, ys in pairs) <= SCHOOLBOOK_TERMS:
         return _schoolbook_product(pairs, cap)
     return _kronecker_product(pairs, cap)
+
+
+def _inverse_numerators(num, count):
+    """``(inv, scale)``: ``inv / scale`` is the inverse, below step
+    ``count``, of the series with the step -> numerator map ``num``, whose
+    step 0 is nonzero; ``inv`` maps steps to ints and ``scale`` is
+    ``num[0]**m`` for ``m`` the number of reduced steps kept.
+
+    With ``N(t) = c0 + c1 t + ...`` (``t`` the reduced step), ``M(t) =
+    N(c0 t) / c0`` has integer coefficients ``c_j c0^(j-1)`` and constant
+    term 1, so ``V = 1/M`` is found by back-substitution without a
+    division, and ``1/N(t) = V(t/c0) / c0``: reduced step j gets ``V_j
+    c0^(m-1-j)`` over ``c0^m``.
+    """
+    c0 = num[0]
+    g = gcd(*num) or count
+    count = (count - 1) // g + 1
+    inner = sorted((n // g, c * c0 ** (n // g - 1))
+                   for n, c in num.items() if n and n // g < count)
+    v = [0] * count
+    v[0] = 1
+    for m in range(1, count):
+        total = 0
+        for j, mj in inner:
+            if j > m:
+                break
+            vk = v[m - j]
+            if vk:
+                total += mj * vk
+        v[m] = -total
+    inv = {}
+    power = 1
+    for m in range(count - 1, -1, -1):
+        if v[m]:
+            inv[m * g] = v[m] * power
+        power *= c0
+    return inv, power
 
 
 class _CoefficientView(Mapping):
@@ -355,21 +391,6 @@ class QSeries:
             return self.precision
         return Rational(self.offset, self.grid_denominator)
 
-    def _split_content(self):
-        """``(c, m)`` with ``self == c * m``: ``c`` a reduced Rational and
-        ``m`` primitive (denominator 1, coprime numerators, a positive
-        lowest numerator) with this grid and precision; ``(1, self)`` for
-        the zero series."""
-        num = self._num
-        if not num:
-            return Rational(1), self
-        g = gcd(*num.values())
-        if num[0] < 0:
-            g = -g
-        return Rational(g, self._den), QSeries._from_numerators(
-            self.grid_denominator, self.offset,
-            {n: c // g for n, c in num.items()}, 1, self.precision)
-
     def coefficient(self, exponent):
         """Exact coefficient at the given exponent (it must lie below P)."""
         e = rational(exponent)
@@ -460,8 +481,6 @@ class QSeries:
         if not self._num or not other._num:
             return QSeries.zero(min(self.precision + other._low_exponent(),
                                     other.precision + self._low_exponent()))
-        # the one-product case of _mul_sub, spelled out because short
-        # products are frequent enough for its loops to show
         Dx, ax = self.grid_denominator, self.offset
         Dy, ay = other.grid_denominator, other.offset
         # P = min(Px + ay/Dy, Py + ax/Dx) as an integer fraction p/q
@@ -481,61 +500,9 @@ class QSeries:
         xs = self._steps_up_to(fx, cap)
         ys = xs if other is self else other._steps_up_to(fy, cap)
         return QSeries._from_numerators(D, base,
-                                        _products(((0, xs, ys),), cap),
+                                        _products(((xs, ys),), cap),
                                         self._den * other._den,
                                         Rational(p, q))
-
-    def _mul_sub(self, b, c, d):
-        """``self * b - c * d``: the very series that the two products and
-        the difference give, precision included, with each product known
-        below ``min(Px + low(y), Py + low(x))`` (a zero series starting at
-        its precision) and the difference below the lesser bound.
-
-        Both products are read on one grid and over one denominator, with
-        the sign and the denominator's cofactor folded into one factor, and
-        are read back once: one schoolbook accumulator takes every term pair
-        of both, or, past :data:`SCHOOLBOOK_TERMS`, both big-integer
-        products are added on one digit grid before a single unpack.  So no
-        full product series is built only to be subtracted.
-        """
-        terms = ((self, b, 1), (c, d, -1))
-        # the precision p/q, compared as integer fractions
-        p = None
-        for x, y, _ in terms:
-            for u, v in ((x, y), (y, x)):
-                if v._num:
-                    n, e = v.offset, v.grid_denominator
-                else:
-                    n, e = v.precision.numerator, v.precision.denominator
-                pu, qu = u.precision.numerator, u.precision.denominator
-                p2, q2 = pu * e + n * qu, qu * e
-                if p is None or p2 * q < p * q2:
-                    p, q = p2, q2
-        P = Rational(p, q)
-        live = [(x, y, sign) for x, y, sign in terms if x._num and y._num]
-        D = lcm(*(z.grid_denominator for x, y, _ in live for z in (x, y)))
-        den = lcm(*(x._den * y._den for x, y, _ in live))
-        # steps are counted from the lower product's lowest term; the last
-        # one kept is the largest s with (base + s)/D < p/q
-        bases = [x.offset * (D // x.grid_denominator)
-                 + y.offset * (D // y.grid_denominator) for x, y, _ in live]
-        base = min(bases, default=0)
-        cap = (p * D - 1) // q - base
-        pairs = []
-        for (x, y, sign), shift in zip(live, bases):
-            shift -= base
-            if shift > cap:
-                continue
-            xs = x._steps_up_to(D // x.grid_denominator, cap - shift)
-            ys = y._steps_up_to(D // y.grid_denominator, cap - shift)
-            m = sign * (den // (x._den * y._den))
-            if m != 1:
-                xs = {s: v * m for s, v in xs.items()}
-            pairs.append((shift, xs, ys))
-        if not pairs:
-            return QSeries.zero(P)
-        return QSeries._from_numerators(D, base, _products(pairs, cap), den,
-                                        P)
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Rational):
@@ -570,13 +537,9 @@ class QSeries:
 
         The lowest exponent of the result is the negation of the lowest
         exponent of the input; the result precision is ``P - 2*lowexp``.
-        With numerators ``N(t) = c0 + c1 t + ...`` over ``den`` (``t`` the
-        reduced step), the inverse is ``den / N``.  One integer recurrence
-        serves every ``c0``: ``M(t) = N(c0 t) / c0`` has integer
-        coefficients ``c_j c0^(j-1)`` and constant term 1, so ``V = 1/M``
-        is found by back-substitution without a division, and
-        ``1/N(t) = V(t/c0) / c0``: step m gets ``den V_m c0^(count-1-m)``
-        over the one denominator ``c0^count``.
+        With numerators ``N`` over ``den``, the inverse is ``den / N``, and
+        ``1/N`` is the one integer back-substitution of
+        :func:`_inverse_numerators`.
         """
         if not self._num:
             raise NotInvertibleError("not invertible: series is zero up to "
@@ -586,34 +549,13 @@ class QSeries:
         den = self._den
         e = Rational(a, D)
         rel = self.precision - e
-        c0 = self._num[0]
-        if len(self._num) == 1:
-            return QSeries.monomial(Rational(den, c0), -e, rel - e)
-        g = gcd(*self._num)
-        count = largest_int_below(rel * Rational(D, g)) + 1
-        inner = sorted((n // g, c * c0 ** (n // g - 1))
-                       for n, c in self._num.items() if n and n // g < count)
-        v = [0] * count
-        v[0] = 1
-        for m in range(1, count):
-            total = 0
-            for j, mj in inner:
-                if j > m:
-                    break
-                vk = v[m - j]
-                if vk:
-                    total += mj * vk
-            v[m] = -total
-        scale = c0 ** count
+        inv, scale = _inverse_numerators(self._num,
+                                         largest_int_below(rel * D) + 1)
         if scale < 0:
             scale, den = -scale, -den
-        num = {}
-        power = 1
-        for m in range(count - 1, -1, -1):
-            if v[m]:
-                num[m * g] = den * v[m] * power
-            power *= c0
-        return QSeries._from_numerators(D, -a, num, scale, rel - e)
+        if den != 1:
+            inv = {n: den * c for n, c in inv.items()}
+        return QSeries._from_numerators(D, -a, inv, scale, rel - e)
 
     def theta_derive(self):
         """Apply q d/dq: each term c*q**e maps to (c*e)*q**e."""

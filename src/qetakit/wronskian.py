@@ -14,22 +14,24 @@ Sylvester (Jacobi) identity for Wronskians gives,
   ``W = V_(k-1)(k)``.  Every entry is an exact Wronskian of d + 1 inputs,
   so numerators stay as small as the minors of Bareiss elimination;
 * every entry is kept as ``lambda_j M_j``: a reduced ``Rational`` scalar
-  times a primitive series (denominator 1, coprime numerators, a positive
-  lowest numerator).  Most of an entry's size is a common Vandermonde-type
-  factor, so the scalars take it and only the primitive parts are
-  multiplied and inverted: step d computes ``X = M_d theta M_j - M_j theta
-  M_d`` as one fused difference (:meth:`QSeries._mul_sub`, which reads
-  both products back once), multiplies it by ``M_(d-1)^(-1)`` and takes
-  the content of the result out again, ``lambda_j <- lambda_d lambda_j
-  content / lambda_(d-1)``.  The result is ``lambda_(k-1) M_(k-1)``, the
-  very series the whole entries give.  The scalars are reduced at every
-  step: kept as unreduced integer pairs they grow exponentially in k;
+  times a primitive map (coprime int numerators, a positive one at the
+  entry's declared leading exponent).  Most of an entry's size is a common
+  Vandermonde-type factor, so the scalars take it and only the primitive
+  parts are multiplied and inverted: step d computes ``X = M_d theta M_j -
+  M_j theta M_d`` as one two-pair product read back once, multiplies it by
+  the primitive part of ``M_(d-1)^(-1)`` and takes the content of the
+  result out again; the scalar takes the rest, ``lambda_j <- lambda_d
+  lambda_j c / (D lambda_(d-1))`` with c the (rational) contents taken out
+  of the inverse and the result.  The result is ``lambda_(k-1) M_(k-1)``,
+  the very series the whole entries give.  The scalars are reduced at
+  every step: kept as unreduced integer pairs they grow exponentially in
+  k;
 * the divisor ``W(f_1..f_(d-1))`` starts at ``q^(l_1 + ... + l_(d-1))``
   with the Vandermonde of ``l_1, ..., l_(d-1)`` times the leading
   coefficients: nonzero, because the ``l_i`` are distinct.  So every
   divisor is invertible, each division is one product with one integer
-  ``invert()`` (k - 2 in all), and a divisor that starts elsewhere is a
-  broken invariant, not a bad input.
+  back-substitution (k - 2 in all), and a divisor that starts elsewhere is
+  a broken invariant, not a bad input.
 
 Step d takes three products per later entry (two of them fused),
 3k(k-1)/2 - (k-1) in all, where elimination of the full derivative matrix
@@ -38,17 +40,27 @@ takes O(k^3).  With ``R = min_i (P_i - l_i)``, ``V_d(j)`` starts at or above
 leading exponents and keep R, theta keeps both, and the inverse of a
 divisor that starts at S is exact below R - S.  So the result is exact
 below ``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
-(:func:`wronskian_entry_precision` inverts it).  The independent oracles
-(Bareiss elimination of the full derivative matrix, the subset-minor and
-Vandermonde term expansions of the same determinant, and a rational
-Gaussian elimination for scalar matrices) live with the tests, in
-``tests/oracles.py``.
+(:func:`wronskian_entry_precision` inverts it).  That is why the recursion
+needs no series and no precision arithmetic between its input and its
+output: every entry is a bare ``key -> int`` map on the lcm grid ``1/D`` of
+the columns, keyed from its own leading offset (an int, ``D`` times its
+declared leading exponent), and every map is cut at the same last key,
+``ceil(R D) - 1``; ``theta`` multiplies key i by ``offset + i`` and leaves
+the ``1/D`` to the scalar.  Only the input columns' derivatives come from
+:meth:`QSeries.theta_derive`.
+
+The independent oracles (Bareiss elimination of the full derivative
+matrix, the subset-minor and Vandermonde term expansions of the same
+determinant, and a rational Gaussian elimination for scalar matrices) live
+with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from .rationals import Rational, rational
-from .series import QSeries
+from math import gcd, lcm
+
+from .rationals import Rational, largest_int_below, rational
+from .series import QSeries, _inverse_numerators, _products
 
 
 def vandermonde(values):
@@ -83,37 +95,90 @@ def _distinct_leading_exponents(entries):
     return columns
 
 
+def _primitive(num):
+    """``(c, m)`` with ``num == c * m`` for a key -> int map: ``m`` has
+    coprime values, positive at key 0 if it has one; ``(1, num)`` for an
+    empty map."""
+    if not num:
+        return 1, num
+    c = gcd(*num.values())
+    if num.get(0, 0) < 0:
+        c = -c
+    return c, num if c == 1 else {i: v // c for i, v in num.items()}
+
+
+def _on_grid(y, D, origin, cap):
+    """The numerators of ``y`` keyed by ``exponent * D - origin``, for the
+    keys up to ``cap``."""
+    f = D // y.grid_denominator
+    base = y.offset * f - origin
+    num = y._num
+    if f == 1 and not base and max(num, default=0) <= cap:
+        return num
+    top = (cap - base) // f
+    return {base + n * f: c for n, c in num.items() if n <= top}
+
+
 def _jacobi_recursion(columns, lows):
     """``(c, m)`` with ``c * m`` the Wronskian of nonzero columns with the
     distinct leading exponents ``lows``: step p turns every later entry
     into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)``, dividing by
     the pivot of step p - 1 through its inverse; the last pivot divides
     nothing (k - 2 inverses).  Every entry is kept as a reduced scalar
-    times a primitive series, and only the primitive parts are multiplied
-    and inverted."""
-    scalars, v = map(list, zip(*(y._split_content() for y in columns)))
-    k = len(v)
+    times a primitive key -> int map on one grid, cut at one last key."""
+    k = len(columns)
+    D = lcm(*(y.grid_denominator for y in columns))
+    headroom = min(y.precision - low for y, low in zip(columns, lows))
+    cap = largest_int_below(headroom * D)
+    offsets = [y.offset * (D // y.grid_denominator) for y in columns]
+    scalars, v = [], []
+    for y, origin in zip(columns, offsets):
+        content, m = _primitive(_on_grid(y, D, origin, cap))
+        scalars.append(Rational(content, y._den))
+        v.append(m)
+
+    def theta(j):
+        # D theta of entry j's map, whose key i sits at (offset + i)/D; at
+        # step 0 it is read from the column's own derivative and rescaled
+        # from that series' denominator to the column's lambda_j / D
+        a = offsets[j]
+        if p:
+            return {i: c * (a + i) for i, c in v[j].items() if a + i}
+        dy = columns[j].theta_derive()
+        r = D / (dy._den * scalars[j])
+        t = _on_grid(dy, D, a, cap)
+        if r == 1:
+            return t
+        return {i: c * r.numerator // r.denominator for i, c in t.items()}
+
     low = Rational(0)
     for p in range(k - 1):
         pivot = v[p]
-        ratio = scalars[p]
-        scale = None
+        ratio = scalars[p] / D
+        shift = offsets[p]
+        inverse = None
         if p:
             divisor = v[p - 1]
-            if divisor.is_zero or divisor._low_exponent() != low:
+            if 0 not in divisor:
                 raise AssertionError(f"divisor {p} does not start at q^{low}")
-            scale = divisor.invert()
-            ratio /= scalars[p - 1]
+            inverse, scale = _inverse_numerators(divisor, cap + 1)
+            content, inverse = _primitive(inverse)
+            ratio *= Rational(content, scale) / scalars[p - 1]
+            shift -= offsets[p - 1]
         low += lows[p]
-        d_pivot = pivot.theta_derive()
+        minus_d_pivot = {i: -c for i, c in theta(p).items()}
         for j in range(p + 1, k):
-            y = v[j]
-            x = pivot._mul_sub(y.theta_derive(), y, d_pivot)
-            if scale is not None:
-                x = x * scale
-            content, v[j] = x._split_content()
+            pairs = [(xs, ys) for xs, ys in ((pivot, theta(j)),
+                                             (v[j], minus_d_pivot))
+                     if xs and ys]
+            x = _products(pairs, cap) if pairs else {}
+            if inverse is not None and x:
+                x = _products([(x, inverse)], cap)
+            content, v[j] = _primitive(x)
             scalars[j] *= ratio * content
-    return scalars[k - 1], v[k - 1]
+            offsets[j] += shift
+    return scalars[k - 1], QSeries._from_numerators(
+        D, offsets[k - 1], v[k - 1], 1, sum(lows, Rational(0)) + headroom)
 
 
 def wronskian(entries):

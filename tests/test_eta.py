@@ -165,7 +165,11 @@ class TestEtaPower:
         assert direct.equal_up_to(power, 12)
 
     def test_power_zero_is_one(self):
-        assert eta_power(0, 5).equal_up_to(QSeries.one(5), 5)
+        assert eta_power(0, 5) == QSeries.one(5)
+
+    def test_negative_power_names_the_least_exponent_accepted(self):
+        with pytest.raises(ValueError, match="exponent must be >= 0$"):
+            eta_power(-1, 5)
 
     def test_vacuous_order_gives_empty_series(self):
         # eta^276 starts at 11.5, so nothing is known below order 10

@@ -190,49 +190,101 @@ def test_kronecker_digits_wider_than_a_machine_word(monkeypatch, width,
     assert widths == [width] * 3
 
 
+@st.composite
+def step_maps(draw, cap):
+    """A step -> int map, possibly empty, with steps up to ``cap``, as the
+    Wronskian kernel passes to ``_products``: a random start, stride and
+    density, numerators in runs of one sign, small or beyond 2**64."""
+    start = draw(st.integers(0, 12))
+    stride = draw(st.sampled_from((1, 1, 2, 3)))
+    count = draw(st.integers(0, 3 * SCHOOLBOOK_TERMS))
+    magnitude = draw(st.sampled_from((9, 10 ** 6, BIG * 7)))
+    dense = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    slots = (range(count) if dense
+             else sorted(rng.sample(range(3 * count + 3), count)))
+    num = {}
+    sign = 1
+    for slot in slots:
+        if rng.random() < 0.2:
+            sign = -sign
+        if start + slot * stride <= cap:
+            num[start + slot * stride] = sign * rng.randint(1, magnitude)
+    return num
+
+
+def fused_products(pairs, cap):
+    """``_products`` on the pairs whose operands are both nonempty, as the
+    Wronskian kernel calls it; no such pair is the empty map."""
+    live = [(xs, ys) for xs, ys in pairs if xs and ys]
+    return series_module._products(live, cap) if live else {}
+
+
+def products_by_mul(pairs, cap):
+    """The same sum by ``QSeries.__mul__`` and ``+``, each factor a series
+    on grid 1 known below ``cap + 1``, read back as a step -> int map."""
+    total = QSeries.zero(cap + 1)
+    for xs, ys in pairs:
+        total += QSeries(1, 0, xs, cap + 1) * QSeries(1, 0, ys, cap + 1)
+    return {int(e): int(c) for e, c in total.terms()}
+
+
+def minus(num):
+    return {s: -c for s, c in num.items()}
+
+
+def shifted(num, shift, cap):
+    return {s + shift: c for s, c in num.items() if s + shift <= cap}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(kernel_series(), kernel_series(), kernel_series(), kernel_series())
-def test_fused_difference_matches_two_products(a, b, c, d):
-    # grids, offsets, denominators, zero series, term counts on both sides
-    # of the cutoff and numerators beyond 2**64 as for the products; both
-    # read-backs must give the difference, precision included
-    expected = a * b - c * d
+@given(st.integers(0, 160), st.data())
+def test_fused_difference_matches_two_products(cap, data):
+    # a two-pair sum with one factor negated is the difference of the two
+    # products; starts, strides, empty maps, term counts on both sides of
+    # the cutoff and numerators beyond 2**64 vary, and both read-backs
+    # must give that difference
+    a, b, c, d = (data.draw(step_maps(cap)) for _ in range(4))
+    pairs = [(a, b), (minus(c), d)]
+    expected = products_by_mul(pairs, cap)
     for cutoff in (0, SCHOOLBOOK_TERMS, 10 ** 9):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(series_module, "SCHOOLBOOK_TERMS", cutoff)
-            assert_same_series(a._mul_sub(b, c, d), expected)
+            assert fused_products(pairs, cap) == expected
 
 
-X = QSeries(3, 1, {n: Fraction((-1) ** n * (n + 2), 1 + n % 3)
-                   for n in range(0, 60, 2)}, 22)
-Y = QSeries(2, -1, {n: BIG * (n + 1) for n in range(0, 40, 3)}, 20)
+CAP = 70
+X = {n: (-1) ** n * (n + 2) for n in range(0, 60, 2)}
+Y = {n: BIG * (n + 1) for n in range(0, 40, 3)}
 
 
-@pytest.mark.parametrize("a,b,c,d", [
-    # the products start at q^(-1/6) and q^(55/6) and are known below
-    # q^(61/3) and q^(89/3): the second one is cut at the first one's
-    # bound; shifted by 30, none of its terms is left
-    (X, Y, X.shift(3), Y.shift(Fraction(19, 3))),
-    (X, Y, X.shift(30), Y),
-    (QSeries.zero(4), Y, X, Y),
-    (X, Y, X, QSeries.zero(Fraction(1, 3))),
-    (QSeries.zero(4), QSeries.zero(5), X, QSeries.zero(2)),
-    (X, X, Y, Y),
-    (X, Y, X, Y),
+@pytest.mark.parametrize("pairs", [
+    # the second product starts 5 steps up; starting at step 80, none of
+    # its terms is left at or below the cap
+    [(X, Y), (minus(X), shifted(Y, 5, CAP))],
+    [(X, Y), (shifted(minus(X), 50, CAP), shifted(Y, 30, CAP))],
+    [({}, Y), (minus(X), Y)],
+    [(X, Y), (minus(X), {})],
+    [({}, Y), (minus(X), {})],
+    [(X, X), (Y, Y)],
+    [(X, Y), (minus(X), Y)],
 ], ids=["shifted", "cut-off", "zero-a", "zero-d", "all-zero", "squares",
         "cancel"])
-def test_fused_difference_edge_cases(a, b, c, d):
-    assert_same_series(a._mul_sub(b, c, d), a * b - c * d)
+def test_fused_difference_edge_cases(pairs):
+    expected = products_by_mul(pairs, CAP)
+    for cutoff in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "SCHOOLBOOK_TERMS", cutoff)
+            assert fused_products(pairs, CAP) == expected
 
 
 def test_fused_difference_packs_digits_wider_than_a_word(monkeypatch):
     # numerators near 2**70 on 32 terms: one digit of the sum needs 19
     # bytes, which no array typecode holds
     n = 2 * SCHOOLBOOK_TERMS
-    x = QSeries(1, 0, {i: (-1) ** (i // 5) * (2 ** 70 - 3 * i)
-                       for i in range(n)}, 2 * n)
-    y = QSeries(1, 0, {i: (-1) ** (i // 3) * (2 ** 69 + 7 * i)
-                       for i in range(n)}, 2 * n)
+    x = {i: (-1) ** (i // 5) * (2 ** 70 - 3 * i) for i in range(n)}
+    y = {i: (-1) ** (i // 3) * (2 ** 69 + 7 * i) for i in range(n)}
+    pairs = [(x, shifted(y, 1, 2 * n)), (minus(y), shifted(x, 2, 2 * n))]
     widths = []
     pack = series_module._pack
 
@@ -241,9 +293,9 @@ def test_fused_difference_packs_digits_wider_than_a_word(monkeypatch):
         return pack(num, stride, w, signs)
 
     monkeypatch.setattr(series_module, "_pack", recording_pack)
-    fused = x._mul_sub(y.shift(1), y, x.shift(2))
+    fused = fused_products(pairs, 2 * n)
     monkeypatch.undo()
-    assert_same_series(fused, x * y.shift(1) - y * x.shift(2))
+    assert fused == products_by_mul(pairs, 2 * n)
     assert widths and min(widths) > 8
 
 

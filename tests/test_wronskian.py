@@ -1,10 +1,11 @@
 """Wronskian determinants, the Vandermonde expansion oracle, scaling laws."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      character_double_sum, characters_for_wronskian,
@@ -20,6 +21,9 @@ from qetakit.wronskian import _jacobi_recursion
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
                      wronskian_bareiss, wronskian_subset_minor,
                      wronskian_vandermonde_expand)
+
+# the package re-exports the function wronskian under its module's name
+wronskian_module = sys.modules["qetakit.wronskian"]
 
 
 def assert_matches_oracles(vec):
@@ -204,25 +208,17 @@ class TestKernelAgainstOracles:
         vec = characters_for_wronskian(model, base + 4)
         assert len(vec) == k
         products = 0
-        series_mul = QSeries.__mul__
-        series_mul_sub = QSeries._mul_sub
+        series_products = wronskian_module._products
 
-        def counting_mul(self, other):
+        def counting_products(pairs, cap):
             nonlocal products
-            if isinstance(other, QSeries):
-                products += 1
-            return series_mul(self, other)
+            products += len(pairs)
+            return series_products(pairs, cap)
 
-        def counting_mul_sub(self, b, c, d):
-            nonlocal products
-            products += 2
-            return series_mul_sub(self, b, c, d)
-
-        monkeypatch.setattr(QSeries, "__mul__", counting_mul)
-        monkeypatch.setattr(QSeries, "_mul_sub", counting_mul_sub)
+        monkeypatch.setattr(wronskian_module, "_products", counting_products)
         wronskian(vec)
         monkeypatch.undo()
-        # two products per entry and step, read back as one fused
+        # two product pairs per entry and step, read back as one fused
         # difference, and one more by the inverse of the previous pivot
         # after the first step: 3k(k-1)/2 - (k-1) in all; Bareiss
         # elimination needs 548 for k = 9 and the subset-minor expansion
@@ -234,14 +230,15 @@ class TestKernelAgainstOracles:
         vec = characters_for_wronskian(make_model(s, t), 10)
         assert len(vec) == k
         inverts = 0
-        series_invert = QSeries.invert
+        inverse_numerators = wronskian_module._inverse_numerators
 
-        def counting_invert(self):
+        def counting_inverse(num, count):
             nonlocal inverts
             inverts += 1
-            return series_invert(self)
+            return inverse_numerators(num, count)
 
-        monkeypatch.setattr(QSeries, "invert", counting_invert)
+        monkeypatch.setattr(wronskian_module, "_inverse_numerators",
+                            counting_inverse)
         wronskian(vec)
         monkeypatch.undo()
         assert inverts == k - 2
@@ -274,6 +271,30 @@ def _model_vectors(model, headroom):
                                    + headroom, normalized=True)
 
 
+@st.composite
+def mixed_grid_vectors(draw):
+    """2 to 5 series with distinct leading exponents, each on its own grid
+    (denominator 1, 2, 3, 4 or 6) and known to its own precision; one of
+    them starts at q^0, so that theta removes its lead."""
+    k = draw(st.integers(2, 5))
+    at_zero = draw(st.integers(0, k - 1))
+    vec = []
+    lows = set()
+    for i in range(k):
+        den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+        lead = 0 if i == at_zero else draw(st.integers(-8, 16))
+        assume(Fraction(lead, den) not in lows)
+        lows.add(Fraction(lead, den))
+        terms = [(lead, draw(st.sampled_from((1, -1, 3, -7, 2 ** 70))))]
+        terms += draw(st.lists(st.tuples(st.integers(lead + 1, lead + 24),
+                                         st.integers(-9, 9)), max_size=8))
+        top = max(e for e, _ in terms)
+        precision = Fraction(top + draw(st.integers(1, 12)), den)
+        vec.append(QSeries.from_terms(
+            [(Fraction(e, den), c) for e, c in terms], precision))
+    return vec
+
+
 class TestKernelAgainstBareiss:
     """The recursion computes the very series Bareiss elimination does,
     precision included."""
@@ -290,10 +311,21 @@ class TestKernelAgainstBareiss:
     def test_property(self, vec):
         assert wronskian(vec) == wronskian_bareiss(vec)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_grid_vectors())
+    def test_mixed_grids_reach_the_precision_bound(self, vec):
+        # the columns go onto one lcm grid and are all cut at one last key, so
+        # the result is known exactly up to sum(l_i) + min(P_i - l_i)
+        w = wronskian(vec)
+        assert w == wronskian_bareiss(vec)
+        lows = [y.lowest_term()[0] for y in vec]
+        assert w.precision == sum(lows) + min(
+            y.precision - low for y, low in zip(vec, lows))
+
 
 class TestContentSplit:
     """The recursion carries each entry as a reduced scalar times a
-    primitive series, so the Vandermonde-type growth stays in the scalars
+    primitive integer map, so the Vandermonde-type growth stays in the scalars
     and the final scalar is the predicted constant."""
 
     def test_products_see_primitive_numerators(self, monkeypatch):
@@ -305,7 +337,7 @@ class TestContentSplit:
         def recording(original):
             def product(pairs, cap):
                 nonlocal widest
-                for _, xs, ys in pairs:
+                for xs, ys in pairs:
                     for c in (*xs.values(), *ys.values()):
                         widest = max(widest, abs(c).bit_length())
                 return original(pairs, cap)
