@@ -22,7 +22,7 @@ exact.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
 from .rationals import Rational, largest_int_below, rational
@@ -36,11 +36,6 @@ WEBER_F2_EXPONENT = Rational(1, 24)
 _CHI_12 = {1: 1, 11: 1, 5: -1, 7: -1}
 #: The sign of v mod 4 in Jacobi's cube sum for eta^3 (odd v only).
 _CUBE_SIGNS = {1: 1, 3: -1}
-
-#: Names understood by :func:`named_series` (eta powers are ``eta^M``).
-NAMED_SERIES = ("eta", "eta^M", "pentagonal_sum", "jacobi_cube_sum", "g2",
-                "weber_f", "weber_f1", "weber_f2")
-
 
 def theta_window(modulus, signs, cap):
     """The picks ``(v^2, v, sign, v^2)`` of every v >= 1 whose residue mod
@@ -190,9 +185,10 @@ def eisenstein_g2(order):
     for d in range(1, top + 1):
         for j in range(d, top + 1, d):
             sigma[j] += d
-    terms = [(0, Rational(-1, 12))]
-    terms.extend((m, 2 * sigma[m]) for m in range(1, top + 1))
-    return QSeries.from_terms(terms, order)
+    # numerators over 12: -1 at q^0 and 24 sigma_1(m) at q^m
+    num = {m: 24 * c for m, c in enumerate(sigma)}
+    num[0] = -1
+    return QSeries._from_numerators(1, 0, num, 12, order)
 
 
 #: Weber function -> (leading exponent, grid, sign of its factors).
@@ -219,27 +215,28 @@ def weber_series(which, order):
     return _binomial_product(grid, steps, sign, rel).shift(prefix)
 
 
+#: The builder of every name of :data:`NAMED_SERIES` but ``eta^M``.
+_NAMED_BUILDERS = {"eta": eta_series, "pentagonal_sum": pentagonal_sum_series,
+                   "jacobi_cube_sum": jacobi_cube_series, "g2": eisenstein_g2,
+                   **{f"weber_{w}": partial(weber_series, w) for w in _WEBER}}
+
+#: Names understood by :func:`named_series` (eta powers are ``eta^M``).
+NAMED_SERIES = ("eta", "eta^M", *list(_NAMED_BUILDERS)[1:])
+
+
 def named_series(name, order):
     """Dispatch a builder by name: eta, eta^M, pentagonal_sum,
     jacobi_cube_sum, g2, weber_f, weber_f1, weber_f2."""
     key = str(name).strip().lower()
-    if key == "eta":
-        return eta_series(order)
-    if key.startswith("eta^"):
-        try:
-            m = int(key[4:])
-        except ValueError:
-            raise ValueError("eta power must be an integer (eta^M)") from None
-        if m < 1:
-            raise ValueError("eta power must be >= 1")
-        return eta_power(m, order)
-    if key == "pentagonal_sum":
-        return pentagonal_sum_series(order)
-    if key == "jacobi_cube_sum":
-        return jacobi_cube_series(order)
-    if key == "g2":
-        return eisenstein_g2(order)
-    if key in ("weber_f", "weber_f1", "weber_f2"):
-        return weber_series(key[6:], order)
-    raise ValueError(f"unknown series name {name!r}; "
-                     f"known: {', '.join(NAMED_SERIES)}")
+    if key in _NAMED_BUILDERS:
+        return _NAMED_BUILDERS[key](order)
+    if not key.startswith("eta^"):
+        raise ValueError(f"unknown series name {name!r}; "
+                         f"known: {', '.join(NAMED_SERIES)}")
+    try:
+        m = int(key[4:])
+    except ValueError:
+        raise ValueError("eta power must be an integer (eta^M)") from None
+    if m < 1:
+        raise ValueError("eta power must be >= 1")
+    return eta_power(m, order)

@@ -333,8 +333,8 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     params = dict(params or {})
     D = lcm(lhs.grid_denominator, rhs.grid_denominator)
     smax = largest_int_below(order * D)
-    left = lhs._numerators_on(D, lhs._den, smax)
-    right = rhs._numerators_on(D, rhs._den, smax)
+    left = lhs._on_grid(D, 0, smax)
+    right = rhs._on_grid(D, 0, smax)
     steps = left.keys() | right.keys()
     if not steps:
         raise ValueError(f"no comparable terms below order {order}; "

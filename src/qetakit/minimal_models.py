@@ -16,8 +16,9 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 # eta_series is not called here, but bench/tracing.py wraps it at this site
-from .eta import eta_series, euler_inverse, unary_theta  # noqa: F401
-from .rationals import Rational, rat_ceil, rational
+from .eta import (_binomial_product, eta_series,  # noqa: F401
+                  euler_inverse, unary_theta)
+from .rationals import Rational, largest_int_below, rat_ceil, rational
 from .series import QSeries
 
 
@@ -131,10 +132,11 @@ def _double_sum_numerator(model, label, rel_order):
     a = label.n * s - label.m * t
     b = label.n * s + label.m * t
     mn = label.m * label.n
+    cap = largest_int_below(rel_order)
     acc = {}
 
     def put(e, c):
-        if e < rel_order:
+        if e <= cap:
             acc[e] = acc.get(e, 0) + c
 
     r = 0
@@ -144,9 +146,10 @@ def _double_sum_numerator(model, label, rel_order):
             put(base + rr * a, 1)
             put(base + rr * b + mn, -1)
         r += 1
-        if r > 1 and not st * r * r - b * r < rel_order:
+        if r > 1 and st * r * r - b * r > cap:
             break
-    return QSeries.from_terms(acc.items(), rel_order)
+    return QSeries._from_numerators(
+        1, 0, {e: c for e, c in acc.items() if c}, 1, rel_order)
 
 
 def character_double_sum(model, label, order):
@@ -191,11 +194,13 @@ def character_product_2k1(k, i, order):
     """Infinite-product character for the s = 2 family.
 
     Retains the factors ``1/(1 - q^n)`` for n not congruent to 0, i, -i
-    modulo 2k+1; equal to both other character forms.
+    modulo 2k+1, as the inverse of one binomial product; equal to both
+    other character forms.  The labels i and 2k+1-i exclude the same
+    residues and name the same character.
     """
     k, i = int(k), int(i)
-    if k < 1 or not 1 <= i <= k:
-        raise ValueError(f"need k >= 1 and 1 <= i <= k, got k={k}, i={i}")
+    if k < 1 or not 1 <= i <= 2 * k:
+        raise ValueError(f"need k >= 1 and 1 <= i <= 2k, got k={k}, i={i}")
     model = make_model(2, 2 * k + 1)
     label = weight_label(model, 1, i)
     order = rational(order)
@@ -204,17 +209,10 @@ def character_product_2k1(k, i, order):
     if not rel > 0:
         raise ValueError(f"order must exceed the leading exponent {hbar}")
     modulus = 2 * k + 1
-    excluded = {0, i % modulus, (-i) % modulus}
-    acc = QSeries.one(rel)
-    n = 1
-    while n < rel:
-        if n % modulus not in excluded:
-            geometric = QSeries.from_terms(
-                ((j, 1) for j in range(0, rat_ceil(rel), n)
-                 if Rational(j) < rel), rel)
-            acc = acc * geometric
-        n += 1
-    return acc.shift(hbar)
+    excluded = {0, i, modulus - i}
+    steps = [n for n in range(1, largest_int_below(rel) + 1)
+             if n % modulus not in excluded]
+    return _binomial_product(1, steps, -1, rel).invert().shift(hbar)
 
 
 def normalized_character(model, label, order):

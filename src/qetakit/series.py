@@ -20,16 +20,24 @@ two equal series compare and hash equal however they were computed):
 
 Ring operations run on the integer numerators alone; rationals (see
 :mod:`qetakit.rationals`) appear only at the boundary: exponents, the
-precision bound, scalars and the coefficient views.  A product runs a
-schoolbook loop when one factor has at most :data:`SCHOOLBOOK_TERMS` terms.
-Otherwise it uses Kronecker substitution (Harvey, J. Symb. Comp. 2009): both
-numerator vectors, taken on the common stride of their steps, are packed
-into one big integer each, one fixed-width digit per stride, and multiplied
-once; the digits of the product are read back with a bias that makes signed
-digits non-negative.  Both loops also take a list of factor pairs and
-return the sum of their products, read back once (:func:`_products`), which
-the Wronskian kernel uses on bare step -> numerator maps.  Values are
-immutable after construction and safe to share between threads.
+precision bound, scalars and the coefficient views.  This module is the
+only one that reads the numerator map.  Numerators go out through one grid
+view, :meth:`QSeries._on_grid`: on a finer grid ``1/D``, keyed by
+``exponent * D - origin`` and cut at a last key.  Products, sums,
+comparisons, truncation, the empirical constant and the Wronskian kernel
+all read it.  Builders that hold integer numerators come in through
+:meth:`QSeries._from_numerators`.
+
+A product runs a schoolbook loop when one factor has at most
+:data:`SCHOOLBOOK_TERMS` terms.  Otherwise it uses Kronecker substitution
+(Harvey, J. Symb. Comp. 2009): both numerator vectors, taken on the common
+stride of their steps, are packed into one big integer each, one
+fixed-width digit per stride, and multiplied once; the digits of the
+product are read back with a bias that makes signed digits non-negative.
+Both loops also take a list of factor pairs and return the sum of their
+products, read back once (:func:`_products`), which the Wronskian kernel
+uses on bare step -> numerator maps.  Values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -401,22 +409,19 @@ class QSeries:
             return Rational(0)
         return Rational(self._num.get(s.numerator, 0), self._den)
 
-    def _numerators_on(self, D, den, smax):
-        """step -> numerator over ``den`` on grid ``D`` (a multiple of this
-        grid; ``den`` a multiple of this denominator), up to step ``smax``."""
+    def _on_grid(self, D, origin, cap):
+        """step -> numerator, over this series' denominator, on grid ``D``
+        (a multiple of this grid): each term's step is ``exponent * D -
+        origin``, and only the steps up to ``cap`` are kept.  When no step
+        moves and none is cut, this is the series' own map: read it, never
+        write it."""
         f = D // self.grid_denominator
-        m = den // self._den
-        a = self.offset
-        return {(a + n) * f: c * m for n, c in self._num.items()
-                if (a + n) * f <= smax}
-
-    def _steps_up_to(self, f, cap):
-        """step * f -> numerator for the steps with ``step * f <= cap``."""
+        base = self.offset * f - origin
         num = self._num
-        if f == 1:
-            return num if max(num) <= cap else {
-                n: c for n, c in num.items() if n <= cap}
-        return {n * f: c for n, c in num.items() if n * f <= cap}
+        if f == 1 and not base and (not num or max(num) <= cap):
+            return num
+        top = (cap - base) // f
+        return {base + n * f: c for n, c in num.items() if n <= top}
 
     def equal_up_to(self, other, bound):
         """True iff all coefficients of exponents < bound agree exactly."""
@@ -424,10 +429,12 @@ class QSeries:
         if b > self.precision or b > other.precision:
             raise PrecisionError("insufficient precision")
         D = lcm(self.grid_denominator, other.grid_denominator)
-        den = lcm(self._den, other._den)
         smax = largest_int_below(b * D)
-        return (self._numerators_on(D, den, smax)
-                == other._numerators_on(D, den, smax))
+        x = self._on_grid(D, 0, smax)
+        y = other._on_grid(D, 0, smax)
+        dx, dy = self._den, other._den
+        return x.keys() == y.keys() and all(c * dy == y[s] * dx
+                                            for s, c in x.items())
 
     # ------------------------------------------------------------------
     # ring operations
@@ -442,10 +449,12 @@ class QSeries:
         den = lcm(self._den, other._den)
         P = min(self.precision, other.precision)
         smax = largest_int_below(P * D)
-        acc = self._numerators_on(D, den, smax)
+        m = den // self._den
+        acc = {s: c * m for s, c in self._on_grid(D, 0, smax).items()}
         get = acc.get
-        for s, c in other._numerators_on(D, den, smax).items():
-            acc[s] = get(s, 0) + c
+        m = den // other._den
+        for s, c in other._on_grid(D, 0, smax).items():
+            acc[s] = get(s, 0) + c * m
         return QSeries._from_numerators(
             D, 0, {s: c for s, c in acc.items() if c}, den, P)
 
@@ -491,15 +500,14 @@ class QSeries:
         if p2 * q < p * q2:
             p, q = p2, q2
         D = lcm(Dx, Dy)
-        fx = D // Dx
-        fy = D // Dy
-        # steps are counted from the product's lowest term; the last one
-        # kept is the largest s with (base + s)/D < p/q
-        base = ax * fx + ay * fy
-        cap = (p * D - 1) // q - base
-        xs = self._steps_up_to(fx, cap)
-        ys = xs if other is self else other._steps_up_to(fy, cap)
-        return QSeries._from_numerators(D, base,
+        ox = ax * (D // Dx)
+        oy = ay * (D // Dy)
+        # steps are counted from each factor's lowest term; the last one
+        # kept is the largest s with (ox + oy + s)/D < p/q
+        cap = (p * D - 1) // q - ox - oy
+        xs = self._on_grid(D, ox, cap)
+        ys = xs if other is self else other._on_grid(D, oy, cap)
+        return QSeries._from_numerators(D, ox + oy,
                                         _products(((xs, ys),), cap),
                                         self._den * other._den,
                                         Rational(p, q))
@@ -580,10 +588,10 @@ class QSeries:
         P = rational(precision)
         if P >= self.precision:
             return self
-        nmax = largest_int_below(P * self.grid_denominator) - self.offset
+        D, a = self.grid_denominator, self.offset
         return QSeries._from_numerators(
-            self.grid_denominator, self.offset,
-            {n: c for n, c in self._num.items() if n <= nmax}, self._den, P)
+            D, a, self._on_grid(D, a, largest_int_below(P * D) - a),
+            self._den, P)
 
     # ------------------------------------------------------------------
     # serialization and display
@@ -602,7 +610,7 @@ class QSeries:
         if not lines:
             raise ValueError("empty series text")
         m = _HEADER_RE.match(lines[0].strip())
-        if not m:
+        if not m or not int(m.group(1)):
             raise ValueError(f"bad series header: {lines[0]!r}")
         D = int(m.group(1))
         P = rational(m.group(2))

@@ -46,8 +46,9 @@ output: every entry is a bare ``key -> int`` map on the lcm grid ``1/D`` of
 the columns, keyed from its own leading offset (an int, ``D`` times its
 declared leading exponent), and every map is cut at the same last key,
 ``ceil(R D) - 1``; ``theta`` multiplies key i by ``offset + i`` and leaves
-the ``1/D`` to the scalar.  Only the input columns' derivatives come from
-:meth:`QSeries.theta_derive`.
+the ``1/D`` to the scalar.  The columns and their derivatives are read
+into these maps by the series' own grid view, :meth:`QSeries._on_grid`;
+only the input columns' derivatives come from :meth:`QSeries.theta_derive`.
 
 The independent oracles (Bareiss elimination of the full derivative
 matrix, the subset-minor and Vandermonde term expansions of the same
@@ -107,18 +108,6 @@ def _primitive(num):
     return c, num if c == 1 else {i: v // c for i, v in num.items()}
 
 
-def _on_grid(y, D, origin, cap):
-    """The numerators of ``y`` keyed by ``exponent * D - origin``, for the
-    keys up to ``cap``."""
-    f = D // y.grid_denominator
-    base = y.offset * f - origin
-    num = y._num
-    if f == 1 and not base and max(num, default=0) <= cap:
-        return num
-    top = (cap - base) // f
-    return {base + n * f: c for n, c in num.items() if n <= top}
-
-
 def _jacobi_recursion(columns, lows):
     """``(c, m)`` with ``c * m`` the Wronskian of nonzero columns with the
     distinct leading exponents ``lows``: step p turns every later entry
@@ -133,7 +122,7 @@ def _jacobi_recursion(columns, lows):
     offsets = [y.offset * (D // y.grid_denominator) for y in columns]
     scalars, v = [], []
     for y, origin in zip(columns, offsets):
-        content, m = _primitive(_on_grid(y, D, origin, cap))
+        content, m = _primitive(y._on_grid(D, origin, cap))
         scalars.append(Rational(content, y._den))
         v.append(m)
 
@@ -146,7 +135,7 @@ def _jacobi_recursion(columns, lows):
             return {i: c * (a + i) for i, c in v[j].items() if a + i}
         dy = columns[j].theta_derive()
         r = D / (dy._den * scalars[j])
-        t = _on_grid(dy, D, a, cap)
+        t = dy._on_grid(D, a, cap)
         if r == 1:
             return t
         return {i: c * r.numerator // r.denominator for i, c in t.items()}

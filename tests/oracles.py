@@ -10,11 +10,13 @@ the series oracles use only the public ``QSeries`` constructors, views and
 ring operators (the Bareiss oracle also the package's reduction to
 distinct leading exponents, which it does not test), the residue
 indicator reads the package's sign classes (``chi_support``) one integer
-at a time, and the lattice-sum terms come from a box enumeration that
-writes the paper's summands out in full.  The walk windows are each
-coordinate's picks built as the sums are written, by n for the A_2k^(2)
-sum and by scanning every integer for the per-model sum, to be fed to the
-package's tuple walk in place of its residue-class windows.
+at a time, the s = 2 product character multiplies one geometric series
+per retained factor, and the lattice-sum terms come from a box
+enumeration that writes the paper's summands out in full.  The walk
+windows are each coordinate's picks built as the sums are written, by n
+for the A_2k^(2) sum and by scanning every integer for the per-model sum,
+to be fed to the package's tuple walk in place of its residue-class
+windows.
 """
 
 from fractions import Fraction
@@ -384,6 +386,27 @@ def chi_indicator(model, label, r):
     if rem in minus:
         return -1
     return 0
+
+
+def character_product_geometric(k, i, order):
+    """The s = 2 product character of label (1, i), 1 <= i <= 2k, as a
+    left fold of one truncated geometric series ``1/(1 - q^n)`` per
+    retained n (n not congruent to 0, i, -i modulo 2k+1), shifted by
+    ``q^(h_bar)``; exact below ``order``."""
+    from qetakit import QSeries, make_model, weight_label
+
+    modulus = 2 * k + 1
+    hbar = weight_label(make_model(2, modulus), 1, i).h_bar
+    rel = Fraction(order) - hbar
+    excluded = {0, i % modulus, -i % modulus}
+    acc = QSeries.one(rel)
+    n = 1
+    while n < rel:
+        if n % modulus not in excluded:
+            acc = acc * QSeries.from_terms(
+                ((j, 1) for j in range(0, ceil(rel), n) if j < rel), rel)
+        n += 1
+    return acc.shift(hbar)
 
 
 def _box_terms(columns, exponent, order, sign=1):

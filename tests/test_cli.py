@@ -83,6 +83,20 @@ class TestCharCommand:
         assert QSeries.from_text(out_prod).equal_up_to(
             QSeries.from_text(out_chi), 9)
 
+    def test_product_form_takes_the_mirror_label(self, capsys):
+        # (1, 3) and (1, 2) of the (2, 5) model are one module: the product
+        # form accepts both, as the double and chi forms do
+        args = ("--s", "2", "--t", "5", "--m", "1", "--order", "9")
+        outs = {(n, form): run_cli(capsys, "char", *args, "--n", n,
+                                   "--form", form)
+                for n in ("2", "3") for form in ("product", "double", "chi")}
+        assert {code for code, _, _ in outs.values()} == {0}
+        series = {key: QSeries.from_text(out)
+                  for key, (_, out, _) in outs.items()}
+        assert series["3", "product"] == series["2", "product"]
+        for key in series:
+            assert series[key].equal_up_to(series["2", "product"], 9)
+
     def test_invalid_model(self, capsys):
         code, _, err = run_cli(capsys, "char", "--s", "4", "--t", "6",
                                "--m", "1", "--n", "1")

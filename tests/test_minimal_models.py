@@ -10,7 +10,8 @@ from qetakit import (QSeries, Rational, character_chi_form,
                      strange_sum_general, weber_series, weight_label)
 from qetakit.minimal_models import WeightLabel, _double_sum_numerator
 
-from oracles import chi_indicator, matrix_determinant
+from oracles import (character_product_geometric, chi_indicator,
+                     matrix_determinant)
 
 
 class TestMakeModel:
@@ -146,6 +147,33 @@ class TestCharacters:
                 p = character_product_2k1(k, i, 30)
                 d = character_double_sum(model, label, 30)
                 assert p.equal_up_to(d, 30)
+
+    def test_product_form_equals_the_geometric_fold(self):
+        # one binomial product and one inverse give the fold of one
+        # geometric series per retained factor, precision included, for
+        # every label i in 1..2k, at orders with none, one and many factors
+        for k in range(1, 7):
+            model = make_model(2, 2 * k + 1)
+            for i in range(1, 2 * k + 1):
+                hbar = weight_label(model, 1, i).h_bar
+                for extra in ("1/7", "3/2", "47/4", 30):
+                    order = hbar + rational(extra)
+                    assert (character_product_2k1(k, i, order)
+                            == character_product_geometric(k, i, order)), \
+                        (k, i, extra)
+
+    def test_product_form_takes_both_labels_of_a_module(self):
+        # (1, i) and (1, 2k+1-i) exclude the same residues mod 2k+1
+        for k in range(1, 5):
+            model = make_model(2, 2 * k + 1)
+            for i in range(1, k + 1):
+                mirror = character_product_2k1(k, 2 * k + 1 - i, 20)
+                assert mirror == character_product_2k1(k, i, 20)
+                assert mirror.equal_up_to(character_double_sum(
+                    model, weight_label(model, 1, 2 * k + 1 - i), 20), 20)
+        for k, i in ((1, 0), (1, 3), (3, 7), (0, 1)):
+            with pytest.raises(ValueError, match="1 <= i <= 2k"):
+                character_product_2k1(k, i, 20)
 
     def test_foreign_label_rejected(self):
         other = weight_label(make_model(3, 4), 1, 2)

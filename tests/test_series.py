@@ -1,7 +1,11 @@
 """Core series type: construction, ring operations, serialization."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import qetakit
 from qetakit import (NotInvertibleError, PrecisionError, QSeries, Rational,
                      eta_series, euler_inverse, rational)
 from oracles import euler_factors_poly, partition_count
@@ -194,6 +198,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bad series header"):
             QSeries.from_text("hello\n")
 
+    def test_zero_grid_header_rejected(self):
+        # QSeries(0, ...) raises, so the header D=0 names no grid
+        for text in ("D=0 P=3\n0 1\n", "D=00 P=3\n", "D=0 P=3\n"):
+            with pytest.raises(ValueError, match="bad series header"):
+                QSeries.from_text(text)
+        assert QSeries.from_text("D=1 P=3\n0 1\n") == QSeries.one(3)
+
     def test_off_grid_exponent(self):
         with pytest.raises(ValueError, match="off the declared grid"):
             QSeries.from_text("D=2 P=5\n1/3 1\n")
@@ -235,3 +246,14 @@ class TestPlumbing:
         x = QSeries.from_terms([(0, 1), (1, 1)], 10)
         assert (x / x).equal_up_to(QSeries.one(10), 10)
         assert (x / 2).coefficient(0) == rational("1/2")
+
+
+def test_only_the_series_module_reads_numerator_maps():
+    # every other module reaches a series' numerators through
+    # QSeries._on_grid or builds a series by QSeries._from_numerators
+    source = Path(qetakit.__file__).parent
+    readers = sorted(
+        path.name for path in source.glob("*.py") if path.name != "series.py"
+        and any(isinstance(node, ast.Attribute) and node.attr == "_num"
+                for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []

@@ -316,3 +316,50 @@ def test_coefficients_view_is_read_only_fractions():
     assert len(x.coefficients) == 2 and 4 in x.coefficients
     with pytest.raises(TypeError):
         x.coefficients[0] = 1
+
+
+# ----------------------------------------------------------------------
+# the grid view: numerators re-keyed onto a finer grid, cut at a cap
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_series(), st.sampled_from((1, 1, 2, 3, 8)), st.data())
+def test_grid_view_matches_rekeyed_terms(x, multiple, data):
+    D = x.grid_denominator * multiple
+    rekeyed = {int(e * D): c * x._den for e, c in x.terms()}
+    assert all(c.denominator == 1 for c in rekeyed.values())
+    keys = sorted(rekeyed) or [x.offset * multiple]
+    origin = data.draw(st.one_of(st.just(x.offset * multiple),
+                                 st.integers(keys[0] - 40, keys[-1] + 40)))
+    # caps from below the first key to past the last one
+    cap = data.draw(st.integers(keys[0] - origin - 6, keys[-1] - origin + 6))
+    got = x._on_grid(D, origin, cap)
+    assert got == {key - origin: c for key, c in rekeyed.items()
+                   if key - origin <= cap}
+    if multiple == 1 and origin == x.offset and cap >= keys[-1] - origin:
+        assert got is x._num  # nothing moves and nothing is cut
+
+
+def test_operations_leave_their_inputs_numerators_alone():
+    from qetakit import eta_series, wronskian
+    from qetakit.identities import empirical_constant
+
+    eta = eta_series(12)
+    inputs = [eta, eta.truncate(5), eta.shift(1), 3 * eta,
+              QSeries(2, 1, {0: Fraction(1, 3), 4: Fraction(-5, 6)}, 9),
+              QSeries(1, 0, {n: BIG + n for n in range(41)}, 41),
+              QSeries.zero(7)]
+    before = [dict(x._num) for x in inputs]
+    for x in inputs:
+        x.truncate(x.precision - 1)
+        x.truncate(x.precision)
+        for y in inputs:
+            order = min(x.precision, y.precision)
+            x + y
+            x * y
+            x.equal_up_to(y, order)
+            if not (x.is_zero and y.is_zero):
+                empirical_constant(x, y, order)
+    wronskian([eta, eta.shift(1), eta.shift(2)])
+    wronskian(inputs[:3])
+    assert [x._num for x in inputs] == before
