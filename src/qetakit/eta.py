@@ -7,7 +7,10 @@ functions.  Eta and its cube are unary theta series
 ``sum_(v >= 1) sign(v mod M) * v^delta * q^(v^2/S)`` (:func:`unary_theta`):
 Euler's pentagonal sum is ``chi_12(v) q^(v^2/24)`` with O(sqrt(order))
 terms and no product, and Jacobi's cube sum is the weighted
-``(-1)^((v-1)/2) v q^(v^2/8)`` over odd v.  The residue-class windows of
+``(-1)^((v-1)/2) v q^(v^2/8)`` over odd v.  A power ``eta^m`` with m >= 2
+comes from Euler's power recurrence (J. C. P. Miller's formula) on the
+pentagonal numerators, in ints and with no series product; repeated
+squaring of eta is its test oracle.  The residue-class windows of
 :func:`theta_window` also build the chi-form numerators of
 :mod:`qetakit.minimal_models` and the lattice sums of
 :mod:`qetakit.identities`.  The binomial product :func:`euler_product` is
@@ -127,21 +130,43 @@ def eta_power(exponent, order):
     """``eta**exponent`` with precision at least ``order``.
 
     When every exponent of the power lies at or beyond ``order`` the result
-    is the empty (zero) series at that precision.
+    is the empty (zero) series at that precision.  For ``exponent`` m >= 2,
+    ``eta^m = q^(m/24) f`` with ``f = g^m`` and g Euler's pentagonal sum
+    ``sum_j g_j q^j`` (``g_0 = 1``); f comes from J. C. P. Miller's power
+    recurrence (Knuth, TAOCP Vol. 2, 4.7) ``n f_n = sum_(1 <= j <= n) g_j
+    ((m + 1) j - n) f_(n-j)``, an exact integer division, with no series
+    product.
     """
     m = int(exponent)
     if m < 0:
         raise ValueError("eta power exponent must be >= 0")
     order = rational(order)
+    if not order > Rational(m, 24):
+        return QSeries.zero(order)
     if m == 0:
         return QSeries.one(order)
-    base = Rational(m, 24)
-    if not order > base:
-        return QSeries.zero(order)
-    eta = eta_series(order - Rational(m - 1, 24))
-    result = eta ** m
-    assert result.precision >= order
-    return result
+    if m == 1:
+        return eta_series(order)
+    count = largest_int_below(order - Rational(m, 24)) + 1
+    # (j, g_j, (m + 1) j g_j) for the nonzero g_j with 1 <= j < count: the
+    # sign of v at j = (v^2 - 1)/24
+    pentagonal = []
+    for square, _, sign, _ in theta_window(12, _CHI_12, 24 * count - 23)[1:]:
+        j = (square - 1) // 24
+        pentagonal.append((j, sign, (m + 1) * j * sign))
+    f = [1] * count
+    for n in range(1, count):
+        total = 0
+        for j, g, weight in pentagonal:
+            if j > n:
+                break
+            c = f[n - j]
+            if c:
+                total += (weight - n * g) * c
+        f[n], rem = divmod(total, n)
+        assert not rem, "Miller's power recurrence must divide exactly"
+    return QSeries._from_numerators(
+        24, m, {24 * n: c for n, c in enumerate(f) if c}, 1, order)
 
 
 def pentagonal_sum_series(order):

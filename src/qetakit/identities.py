@@ -175,7 +175,16 @@ def _walk(windows, cap, exponent, sign):
 
 
 def _sum_terms(terms, order):
-    return QSeries.from_terms(((t.exponent, t.weight) for t in terms), order)
+    """The sum of lattice terms below ``order``, as integer numerators over
+    the least common denominator of their exponents."""
+    scale = lcm(*{t.exponent.denominator for t in terms})
+    num = {}
+    for t in terms:
+        e = t.exponent
+        key = e.numerator * (scale // e.denominator)
+        num[key] = num.get(key, 0) + t.weight.numerator
+    return QSeries._from_numerators(
+        scale, 0, {key: c for key, c in num.items() if c}, 1, order)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ ring operators (the Bareiss oracle also the package's reduction to
 distinct leading exponents, which it does not test), the residue
 indicator reads the package's sign classes (``chi_support``) one integer
 at a time, the s = 2 product character multiplies one geometric series
-per retained factor, and the lattice-sum terms come from a box
+per retained factor, the eta power is the package's eta series raised
+by repeated squaring (series products, none of the power recurrence it
+checks), and the lattice-sum terms come from a box
 enumeration that writes the paper's summands out in full.  The walk
 windows are each coordinate's picks built as the sums are written, by n
 for the A_2k^(2) sum and by scanning every integer for the per-model sum,
@@ -76,6 +78,19 @@ def unary_theta_terms(modulus, signs, scale, precision, weighted):
             terms.append((Fraction(v * v, scale), sign * (v if weighted else 1)))
         v += 1
     return terms
+
+
+def eta_power_by_squaring(m, order):
+    """``eta^m`` exact below ``order`` by repeated squaring of the package's
+    eta series: ``eta_series(order - (m - 1)/24) ** m``, which has
+    precision ``order``; the empty series at a vacuous order (at or below
+    ``m/24``) and 1 for ``m = 0``."""
+    from qetakit import QSeries, eta_series
+    if not order > Fraction(m, 24):
+        return QSeries.zero(order)
+    if m == 0:
+        return QSeries.one(order)
+    return eta_series(order - Fraction(m - 1, 24)) ** m
 
 
 def geometric_poly(step, cutoff):

@@ -9,12 +9,14 @@ from qetakit import (PrecisionError, QSeries, Rational, eisenstein_g2,
                      eta_power, eta_series, euler_inverse, euler_product,
                      jacobi_cube_series, named_series, pentagonal_sum_series,
                      rational, verify_identity, weber_series)
+from qetakit import series as series_module
 from qetakit.eta import _binomial_product, theta_window, unary_theta
 from qetakit.rationals import largest_int_below
 
 from oracles import (binomial_factors_poly, cube_sum_terms,
-                     distinct_partition_count, euler_factors_poly,
-                     partition_count, sigma1, unary_theta_terms)
+                     distinct_partition_count, eta_power_by_squaring,
+                     euler_factors_poly, partition_count, sigma1,
+                     unary_theta_terms)
 
 PREFIX = Rational(1, 24)
 
@@ -175,6 +177,42 @@ class TestEtaPower:
         # eta^276 starts at 11.5, so nothing is known below order 10
         series = eta_power(276, 10)
         assert series.is_zero and series.precision == 10
+
+    @pytest.mark.parametrize("order", [0, -1, Rational(-1, 48)])
+    def test_power_zero_below_precision_zero_is_empty(self, order):
+        # eta^0 = 1 starts at 0, so nothing is known below order <= 0
+        assert eta_power(0, order) == QSeries.zero(order)
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.integers(0, 450), steps=st.integers(-96, 48 * 12))
+    def test_matches_repeated_squaring(self, m, steps):
+        # orders on the 1/48 grid around the leading exponent m/24,
+        # vacuous ones (steps <= 0) included
+        order = Rational(m, 24) + Rational(steps, 48)
+        assert eta_power(m, order) == eta_power_by_squaring(m, order)
+
+    @pytest.mark.parametrize("m,order", [(2, 30), (3, 670), (4, 220),
+                                         (15, 140), (45, 90), (378, 35)])
+    def test_power_recurrence_makes_no_series_product(self, monkeypatch,
+                                                      m, order):
+        products = []
+        series_products = series_module._products
+        multiply = QSeries.__mul__
+
+        def counting_products(pairs, cap):
+            products.append(len(pairs))
+            return series_products(pairs, cap)
+
+        def counting_mul(x, y):
+            products.append(1)
+            return multiply(x, y)
+
+        monkeypatch.setattr(series_module, "_products", counting_products)
+        monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+        power = eta_power(m, order)
+        monkeypatch.undo()
+        assert products == []
+        assert power == eta_power_by_squaring(m, order)
 
 
 def test_named_series_dispatch():

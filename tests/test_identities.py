@@ -201,6 +201,48 @@ def _macdonald_prefactor(k):
     return sign * c_k_constant(k)
 
 
+class TestTupleSum:
+    """The tuple path sums the walk's terms as integer numerators on the
+    sum's grid; ``QSeries.from_terms`` over the same terms is its oracle."""
+
+    @pytest.mark.parametrize("headroom", (2, 3, 5))
+    def test_general_sum_is_from_terms(self, headroom):
+        tuples = IDENTITIES["denominator"].tuples
+        for model in coprime_models(60):
+            s, t = model.s, model.t
+            order = identity_lowest_exponent("denominator", s=s,
+                                             t=t) + headroom
+            assert tuples(order, s=s, t=t) == \
+                _summed(general_terms(model, order), order), model
+
+    @pytest.mark.parametrize("headroom", (2, 3, 5))
+    def test_macdonald_sum_is_from_terms(self, headroom):
+        tuples = IDENTITIES["macdonald"].tuples
+        for k in range(2, 8):
+            order = identity_lowest_exponent("macdonald", k=k) + headroom
+            assert tuples(order, k=k) == _summed(macdonald_terms(k, order),
+                                                 order) \
+                * _macdonald_prefactor(k), k
+
+    @pytest.mark.parametrize("family,params", [
+        ("macdonald", {"k": 2}), ("macdonald", {"k": 3}),
+        ("denominator", {"s": 2, "t": 5}), ("denominator", {"s": 3, "t": 4})])
+    def test_cancelling_terms_are_dropped(self, family, params):
+        # no walked sum was seen to cancel at an exponent, so terms are
+        # summed again with their signs flipped
+        order = identity_lowest_exponent(family, **params) + 8
+        if family == "macdonald":
+            terms = macdonald_terms(params["k"], order)
+        else:
+            terms = general_terms(make_model(**params), order)
+        flipped = [term._replace(weight=-term.weight) for term in terms]
+        halved = terms + flipped[::2]
+        assert identities._sum_terms(halved, order) == \
+            _summed(halved, order) == _summed(terms[1::2], order)
+        assert identities._sum_terms(terms + flipped, order) == \
+            _summed(terms + flipped, order) == QSeries.zero(order)
+
+
 class TestLatticeDeterminant:
     """The lattice sums as one Wronskian of chi-form numerators, against
     tuple enumeration, which stays the independent oracle."""
