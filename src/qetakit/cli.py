@@ -172,9 +172,12 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except OverflowError as exc:  # a size no list or range can hold
+        error = f"order too large: {exc}"
     except (ValueError, RuntimeError, OSError) as exc:
-        print(f"qetakit: error: {exc}", file=sys.stderr)
-        return 2
+        error = exc
+    print(f"qetakit: error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -264,4 +264,8 @@ def named_series(name, order):
         raise ValueError("eta power must be an integer (eta^M)") from None
     if m < 1:
         raise ValueError("eta power must be >= 1")
+    # as for every other name, no order at or below the leading exponent
+    lead = Rational(m, 24)
+    if not rational(order) > lead:
+        raise ValueError(f"order must exceed {lead}")
     return eta_power(m, order)

@@ -16,7 +16,10 @@ leads with the Vandermonde of its entries' leading exponents, and the
 characters, the normalized characters and the chi-form numerators each
 lead with coefficient 1, so ``wronskian_raw`` and ``wronskian_normalized``
 predict the Vandermonde of the h_bar values and ``denominator``
-``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.
+``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.  A check ends
+in a :class:`VerificationReport`, a ``NamedTuple`` like :class:`Identity`
+and :class:`LatticeTerm`, so reports compare by value and pickle across
+the worker processes of a parallel suite.
 
 Both families are one tuple walk (``_walk``) over per-coordinate windows,
 each a :func:`~qetakit.eta.theta_window`: the integers v >= 1 in signed
@@ -59,7 +62,6 @@ on purpose, so that each checks the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -99,8 +101,7 @@ class LatticeTerm(NamedTuple):
     weight: object    # exact rational (sign times the combinatorial weight)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity check at a given truncation order."""
     identity: str
     params: dict
@@ -525,7 +526,7 @@ def _compare(name, params, order, rhs):
     lhs = eta_power(entry.power(**params), order)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
     if report.constant != entry.constant(**params):
-        report = replace(report, match=False)
+        report = report._replace(match=False)
     return report
 
 

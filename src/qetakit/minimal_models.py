@@ -7,13 +7,18 @@ are produced in three independent ways (double sum over the numerator
 lattice, single sum with a residue-class indicator, and an infinite product
 available for s = 2); the forms agree exactly and cross-checking them is the
 main internal oracle of the package.
+
+Models and labels are the ``NamedTuple`` records :class:`MinimalModel` and
+:class:`WeightLabel`, which compare by value, also with plain tuples.  A
+label belongs to a model if and only if it is in range and equals
+``weight_label(model, m, n)``; every character builder checks that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 # eta_series is not called here, but bench/tracing.py wraps it at this site
 from .eta import (_binomial_product, eta_series,  # noqa: F401
@@ -22,8 +27,7 @@ from .rationals import Rational, largest_int_below, rat_ceil, rational
 from .series import QSeries
 
 
-@dataclass(frozen=True)
-class MinimalModel:
+class MinimalModel(NamedTuple):
     """A coprime pair (s, t), canonically ordered s < t."""
     s: int
     t: int
@@ -34,8 +38,7 @@ class MinimalModel:
         return f"(s,t)=({self.s},{self.t}), c={self.central_charge}, k={self.k}"
 
 
-@dataclass(frozen=True)
-class WeightLabel:
+class WeightLabel(NamedTuple):
     """Label (m, n) with its conformal weight h and h_bar = h - c/24."""
     m: int
     n: int
@@ -115,14 +118,12 @@ def _chi_signs(model, label):
 
 
 def _check_label(model, label):
-    s, t = model.s, model.t
-    if not (1 <= label.m < s and 1 <= label.n < t):
-        raise ValueError(f"label (m,n)=({label.m},{label.n}) does not belong "
-                         f"to {model}")
-    expected = Rational((label.n * s - label.m * t) ** 2 - (s - t) ** 2,
-                        4 * s * t)
-    if label.h != expected:
-        raise ValueError(f"label weight {label.h} does not belong to {model}")
+    """ValueError unless ``label`` is the model's own label (m, n), weights
+    included."""
+    if not (1 <= label.m < model.s and 1 <= label.n < model.t
+            and label == weight_label(model, label.m, label.n)):
+        raise ValueError(f"label (m,n)=({label.m},{label.n}) with h={label.h}, "
+                         f"h_bar={label.h_bar} does not belong to {model}")
 
 
 def _double_sum_numerator(model, label, rel_order):

@@ -11,7 +11,7 @@ actually used.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .identities import IDENTITIES, identity_lowest_exponent, \
     identity_params, verify_identity
@@ -55,8 +55,10 @@ def adhoc_manifest(max_st, order):
 
 def default_manifest_text():
     """The manifest shipped with the package, as raw JSON text."""
-    return resources.files("qetakit").joinpath(
-        "data/suite_manifest.json").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "suite_manifest.json")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def load_manifest(path=None):

@@ -53,6 +53,13 @@ class TestSeriesCommand:
         code, _, err = run_cli(capsys, "series", "eta", "--order", "abc")
         assert code == 2 and "bad order" in err
 
+    @pytest.mark.parametrize("name, order, lead", [
+        ("eta", "0", "1/24"), ("eta^1", "0", "1/24"),
+        ("eta^2", "1/12", "1/12")])
+    def test_vacuous_eta_power_order(self, capsys, name, order, lead):
+        assert_usage_error(run_cli(capsys, "series", name, "--order", order),
+                           f"order must exceed {lead}")
+
 
 class TestCharCommand:
     def test_forms_agree(self, capsys):
@@ -544,17 +551,27 @@ def test_console_entry_point():
     assert "match=true" in proc.stdout
 
 
-def test_import_leaves_the_process_pool_out():
-    # run_suite imports the pool only for a parallel suite, so plain
-    # imports and serial runs do not pay for multiprocessing
+def _loaded_by_import(module):
+    """Whether ``import qetakit`` in a fresh interpreter loads ``module``."""
     package_root = os.path.dirname(os.path.dirname(qetakit.__file__))
     path = os.pathsep.join(filter(None, (package_root,
                                          os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qetakit; "
-         "print('concurrent.futures.process' in sys.modules)"],
+         f"import qetakit, sys; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=False,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_dataclasses_out():
+    # every record is a NamedTuple, so a plain import does not pay for
+    # dataclasses (and the inspect, ast and dis modules it loads)
+    assert not _loaded_by_import("dataclasses")
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_suite imports the pool only for a parallel suite, so plain
+    # imports and serial runs do not pay for multiprocessing
+    assert not _loaded_by_import("concurrent.futures.process")

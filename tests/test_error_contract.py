@@ -237,6 +237,27 @@ def test_a_vanished_rhs_is_exit_1(monkeypatch):
         "first_mismatch=1/8 terms_compared=5\n", "")
 
 
+HUGE_ORDER = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "euler", "--order", HUGE_ORDER],
+    ["series", "g2", "--order", HUGE_ORDER],
+    ["series", "weber_f", "--order", HUGE_ORDER],
+    "manifest"])
+def test_an_order_too_large_to_build_is_exit_2(argv, tmp_path):
+    # a list or range of that size overflows; that is bad input, not a
+    # traceback with exit 1
+    if argv == "manifest":
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": "t", "jobs": [
+            {"identity": "euler", "order": HUGE_ORDER}]}), encoding="utf-8")
+        argv = ["verify", "suite", "--manifest", str(path)]
+    assert_contract(argv)
+    code, _, err = run(argv)
+    assert code == 2 and "order too large" in err
+
+
 def test_a_non_integer_eta_power_is_named():
     code, out, err = run(["series", "eta^x", "--order", "3"])
     assert (code, out) == (2, "")

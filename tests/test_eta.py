@@ -226,6 +226,14 @@ def test_named_series_dispatch():
         named_series("zeta", 5)
     with pytest.raises(ValueError, match=r"integer \(eta\^M\)"):
         named_series("eta^x", 5)
+    # eta^M, like every other name, needs an order past its leading
+    # exponent M/24; eta^1 is eta
+    assert named_series("eta^1", 5) == eta_series(5)
+    for name, order, lead in (("eta^1", 0, "1/24"), ("eta", 0, "1/24"),
+                              ("eta^2", Rational(1, 12), "1/12"),
+                              ("eta^24", 1, "1"), ("eta^276", 10, "23/2")):
+        with pytest.raises(ValueError, match=f"order must exceed {lead}$"):
+            named_series(name, order)
 
 
 def test_eta_order_precondition():

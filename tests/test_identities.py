@@ -1,5 +1,6 @@
 """Lattice sums, empirical constants, and the verification drivers."""
 
+import pickle
 import random
 from math import isqrt
 
@@ -593,6 +594,18 @@ class TestReportSerialization:
                        "constant": "1", "match": True, "first_mismatch": None,
                        "terms_compared": doc["terms_compared"]}
         assert isinstance(doc["terms_compared"], int)
+
+    def test_pickle_round_trip(self):
+        # a parallel suite passes reports between processes
+        report = verify_identity("denominator", s=2, t=5, order=10)
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is type(report) and copy == report
+        assert copy.to_line() == report.to_line()
+
+    def test_fields_are_read_only(self):
+        report = verify_identity("euler", order=5)
+        with pytest.raises(AttributeError):
+            report.match = False
 
     def test_identity_lowest_exponents(self):
         assert identity_lowest_exponent("euler") == Rational(1, 24)

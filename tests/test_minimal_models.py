@@ -8,7 +8,8 @@ from qetakit import (QSeries, Rational, character_chi_form,
                      make_model, mu_count,
                      normalized_character, rational, strange_sum_2k1,
                      strange_sum_general, weber_series, weight_label)
-from qetakit.minimal_models import WeightLabel, _double_sum_numerator
+from qetakit.minimal_models import (MinimalModel, WeightLabel,
+                                     _double_sum_numerator)
 
 from oracles import (character_product_geometric, chi_indicator,
                      matrix_determinant)
@@ -69,6 +70,62 @@ class TestDistinctWeights:
     def test_label_range_validation(self):
         with pytest.raises(ValueError, match="out of range"):
             weight_label(make_model(2, 5), 1, 5)
+
+
+class TestRecords:
+    """Models and labels are NamedTuples: immutable, cached, tuple-like."""
+
+    def test_every_record_is_a_named_tuple(self):
+        from qetakit.identities import Identity, LatticeTerm, \
+            VerificationReport
+        for record in (MinimalModel, WeightLabel, VerificationReport,
+                       LatticeTerm, Identity):
+            assert issubclass(record, tuple) and record._fields
+
+    def test_fields_are_read_only(self):
+        model = make_model(2, 5)
+        label = weight_label(model, 1, 2)
+        with pytest.raises(AttributeError):
+            model.s = 3
+        with pytest.raises(AttributeError):
+            label.h = Rational(0)
+
+    def test_caches_still_hit(self):
+        model = make_model(2, 5)
+        hits = make_model.cache_info().hits
+        assert make_model(2, 5) is model
+        assert make_model.cache_info().hits == hits + 1
+        labels = distinct_weights(model)
+        hits = distinct_weights.cache_info().hits
+        assert distinct_weights(make_model(2, 5)) is labels
+        assert distinct_weights.cache_info().hits == hits + 1
+
+    def test_text_is_kept(self):
+        model = make_model(2, 5)
+        assert repr(model) == ("MinimalModel(s=2, t=5, k=2, "
+                               "central_charge=Fraction(-22, 5))")
+        assert str(model) == "(s,t)=(2,5), c=-22/5, k=2"
+        assert repr(weight_label(model, 1, 2)) == (
+            "WeightLabel(m=1, n=2, h=Fraction(-1, 5), "
+            "h_bar=Fraction(-1, 60))")
+
+    def test_records_are_tuples(self):
+        model = make_model(2, 5)
+        assert model == (2, 5, 2, Rational(-22, 5))
+        s, t, k, c = model
+        assert (s, t, k, c) == (2, 5, 2, Rational(-22, 5))
+        m, n, h, h_bar = weight_label(model, 1, 2)
+        assert (m, n, h, h_bar) == (1, 2, Rational(-1, 5), Rational(-1, 60))
+
+    def test_label_with_a_wrong_weight_rejected(self):
+        model = make_model(2, 5)
+        label = weight_label(model, 1, 2)
+        for bogus in (label._replace(h_bar=label.h_bar + 1),
+                      label._replace(h=label.h + 1)):
+            for build in (character_double_sum, character_chi_form,
+                          normalized_character):
+                with pytest.raises(ValueError, match="does not belong"):
+                    build(model, bogus, 10)
 
 
 class TestChiIndicator:
