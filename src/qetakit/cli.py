@@ -5,13 +5,14 @@ Subcommands::
     qetakit series <name> --order Q
     qetakit char --s S --t T --m M --n N --order Q [--form double|chi|product]
     qetakit verify <identity> [--k K | --s S --t T] --order Q
-    qetakit verify suite [--manifest PATH | --max-st N] --order Q [--jobs J]
+    qetakit verify suite [--manifest PATH | --max-st N --order Q] [--jobs J]
 
 Orders are exact rationals (an integer or ``p/q``, as in manifests).  Series
 are emitted in the text interchange format; verification reports stream as
 one line each, or as a single JSON document with ``--format structured``.
 Exit status is 0 iff every requested verification matched, 1 when one
-reported ``match=false``, and 2, with one line on stderr, for a bad input.
+reported ``match=false``, and 2, with one line on stderr, for a bad input,
+an order too large to build or hold in memory among them.
 The ``QETAKIT_OUTPUT_DIR`` environment variable relocates relative
 ``--output`` paths.
 """
@@ -85,6 +86,7 @@ def _structured_doc(version, reports, runtime):
 
 def _cmd_verify(args):
     started = time.monotonic()
+    order = parse_order("20" if args.order is None else args.order)
     if args.identity == "suite":
         if args.window_audit or (args.k, args.s, args.t) != (None,) * 3:
             raise ValueError("--k, --s, --t and --window-audit apply to a "
@@ -92,7 +94,10 @@ def _cmd_verify(args):
         if args.manifest is not None and args.max_st is not None:
             raise ValueError("choose either --manifest or --max-st")
         if args.max_st is not None:
-            manifest = adhoc_manifest(args.max_st, parse_order(args.order))
+            manifest = adhoc_manifest(args.max_st, order)
+        elif args.order is not None:
+            raise ValueError("--order applies to a single identity or to "
+                             "--max-st; a manifest job sets its own order")
         else:
             manifest = load_manifest(args.manifest)
         reports = run_suite(manifest,
@@ -104,8 +109,8 @@ def _cmd_verify(args):
             raise ValueError("--manifest, --max-st and --jobs apply to "
                              "verify suite only")
         verify = audit_identity if args.window_audit else verify_identity
-        reports = [verify(args.identity, order=parse_order(args.order),
-                          k=args.k, s=args.s, t=args.t)]
+        reports = [verify(args.identity, order=order, k=args.k, s=args.s,
+                          t=args.t)]
         version = None
         header = ""
     runtime = time.monotonic() - started
@@ -149,7 +154,9 @@ def build_parser():
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--s", type=int)
     p_verify.add_argument("--t", type=int)
-    p_verify.add_argument("--order", default="20")
+    p_verify.add_argument("--order",
+                          help="truncation order p/q (default 20); not for "
+                               "a manifest suite")
     p_verify.add_argument("--format", choices=("text", "structured"),
                           default="text")
     p_verify.add_argument("--output")
@@ -172,8 +179,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except OverflowError as exc:  # a size no list or range can hold
-        error = f"order too large: {exc}"
+    except (OverflowError, MemoryError) as exc:  # a size nothing can hold
+        # str(MemoryError()) is usually empty
+        error = f"order too large: {str(exc) or 'out of memory'}"
     except (ValueError, RuntimeError, OSError) as exc:
         error = exc
     print(f"qetakit: error: {error}", file=sys.stderr)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import isqrt
 
-from .rationals import Rational, largest_int_below, rational
+from .rationals import Rational, largest_int_below, order_above, rational
 from .series import PrecisionError, QSeries
 
 ETA_EXPONENT = Rational(1, 24)
@@ -176,10 +176,7 @@ def pentagonal_sum_series(order):
     ``sum_(v >= 1) chi_12(v) q^(v^2/24)`` with ``v = |6n - 1|``, with every
     exponent below ``order`` present.
     """
-    order = rational(order)
-    if not order > ETA_EXPONENT:
-        raise ValueError("order must exceed 1/24")
-    return unary_theta(12, _CHI_12, 24, order)
+    return unary_theta(12, _CHI_12, 24, order_above(order, ETA_EXPONENT))
 
 
 def jacobi_cube_series(order):
@@ -189,10 +186,8 @@ def jacobi_cube_series(order):
     ``sum v (-1)^((v-1)/2) q^(v^2/8)`` over odd ``v = 2m + 1``, truncated
     below order.
     """
-    order = rational(order)
-    if not order > Rational(1, 8):
-        raise ValueError("order must exceed 1/8")
-    return unary_theta(4, _CUBE_SIGNS, 8, order, weighted=True)
+    return unary_theta(4, _CUBE_SIGNS, 8, order_above(order, Rational(1, 8)),
+                       weighted=True)
 
 
 def eisenstein_g2(order):
@@ -202,9 +197,7 @@ def eisenstein_g2(order):
     The divisor sums are sieved directly rather than accumulated from the
     Lambert series, so each coefficient is produced exactly once.
     """
-    order = rational(order)
-    if not order > 0:
-        raise ValueError("order must be positive")
+    order = order_above(order, 0)
     top = largest_int_below(order)
     sigma = [0] * (top + 1)
     for d in range(1, top + 1):
@@ -228,13 +221,10 @@ def weber_series(which, order):
     signs, half-integer steps) or ``"f2"`` (plus signs, integer steps).
     """
     key = str(which).lower()
-    order = rational(order)
     if key not in _WEBER:
         raise ValueError(f"unknown Weber function {which!r} (use f, f1 or f2)")
     prefix, grid, sign = _WEBER[key]
-    if not order > prefix:
-        raise ValueError(f"order must exceed {prefix}")
-    rel = order - prefix
+    rel = order_above(order, prefix) - prefix
     # the steps n = 1, 1 + grid, 1 + 2 grid, ... with n/grid below rel
     steps = range(1, largest_int_below(grid * rel) + 1, grid)
     return _binomial_product(grid, steps, sign, rel).shift(prefix)
@@ -265,7 +255,4 @@ def named_series(name, order):
     if m < 1:
         raise ValueError("eta power must be >= 1")
     # as for every other name, no order at or below the leading exponent
-    lead = Rational(m, 24)
-    if not rational(order) > lead:
-        raise ValueError(f"order must exceed {lead}")
-    return eta_power(m, order)
+    return eta_power(m, order_above(order, Rational(m, 24)))

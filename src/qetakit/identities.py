@@ -69,7 +69,8 @@ from .eta import ETA_EXPONENT, WEBER_F2_EXPONENT, WEBER_F_EXPONENT, \
     eta_power, euler_product, jacobi_cube_series, theta_window, weber_series
 from .minimal_models import _chi_signs, chi_numerator, distinct_weights, \
     make_model, character_double_sum, normalized_character
-from .rationals import Rational, largest_int_below, rat_str, rational
+from .rationals import Rational, largest_int_below, order_above, rat_str, \
+    rational
 from .series import PrecisionError, QSeries
 from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 
@@ -285,9 +286,7 @@ def general_terms(model, order):
     """Lattice terms of the per-model sum: tuples from the indicator
     supports, weighted by the sign product times the Vandermonde of the
     squares, with exponent ``sum n_i^2 / (4st)`` below ``order``."""
-    order = rational(order)
-    if not order > 0:
-        raise ValueError("order must be positive")
+    order = order_above(order, 0)
     st4 = 4 * model.s * model.t
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
@@ -411,10 +410,8 @@ def _lattice_entry(params, power, constant, tuples, determinant):
     :data:`LATTICE_DETERMINANT_HEADROOM`, read when it is called, and by
     ``determinant`` from there on."""
     def rhs(order, **values):
-        order = rational(order)
         base = Rational(power(**values), 24)
-        if not order > base:
-            raise ValueError(f"insufficient order: must exceed {base}")
+        order = order_above(order, base)
         if order - base < LATTICE_DETERMINANT_HEADROOM:
             return tuples(order, **values)
         return determinant(order, **values)
@@ -510,13 +507,9 @@ def identity_lowest_exponent(name, **params):
 def _admissible(name, order, params):
     """``order`` and ``params`` for a verification of ``name``, checked;
     ValueError unless ``order`` exceeds the identity's leading exponent."""
-    order = rational(order)
     params = identity_params(name, params)
-    base = Rational(IDENTITIES[name].power(**params), 24)
-    if not order > base:
-        raise ValueError(f"insufficient order {order} for {name}: the "
-                         f"minimal admissible order must exceed {base}")
-    return order, params
+    lead = Rational(IDENTITIES[name].power(**params), 24)
+    return order_above(order, lead), params
 
 
 def _compare(name, params, order, rhs):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 # eta_series is not called here, but bench/tracing.py wraps it at this site
 from .eta import (_binomial_product, eta_series,  # noqa: F401
                   euler_inverse, unary_theta)
-from .rationals import Rational, largest_int_below, rat_ceil, rational
+from .rationals import Rational, largest_int_below, order_above, rat_ceil
 from .series import QSeries
 
 
@@ -159,12 +159,9 @@ def character_double_sum(model, label, order):
     Numerator lattice cut at the exact bound, divided by the Euler product,
     then shifted by ``q^(h - c/24)``; the result is exact below ``order``.
     """
-    order = rational(order)
     _check_label(model, label)
     hbar = label.h_bar
-    rel = order - hbar
-    if not rel > 0:
-        raise ValueError(f"order must exceed the leading exponent {hbar}")
+    rel = order_above(order, hbar) - hbar
     numer = _double_sum_numerator(model, label, rel)
     ch = numer * euler_inverse(rat_ceil(rel))
     return ch.truncate(rel).shift(hbar)
@@ -181,11 +178,8 @@ def character_chi_form(model, label, order):
     """Graded character from the single-sum residue-indicator formula:
     :func:`chi_numerator` divided by eta, which is the numerator times the
     cached partition series, shifted by ``q^(-1/24)``."""
-    order = rational(order)
     _check_label(model, label)
-    hbar = label.h_bar
-    if not order > hbar:
-        raise ValueError(f"order must exceed the leading exponent {hbar}")
+    order = order_above(order, label.h_bar)
     rel = order + Rational(1, 24)
     numer = chi_numerator(model, label, rel)
     return (numer * euler_inverse(rel)).shift(Rational(-1, 24)).truncate(order)
@@ -204,11 +198,8 @@ def character_product_2k1(k, i, order):
         raise ValueError(f"need k >= 1 and 1 <= i <= 2k, got k={k}, i={i}")
     model = make_model(2, 2 * k + 1)
     label = weight_label(model, 1, i)
-    order = rational(order)
     hbar = label.h_bar
-    rel = order - hbar
-    if not rel > 0:
-        raise ValueError(f"order must exceed the leading exponent {hbar}")
+    rel = order_above(order, hbar) - hbar
     modulus = 2 * k + 1
     excluded = {0, i, modulus - i}
     steps = [n for n in range(1, largest_int_below(rel) + 1)
@@ -219,12 +210,10 @@ def character_product_2k1(k, i, order):
 def normalized_character(model, label, order):
     """Eta times the character: the double-sum numerator shifted by
     ``q^(h_bar + 1/24)``, integer coefficients, exact below ``order``."""
-    order = rational(order)
     _check_label(model, label)
     lead = label.h_bar + Rational(1, 24)
-    if not order > lead:
-        raise ValueError(f"order must exceed the leading exponent {lead}")
-    return _double_sum_numerator(model, label, order - lead).shift(lead)
+    rel = order_above(order, lead) - lead
+    return _double_sum_numerator(model, label, rel).shift(lead)
 
 
 def strange_sum_2k1(k):

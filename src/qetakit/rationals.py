@@ -6,6 +6,11 @@ denominator and prints as ``p/q`` (``p`` alone when q = 1), which is the
 output convention of the whole package.  No floating point is ever
 accepted: a single rounding would invalidate exact verification.
 
+Orders enter through two functions here: :func:`parse_order` reads one
+from the command line or a manifest, and :func:`order_above` is the one
+admission rule of every builder and verifier, which rejects an order at or
+below the leading exponent of the series it truncates, with one message.
+
 Series coefficient arithmetic does not go through :data:`Rational`: a
 :class:`~qetakit.series.QSeries` keeps plain ``int`` numerators over one
 common denominator, its products, sums and inverses run on those integers,
@@ -46,6 +51,17 @@ def parse_order(value):
         return Rational(value)
     raise ValueError(f"bad order {value!r}; an order must be an integer or "
                      "a 'p/q' string")
+
+
+def order_above(order, lead):
+    """``order`` as a Rational; ValueError unless it exceeds ``lead``, the
+    leading exponent of the series it truncates, as nothing lies below an
+    order at or below it."""
+    order = rational(order)
+    if order > lead:
+        return order
+    raise ValueError(f"order {order} is not above the leading exponent "
+                     f"{lead}; order must exceed {lead}")
 
 
 def rat_floor(x) -> int:

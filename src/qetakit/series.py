@@ -289,7 +289,7 @@ class QSeries:
     def __init__(self, grid_denominator, offset, coefficients, precision):
         D = int(grid_denominator)
         if D <= 0:
-            raise ValueError("grid denominator must be positive")
+            raise ValueError("grid denominator must be >= 1")
         a = int(offset)
         P = rational(precision)
         num, den = _over_common_denominator(

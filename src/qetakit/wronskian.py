@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rationals import Rational, largest_int_below, rational
+from .rationals import Rational, largest_int_below, order_above, rational
 from .series import QSeries, _inverse_numerators, _products
 
 
@@ -200,12 +200,8 @@ def wronskian_entry_precision(lows, order):
     leading exponent of the Wronskian.
     """
     lows = [rational(x) for x in lows]
-    order = rational(order)
     total = sum(lows, Rational(0))
-    if not order > total:
-        raise ValueError(f"order {order} must exceed the Wronskian's "
-                         f"leading exponent {total}")
-    return order - total + max(lows)
+    return order_above(order, total) - total + max(lows)
 
 
 def abel_log_derivative_check(entries, expected_f1, order):

@@ -403,6 +403,24 @@ class TestSuiteCommand:
         assert_usage_error(run_cli(capsys, "verify", "suite", *argv),
                            "apply to a single identity, not to a suite")
 
+    @pytest.mark.parametrize("manifest", [False, True])
+    def test_order_does_not_apply_to_a_manifest_suite(self, capsys,
+                                                      tmp_path, manifest):
+        # each manifest job carries its own order, so an --order would be
+        # silently ignored; the shipped manifest is never run
+        path = tmp_path / "m.json"
+        path.write_text('{"version": "t", "jobs": []}')
+        argv = ("--manifest", str(path)) if manifest else ()
+        assert_usage_error(
+            run_cli(capsys, "verify", "suite", *argv, "--order", "50"),
+            "--order applies to a single identity or to --max-st")
+
+    def test_order_defaults_to_20(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "suite", "--max-st", "6")
+        assert out.startswith("manifest=adhoc-maxst6-order20\n")
+        assert run_cli(capsys, "verify", "euler")[1] == run_cli(
+            capsys, "verify", "euler", "--order", "20")[1]
+
     def test_manifest_file_with_a_single_identity(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": "t", "jobs": [

@@ -258,6 +258,24 @@ def test_an_order_too_large_to_build_is_exit_2(argv, tmp_path):
     assert code == 2 and "order too large" in err
 
 
+@pytest.mark.parametrize("argv", [["series", "g2", "--order", "12"],
+                                  ["verify", "euler", "--order", "12"]])
+def test_running_out_of_memory_is_exit_2(argv, monkeypatch):
+    # an order that allocates but cannot be held ends in MemoryError, whose
+    # text is usually empty; the builders raise it here without allocating
+    import qetakit.eta as eta
+    import qetakit.identities as identities
+
+    def exhausted(order):
+        raise MemoryError
+
+    monkeypatch.setitem(eta._NAMED_BUILDERS, "g2", exhausted)
+    monkeypatch.setattr(identities, "euler_product", exhausted)
+    assert_contract(argv)
+    assert run(argv) == (2, "", "qetakit: error: order too large: out of "
+                                "memory\n")
+
+
 def test_a_non_integer_eta_power_is_named():
     code, out, err = run(["series", "eta^x", "--order", "3"])
     assert (code, out) == (2, "")

@@ -54,6 +54,8 @@ class TestChiD:
     def test_tuple_length_checked(self):
         with pytest.raises(ValueError, match="expected a 2-tuple"):
             chi_d(2, (1, 2, 3))
+        with pytest.raises(ValueError, match="expected a 2-tuple"):
+            lattice_exponent(2, (1,))
 
 
 class TestLatticeExponent:
@@ -88,6 +90,8 @@ class TestCkConstant:
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
             c_k_constant(1)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            macdonald_terms(1, 5)
 
 
 class TestMacdonaldSum:

@@ -335,6 +335,8 @@ class TestStrangeSums:
 
     def test_degenerate_single_module(self):
         assert strange_sum_2k1(1) == 0
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            strange_sum_2k1(0)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_s2_closed_form(self, k):
@@ -361,6 +363,8 @@ class TestMuCount:
     def test_mu_one(self):
         count, solutions = mu_count(1)
         assert count >= 1 and (2, 3) in solutions
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            mu_count(0)
 
     def test_all_pairs_coprime(self):
         from math import gcd

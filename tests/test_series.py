@@ -25,6 +25,8 @@ class TestMonomial:
         m = QSeries.monomial(1, rational("1/24"), 5)
         assert m.terms() == [(Rational(1, 24), Rational(1))]
         assert m.grid_denominator == 24
+        with pytest.raises(TypeError, match="floating point"):
+            QSeries.monomial(0.5, 0, 3)
 
     def test_zero_coefficient_gives_zero_series(self):
         z = QSeries.monomial(0, 3, 5)
@@ -35,6 +37,8 @@ class TestMonomial:
             QSeries.monomial(1, 10, 10)
         with pytest.raises(PrecisionError, match="beyond precision"):
             QSeries.monomial(2, 11, 10)
+        with pytest.raises(PrecisionError, match="beyond precision"):
+            QSeries(2, 1, {19: 1}, 10)
 
 
 class TestAdd:
@@ -197,9 +201,13 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="bad series header"):
             QSeries.from_text("hello\n")
+        with pytest.raises(ValueError, match="empty series text"):
+            QSeries.from_text(" \n")
 
     def test_zero_grid_header_rejected(self):
         # QSeries(0, ...) raises, so the header D=0 names no grid
+        with pytest.raises(ValueError, match="grid denominator"):
+            QSeries(0, 0, {0: 1}, 3)
         for text in ("D=0 P=3\n0 1\n", "D=00 P=3\n", "D=0 P=3\n"):
             with pytest.raises(ValueError, match="bad series header"):
                 QSeries.from_text(text)

@@ -62,6 +62,8 @@ class TestWronskian:
     def test_single_entry(self):
         x = QSeries.from_terms([(1, 2), (3, -1)], 9)
         assert wronskian([x]) == x
+        with pytest.raises(ValueError, match="at least one series"):
+            wronskian([])
 
     def test_one_and_q(self):
         w = wronskian([QSeries.one(10), QSeries.monomial(1, 1, 10)])
