@@ -7,7 +7,8 @@ Subcommands::
     qetakit verify <identity> [--k K | --s S --t T] --order Q
     qetakit verify suite [--manifest PATH | --max-st N --order Q] [--jobs J]
 
-Orders are exact rationals (an integer or ``p/q``, as in manifests).  Series
+Orders are exact rationals (an integer or ``p/q``, as in manifests;
+``--order -1/96`` is an order, not an option).  Series
 are emitted in the text interchange format; verification reports stream as
 one line each, or as a single JSON document with ``--format structured``.
 Exit status is 0 iff every requested verification matched, 1 when one
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -34,6 +36,11 @@ from .suite import adhoc_manifest, load_manifest, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative order p/q, such as -1/96, is a value, not an option
+        self._negative_number_matcher = re.compile(r"-\d+(/\d+)?$|-\d*\.\d+$")
+
     def error(self, message):  # one line and exit 2, as for any bad input
         raise ValueError(message)
 

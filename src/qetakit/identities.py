@@ -113,13 +113,12 @@ class VerificationReport(NamedTuple):
     terms_compared: int
 
     def to_line(self):
-        pairs = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return (f"identity={self.identity} params={pairs or '-'} "
-                f"order={rat_str(self.order)} "
-                f"constant={rat_str(self.constant) if self.constant is not None else '-'} "
-                f"match={'true' if self.match else 'false'} "
-                f"first_mismatch={rat_str(self.first_mismatch) if self.first_mismatch is not None else '-'} "
-                f"terms_compared={self.terms_compared}")
+        fields = self.to_dict()
+        fields["params"] = ",".join(
+            f"{k}={v}" for k, v in fields["params"].items()) or "-"
+        fields["match"] = "true" if self.match else "false"
+        return " ".join(f"{key}={'-' if value is None else value}"
+                        for key, value in fields.items())
 
     def to_dict(self):
         return {
@@ -221,15 +220,13 @@ def lattice_exponent(k, n_vec):
 
 
 def c_k_constant(k):
-    """The closed-form normalisation ``1/(2^{k(k-1)} prod_{i<j}(i-j)(i+j-1))``."""
+    """The closed-form normalisation ``1/(2^{k(k-1)} prod_{i<j}(i-j)(i+j-1))``,
+    which is ``1/chi_d`` of the zero tuple: there ``d_i = 2i - 1``, and
+    ``d_i^2 - d_j^2 = 4(i-j)(i+j-1)``."""
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    denom = 2 ** (k * (k - 1))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            denom *= (i - j) * (i + j - 1)
-    return Rational(1, denom)
+    return Rational(1, chi_d(k, (0,) * k))
 
 
 def macdonald_terms(k, order):
@@ -299,15 +296,14 @@ def _lattice_determinant(model, order):
     """The per-model sum as ``(4st)^(k(k-1)/2)`` times the Wronskian of the
     chi-form numerators, exact below ``order`` (which must exceed the sum
     of their leading exponents, ``(2k-1)k/24``)."""
-    st4 = 4 * model.s * model.t
-    # each numerator starts at (its least residue)^2 / (4st)
-    lows = [Rational(min(_chi_signs(model, lab)) ** 2, st4)
-            for lab in distinct_weights(model)]
-    precision = wronskian_entry_precision(lows, order)
-    numerators = [chi_numerator(model, lab, precision)
-                  for lab in distinct_weights(model)]
+    labels = distinct_weights(model)
+    # a numerator is the normalized character, which starts at h_bar + 1/24
+    precision = wronskian_entry_precision(
+        [lab.h_bar + Rational(1, 24) for lab in labels], order)
+    numerators = [chi_numerator(model, lab, precision) for lab in labels]
     k = model.k
-    return wronskian(numerators).truncate(order) * st4 ** (k * (k - 1) // 2)
+    st4 = 4 * model.s * model.t
+    return wronskian(numerators) * st4 ** (k * (k - 1) // 2)
 
 
 def general_rhs(model, order):
@@ -508,8 +504,7 @@ def _admissible(name, order, params):
     """``order`` and ``params`` for a verification of ``name``, checked;
     ValueError unless ``order`` exceeds the identity's leading exponent."""
     params = identity_params(name, params)
-    lead = Rational(IDENTITIES[name].power(**params), 24)
-    return order_above(order, lead), params
+    return order_above(order, identity_lowest_exponent(name, **params)), params
 
 
 def _compare(name, params, order, rhs):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 # eta_series is not called here, but bench/tracing.py wraps it at this site
 from .eta import (_binomial_product, eta_series,  # noqa: F401
                   euler_inverse, unary_theta)
-from .rationals import Rational, largest_int_below, order_above, rat_ceil
+from .rationals import Rational, largest_int_below, order_above
 from .series import QSeries
 
 
@@ -163,8 +163,7 @@ def character_double_sum(model, label, order):
     hbar = label.h_bar
     rel = order_above(order, hbar) - hbar
     numer = _double_sum_numerator(model, label, rel)
-    ch = numer * euler_inverse(rat_ceil(rel))
-    return ch.truncate(rel).shift(hbar)
+    return (numer * euler_inverse(rel)).shift(hbar)
 
 
 def chi_numerator(model, label, precision):
@@ -182,7 +181,7 @@ def character_chi_form(model, label, order):
     order = order_above(order, label.h_bar)
     rel = order + Rational(1, 24)
     numer = chi_numerator(model, label, rel)
-    return (numer * euler_inverse(rel)).shift(Rational(-1, 24)).truncate(order)
+    return (numer * euler_inverse(rel)).shift(Rational(-1, 24))
 
 
 def character_product_2k1(k, i, order):

@@ -69,11 +69,6 @@ def rat_floor(x) -> int:
     return x.numerator // x.denominator
 
 
-def rat_ceil(x) -> int:
-    """Smallest integer >= x."""
-    return -(-x.numerator // x.denominator)
-
-
 def largest_int_below(x) -> int:
     """Largest integer strictly less than x."""
     n = rat_floor(x)

@@ -24,8 +24,8 @@ precision bound, scalars and the coefficient views.  This module is the
 only one that reads the numerator map.  Numerators go out through one grid
 view, :meth:`QSeries._on_grid`: on a finer grid ``1/D``, keyed by
 ``exponent * D - origin`` and cut at a last key.  Products, sums,
-comparisons, truncation, the empirical constant and the Wronskian kernel
-all read it.  Builders that hold integer numerators come in through
+truncation (and so comparison), the empirical constant and the Wronskian
+kernel all read it.  Builders that hold integer numerators come in through
 :meth:`QSeries._from_numerators`.
 
 A product runs a schoolbook loop when one factor has at most
@@ -424,17 +424,14 @@ class QSeries:
         return {base + n * f: c for n, c in num.items() if n <= top}
 
     def equal_up_to(self, other, bound):
-        """True iff all coefficients of exponents < bound agree exactly."""
+        """True iff all coefficients of exponents < bound agree exactly.
+
+        Both series are cut at ``bound``; the cuts are in canonical form
+        with the same precision, so they agree iff they are equal."""
         b = rational(bound)
         if b > self.precision or b > other.precision:
             raise PrecisionError("insufficient precision")
-        D = lcm(self.grid_denominator, other.grid_denominator)
-        smax = largest_int_below(b * D)
-        x = self._on_grid(D, 0, smax)
-        y = other._on_grid(D, 0, smax)
-        dx, dy = self._den, other._den
-        return x.keys() == y.keys() and all(c * dy == y[s] * dx
-                                            for s, c in x.items())
+        return self.truncate(b) == other.truncate(b)
 
     # ------------------------------------------------------------------
     # ring operations

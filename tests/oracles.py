@@ -18,7 +18,8 @@ enumeration that writes the paper's summands out in full.  The walk
 windows are each coordinate's picks built as the sums are written, by n
 for the A_2k^(2) sum and by scanning every integer for the per-model sum,
 to be fed to the package's tuple walk in place of its residue-class
-windows.
+windows.  Two series are compared below a bound term by term on their
+common grid, and the A_2k^(2) constant ``c_k`` is its double product.
 """
 
 from fractions import Fraction
@@ -147,6 +148,30 @@ def random_series(rng: random.Random, *, max_terms=5, allow_zero=True):
     if not allow_zero and series.is_zero:
         return QSeries.monomial(1, precision - 1, precision)
     return series
+
+
+def equal_up_to_aligned(x, y, bound):
+    """True iff the series ``x`` and ``y`` agree below ``bound``: each put
+    on the grid ``1/lcm(D_x, D_y)``, keyed by exponent times that grid, and
+    compared key by key, whatever their canonical forms."""
+    D = lcm(x.grid_denominator, y.grid_denominator)
+
+    def aligned(series):
+        d, a = series.grid_denominator, series.offset
+        return {(a + n) * (D // d): c for n, c in series.coefficients.items()
+                if Fraction(a + n, d) < bound}
+
+    return aligned(x) == aligned(y)
+
+
+def c_k_double_product(k):
+    """``1/(2^(k(k-1)) prod_{i<j} (i-j)(i+j-1))`` over the pairs
+    ``1 <= i < j <= k``."""
+    denom = 2 ** (k * (k - 1))
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            denom *= (i - j) * (i + j - 1)
+    return Fraction(1, denom)
 
 
 def empirical_constant_terms(lhs, rhs, order):

@@ -3,8 +3,11 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -524,6 +527,23 @@ class TestOrderGrammar:
             code, out, _ = run_cli(capsys, *argv, "--order", order)
             assert code == 0 and out
 
+    @pytest.mark.parametrize("argv, text", [
+        (("series", "weber_f", "--order", "-1/96"),
+         "D=48 P=-1/96\n-1/48 1\n"),
+        (("char", "--s", "2", "--t", "5", "--m", "1", "--n", "2", "--order",
+          "-1/120"), "D=60 P=-1/120\n-1/60 1\n"),
+    ])
+    def test_negative_orders_are_values(self, capsys, argv, text):
+        # -p/q after --order is the order, as in --order=-p/q
+        assert run_cli(capsys, *argv) == (0, text, "")
+        joined = (*argv[:-2], f"--order={argv[-1]}")
+        assert run_cli(capsys, *joined) == (0, text, "")
+
+    def test_negative_order_at_or_below_the_lead(self, capsys):
+        assert_usage_error(
+            run_cli(capsys, "verify", "weber", "--order", "-1/2"),
+            "order -1/2 is not above the leading exponent 1/2")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "nope"),
         ("verify", "euler", "--k", "abc"),
@@ -552,6 +572,30 @@ class TestOutputHandling:
                              "--output", "relative.txt")
         assert code == 0
         assert (tmp_path / "relative.txt").exists()
+
+
+def _readme_commands():
+    """The argv of each ``qetakit`` line in the README's "Command line"
+    block, without its comment; the one that reads ``my.json``, a file the
+    reader writes, is left out."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in block.splitlines()
+            if line.startswith("qetakit ") and "my.json" not in line]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_examples(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    if "structured" in argv:
+        assert all(report["match"] for report in json.loads(out)["reports"])
+    else:
+        assert all(" match=true " in line for line in out.splitlines()
+                   if line.startswith("identity="))
 
 
 def test_console_entry_point():

@@ -276,6 +276,19 @@ def test_running_out_of_memory_is_exit_2(argv, monkeypatch):
                                 "memory\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["series", "weber_f", "--order", "-1/96"], 0),
+    (["char", "--s", "2", "--t", "5", "--m", "1", "--n", "2", "--order",
+      "-1/120"], 0),
+    (["verify", "weber", "--order", "-1/2"], 2)])
+def test_a_negative_order_is_read_as_an_order(argv, code):
+    # -p/q after --order is a value for the order rule to judge, not an
+    # unknown option
+    assert_contract(argv)
+    result = run(argv)
+    assert result[0] == code and "expected one argument" not in result[2]
+
+
 def test_a_non_integer_eta_power_is_named():
     code, out, err = run(["series", "eta^x", "--order", "3"])
     assert (code, out) == (2, "")

@@ -17,7 +17,8 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
-from oracles import (chi_indicator, empirical_constant_terms,
+from oracles import (c_k_double_product, chi_indicator,
+                     empirical_constant_terms,
                      general_terms_box, general_walk_windows,
                      macdonald_terms_box, macdonald_walk_windows,
                      random_series)
@@ -81,6 +82,10 @@ class TestCkConstant:
             for j in range(i + 1, 4):
                 denom *= (i - j) * (i + j - 1)
         assert c_k_constant(3) == Rational(1, denom)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_the_double_product(self, k):
+        assert c_k_constant(k) == c_k_double_product(k)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_sign_alternation(self, k):

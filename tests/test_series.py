@@ -27,6 +27,8 @@ class TestMonomial:
         assert m.grid_denominator == 24
         with pytest.raises(TypeError, match="floating point"):
             QSeries.monomial(0.5, 0, 3)
+        with pytest.raises(TypeError, match="cannot interpret None"):
+            rational(None)
 
     def test_zero_coefficient_gives_zero_series(self):
         z = QSeries.monomial(0, 3, 5)
@@ -65,6 +67,9 @@ class TestAdd:
     def test_scalar_add(self):
         x = QSeries.monomial(1, 1, 7)
         assert (3 + x).coefficient(0) == 3
+        assert (1 - x).terms() == [(0, 1), (1, -1)]
+        with pytest.raises(TypeError):
+            x + "a"
 
 
 class TestMul:
@@ -97,6 +102,8 @@ class TestMul:
         assert (2 * x).coefficient(2) == 6
         assert (x * rational("1/3")).coefficient(2) == 1
         assert (0 * x).is_zero
+        with pytest.raises(TypeError):
+            x * 0.5
 
 
 class TestInvert:
@@ -175,6 +182,7 @@ class TestEqualUpTo:
     def test_reflexive(self):
         x = QSeries.from_terms([(0, 1), (3, -2)], 9)
         assert x.equal_up_to(x, 9)
+        assert (x == 3) is False
 
     def test_bound_sensitivity(self):
         one = QSeries.one(10)
@@ -191,6 +199,21 @@ class TestSerialization:
     def test_header_and_lines(self):
         eta = eta_series(3)
         assert eta.to_text() == "D=24 P=3\n1/24 1\n25/24 -1\n49/24 -1\n"
+
+    def test_display(self):
+        assert str(eta_series(3)) == ("q^(1/24) - q^(25/24) - q^(49/24) "
+                                      "+ O(q^(3))")
+        assert str(QSeries.zero(5)) == "0 + O(q^(5))"
+        mixed = QSeries.from_terms(
+            [(0, 3), (rational("1/2"), rational("-5/3")), (2, 1)],
+            rational("7/2"))
+        assert str(mixed) == "3 - 5/3*q^(1/2) + q^(2) + O(q^(7/2))"
+        long = eta_series(200)
+        assert str(long) == ("q^(1/24) - q^(25/24) - q^(49/24) + q^(121/24) "
+                             "+ q^(169/24) - q^(289/24) - q^(361/24) "
+                             "+ q^(529/24) + ... + O(q^(200))")
+        assert repr(long) == ("QSeries(q^(1/24) - q^(25/24) - q^(49/24) "
+                              "+ q^(121/24) + ... + O(q^(200)))")
 
     def test_roundtrip(self):
         for series in (eta_series(8), QSeries.zero(rational("5/2")),
@@ -254,6 +277,8 @@ class TestPlumbing:
         x = QSeries.from_terms([(0, 1), (1, 1)], 10)
         assert (x / x).equal_up_to(QSeries.one(10), 10)
         assert (x / 2).coefficient(0) == rational("1/2")
+        with pytest.raises(TypeError):
+            x / "a"
 
 
 def test_only_the_series_module_reads_numerator_maps():

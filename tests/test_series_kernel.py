@@ -5,7 +5,8 @@ schoolbook ``Fraction`` product and back-substitution of ``oracles`` give:
 same grid, offset, precision and coefficients.  The generated series mix
 grids, offsets and step strides, coefficients over different denominators,
 numerators beyond 2**64 and runs of one sign, and lengths on both sides of
-the schoolbook/Kronecker cutoff.
+the schoolbook/Kronecker cutoff.  Comparison below a bound must agree
+with the term-by-term comparison of ``oracles`` on the common grid.
 """
 
 import random
@@ -18,7 +19,8 @@ from qetakit import QSeries
 from qetakit import series as series_module
 from qetakit.series import SCHOOLBOOK_TERMS
 
-from oracles import series_invert_fraction, series_mul_fraction
+from oracles import (equal_up_to_aligned, series_invert_fraction,
+                     series_mul_fraction)
 
 BIG = 2 ** 64
 
@@ -132,6 +134,40 @@ def test_inverse_of_a_non_unit_series_is_integer_arithmetic(monkeypatch, c0):
         return len(calls)
 
     assert rational_operations(20) == rational_operations(400)
+
+
+@st.composite
+def compared_pairs(draw):
+    """``(x, y, bound)`` with ``bound`` at or below both precisions: ``y``
+    is ``x`` known further, ``x`` with one term added on another grid, or
+    drawn on its own (the zero series among them), and ``bound`` is the
+    lesser precision, the exponent of a term or a step below one."""
+    x = draw(kernel_series(max_terms=SCHOOLBOOK_TERMS))
+    kind = draw(st.sampled_from(("further", "added", "own")))
+    if kind == "further":
+        y = QSeries(x.grid_denominator, x.offset, dict(x.coefficients),
+                    x.precision + draw(st.integers(1, 3)))
+    elif kind == "added":
+        grid = draw(st.sampled_from((1, 5, 8, 24)))
+        low = x.precision - 2 if x.is_zero else x.lowest_term()[0]
+        e = low + Fraction(draw(st.integers(-grid, 3 * grid)), grid)
+        c = draw(st.sampled_from((1, -3, Fraction(2, 7))))
+        y = x + QSeries.monomial(c, e, max(x.precision, e + 1))
+    else:
+        y = draw(kernel_series(max_terms=SCHOOLBOOK_TERMS))
+    top = min(x.precision, y.precision)
+    bounds = [top] + [e for e, _ in x.terms() + y.terms() if e <= top]
+    bound = draw(st.sampled_from(bounds))
+    return x, y, bound - draw(st.sampled_from((0, 0, Fraction(1, 48))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(compared_pairs())
+def test_equal_up_to_matches_aligned_oracle(pair):
+    x, y, bound = pair
+    expected = equal_up_to_aligned(x, y, bound)
+    assert x.equal_up_to(y, bound) == expected
+    assert y.equal_up_to(x, bound) == expected
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
