@@ -85,7 +85,10 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: 0.75 s for the recursion on one series per entry on the same host.  14
 #: wins by 0.035 s, less than the 0.07 s spread of the sweeps at 18, so 18
 #: stays.  The (2,17), (2,19) and (2,23) sums still take 1.3-2.5x longer
-#: by the Wronskian than by their tuples at headroom 18.
+#: by the Wronskian than by their tuples at headroom 18.  The sweep
+#: predates the exact long division in the recursion, which made the
+#: Wronskian path about a quarter faster on rank 9-14 sums at order 35-38,
+#: so the crossover may now lie lower; 18 stays until a new sweep.
 LATTICE_DETERMINANT_HEADROOM = 18
 
 

@@ -36,8 +36,15 @@ fixed-width digit per stride, and multiplied once; the digits of the
 product are read back with a bias that makes signed digits non-negative.
 Both loops also take a list of factor pairs and return the sum of their
 products, read back once (:func:`_products`), which the Wronskian kernel
-uses on bare step -> numerator maps.  Values are immutable after
-construction and safe to share between threads.
+uses on bare step -> numerator maps.
+
+Two integer back-substitutions divide.  :func:`_inverse_numerators`
+serves :meth:`QSeries.invert`: ``1/N`` really has ``c0**m``
+denominators, and substituting ``t -> c0 t`` keeps them out of the loop.
+:func:`_quotient_numerators` serves the Wronskian recursion: a long
+division of one map by another whose quotient is exact and nearly always
+integral, so it scales by ``c0`` only at the steps that need it.  Values
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -223,6 +230,45 @@ def _products(pairs, cap):
     if max(min(len(xs), len(ys)) for xs, ys in pairs) <= SCHOOLBOOK_TERMS:
         return _schoolbook_product(pairs, cap)
     return _kronecker_product(pairs, cap)
+
+
+def _quotient_numerators(num, divisor, cap):
+    """``(q, d)``: ``q / d`` is ``num / divisor`` up to step ``cap``, for
+    step -> numerator maps with no step above ``cap``, the ``divisor``'s
+    step 0 nonzero; ``q`` maps steps to ints and ``d > 0`` is the least
+    common denominator of the quotient (1 when it is integral).
+
+    Long division on the steps divided by their gcd: reduced step m of the
+    quotient is the running numerator ``t = d x_m - sum_j c_j q_(m-j)``
+    over ``c0 = divisor[0]``.  When ``c0`` does not divide ``t``, the
+    quotient so far and ``d`` are first scaled by ``|c0| / gcd(t, c0)``,
+    the least factor that makes it divide.
+    """
+    if not num:
+        return {}, 1
+    c0 = divisor[0]
+    g = gcd(*num, *divisor) or cap + 1
+    inner = sorted((n // g, c) for n, c in divisor.items() if n)
+    xs = [0] * (cap // g + 1)
+    for n, c in num.items():
+        xs[n // g] = c
+    q = []
+    d = 1
+    for m, t in enumerate(xs):
+        t *= d
+        for j, c in inner:
+            if j > m:
+                break
+            qj = q[m - j]
+            if qj:
+                t -= c * qj
+        if t % c0:
+            f = abs(c0) // gcd(t, c0)
+            q = [c * f for c in q]
+            d *= f
+            t *= f
+        q.append(t // c0)
+    return {m * g: c for m, c in enumerate(q) if c}, d
 
 
 def _inverse_numerators(num, count):

@@ -17,29 +17,38 @@ Sylvester (Jacobi) identity for Wronskians gives,
   times a primitive map (coprime int numerators, a positive one at the
   entry's declared leading exponent).  Most of an entry's size is a common
   Vandermonde-type factor, so the scalars take it and only the primitive
-  parts are multiplied and inverted: step d computes ``X = M_d theta M_j -
-  M_j theta M_d`` as one two-pair product read back once, multiplies it by
-  the primitive part of ``M_(d-1)^(-1)`` and takes the content of the
-  result out again; the scalar takes the rest, ``lambda_j <- lambda_d
-  lambda_j c / (D lambda_(d-1))`` with c the (rational) contents taken out
-  of the inverse and the result.  The result is ``lambda_(k-1) M_(k-1)``,
-  the very series the whole entries give.  The scalars are reduced at
-  every step: kept as unreduced integer pairs they grow exponentially in
-  k;
+  parts are multiplied and divided: step d computes ``X = M_d theta M_j -
+  M_j theta M_d`` as one two-pair product read back once, divides it by
+  ``M_(d-1)`` by integer long division into ``Q / e`` (see
+  :func:`qetakit.series._quotient_numerators`) and takes the content c
+  of ``Q`` out; the scalar takes the rest, ``lambda_j <- lambda_d lambda_j
+  c / (D e lambda_(d-1))``.  The division is exact, as in Bareiss'
+  integer-preserving elimination (Math. Comp. 22, 1968): by the identity
+  above the quotient is again a minor, so its numerators are as narrow as
+  the entries', where the inverse of ``M_(d-1)`` has numerators about ten
+  times wider; ``e`` is 1 unless the contents taken out leave the
+  quotient an integer map over a constant.  The result is ``lambda_(k-1)
+  M_(k-1)``, the very series the whole entries give.  The scalars are
+  reduced at every step: kept as unreduced integer pairs they grow
+  exponentially in k;
 * the divisor ``W(f_1..f_(d-1))`` starts at ``q^(l_1 + ... + l_(d-1))``
   with the Vandermonde of ``l_1, ..., l_(d-1)`` times the leading
   coefficients: nonzero, because the ``l_i`` are distinct.  So every
-  divisor is invertible, each division is one product with one integer
-  back-substitution (k - 2 in all), and a divisor that starts elsewhere is
-  a broken invariant, not a bad input.
+  divisor has a nonzero term at key 0 to divide by, the pivots of steps 0
+  to k - 3 divide ((k-1)(k-2)/2 divisions in all, none of them an
+  inversion), and a divisor that starts elsewhere is a broken invariant,
+  not a bad input.
 
-Step d takes three products per later entry (two of them fused),
-3k(k-1)/2 - (k-1) in all, where elimination of the full derivative matrix
-takes O(k^3).  With ``R = min_i (P_i - l_i)``, ``V_d(j)`` starts at or above
-``l_1 + ... + l_d + l_j`` and is exact below that plus R: products add
-leading exponents and keep R, theta keeps both, and the inverse of a
-divisor that starts at S is exact below R - S.  So the result is exact
-below ``sum_i l_i + min_i (P_i - l_i)``, a bound known before any work runs
+Step d takes one fused two-pair product per later entry and, from step 1
+on, one exact division of it: k(k-1) product pairs in all, where
+elimination of the full derivative matrix takes O(k^3) products.  With ``R
+= min_i (P_i - l_i)``, ``V_d(j)`` starts at or above ``l_1 + ... + l_d +
+l_j`` and is exact below that plus R: products add leading exponents and
+keep R, theta keeps both, and so does a division by a divisor that starts
+at its own leading exponent, because the quotient's term at key m is
+``(x_m - sum_(i>=1) c_i q_(m-i)) / c_0``, which reads the dividend and the
+divisor at keys up to m only.  So the result is exact below ``sum_i l_i +
+min_i (P_i - l_i)``, a bound known before any work runs
 (:func:`wronskian_entry_precision` inverts it).  That is why the recursion
 needs no series and no precision arithmetic between its input and its
 output: every entry is a bare ``key -> int`` map on the lcm grid ``1/D`` of
@@ -61,7 +70,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .rationals import Rational, largest_int_below, order_above, rational
-from .series import QSeries, _inverse_numerators, _products
+from .series import QSeries, _products, _quotient_numerators
 
 
 def vandermonde(values):
@@ -111,10 +120,14 @@ def _primitive(num):
 def _jacobi_recursion(columns, lows):
     """``(c, m)`` with ``c * m`` the Wronskian of nonzero columns with the
     distinct leading exponents ``lows``: step p turns every later entry
-    into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)``, dividing by
-    the pivot of step p - 1 through its inverse; the last pivot divides
-    nothing (k - 2 inverses).  Every entry is kept as a reduced scalar
-    times a primitive key -> int map on one grid, cut at one last key."""
+    into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)`` by one fused
+    two-pair product and, from step 1 on, one exact long division by the
+    primitive map of the pivot of step p - 1 (k(k-1) product pairs and
+    (k-1)(k-2)/2 divisions; nothing is inverted).  Every entry is kept as
+    a reduced scalar times a primitive key -> int map on one grid, cut at
+    one last key ``cap``: a quotient's key m reads its inputs at keys up
+    to m only, so products and divisions of maps cut at ``cap`` are exact
+    up to ``cap``."""
     k = len(columns)
     D = lcm(*(y.grid_denominator for y in columns))
     headroom = min(y.precision - low for y, low in zip(columns, lows))
@@ -145,14 +158,12 @@ def _jacobi_recursion(columns, lows):
         pivot = v[p]
         ratio = scalars[p] / D
         shift = offsets[p]
-        inverse = None
+        divisor = None
         if p:
             divisor = v[p - 1]
             if 0 not in divisor:
                 raise AssertionError(f"divisor {p} does not start at q^{low}")
-            inverse, scale = _inverse_numerators(divisor, cap + 1)
-            content, inverse = _primitive(inverse)
-            ratio *= Rational(content, scale) / scalars[p - 1]
+            ratio /= scalars[p - 1]
             shift -= offsets[p - 1]
         low += lows[p]
         minus_d_pivot = {i: -c for i, c in theta(p).items()}
@@ -161,10 +172,11 @@ def _jacobi_recursion(columns, lows):
                                              (v[j], minus_d_pivot))
                      if xs and ys]
             x = _products(pairs, cap) if pairs else {}
-            if inverse is not None and x:
-                x = _products([(x, inverse)], cap)
+            d = 1
+            if divisor is not None:
+                x, d = _quotient_numerators(x, divisor, cap)
             content, v[j] = _primitive(x)
-            scalars[j] *= ratio * content
+            scalars[j] *= ratio * Rational(content, d)
             offsets[j] += shift
     return scalars[k - 1], QSeries._from_numerators(
         D, offsets[k - 1], v[k - 1], 1, sum(lows, Rational(0)) + headroom)

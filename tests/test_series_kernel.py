@@ -6,11 +6,14 @@ same grid, offset, precision and coefficients.  The generated series mix
 grids, offsets and step strides, coefficients over different denominators,
 numerators beyond 2**64 and runs of one sign, and lengths on both sides of
 the schoolbook/Kronecker cutoff.  Comparison below a bound must agree
-with the term-by-term comparison of ``oracles`` on the common grid.
+with the term-by-term comparison of ``oracles`` on the common grid.  The
+Wronskian kernel's long division of step maps must give the quotient that
+the oracles' inverse and product give, over its least common denominator.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +336,69 @@ def test_fused_difference_packs_digits_wider_than_a_word(monkeypatch):
     monkeypatch.undo()
     assert fused == products_by_mul(pairs, 2 * n)
     assert widths and min(widths) > 8
+
+
+@st.composite
+def divisors(draw, cap):
+    """A step -> int map with a nonzero step 0, as the Wronskian kernel
+    divides by: a unit, a small or a wide ``c0`` of either sign."""
+    num = draw(step_maps(cap))
+    num[0] = draw(st.sampled_from((1, -1, 2, -3, 12, 2 ** 70 + 1,
+                                   -(2 ** 65))))
+    return num
+
+
+def quotient_by_fractions(num, divisor, cap):
+    """``num / divisor`` up to step ``cap`` as a step -> Fraction map, by
+    the ``Fraction`` inverse and product of ``oracles`` on grid 1."""
+    inverse = series_invert_fraction(QSeries(1, 0, divisor, cap + 1))
+    return {int(e): c for e, c in
+            series_mul_fraction(QSeries(1, 0, num, cap + 1), inverse).terms()}
+
+
+def assert_quotient(num, divisor, cap):
+    """``(q, d)`` of the kernel is the oracle's quotient over its least
+    common denominator; returns ``d``."""
+    q, d = series_module._quotient_numerators(num, divisor, cap)
+    assert d > 0 and gcd(d, *q.values()) == 1
+    assert {n: Fraction(c, d) for n, c in q.items()} == \
+        quotient_by_fractions(num, divisor, cap)
+    return d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 60), st.data())
+def test_quotient_matches_fraction_oracle(cap, data):
+    # any dividend, the empty map included: a c0 that does not divide the
+    # running numerator scales the quotient so far and d
+    assert_quotient(data.draw(step_maps(cap)), data.draw(divisors(cap)),
+                    cap)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 60), st.data())
+def test_exact_quotient_is_integral(cap, data):
+    # a dividend that is the divisor times an integer map, as Sylvester's
+    # identity makes the kernel's, divides back to that map over 1
+    divisor = data.draw(divisors(cap))
+    quotient = data.draw(step_maps(cap))
+    num = products_by_mul([(divisor, quotient)], cap)
+    assert assert_quotient(num, divisor, cap) == 1
+    assert series_module._quotient_numerators(num, divisor, cap)[0] == \
+        quotient
+
+
+@pytest.mark.parametrize("num,divisor,cap,d", [
+    ({0: 6}, {0: 4}, 5, 2),
+    ({0: 5}, {0: -3}, 0, 3),
+    ({}, {0: -3, 2: 1}, 9, 1),
+    ({0: 1}, {0: 3, 2: 1}, 6, 81),
+    ({0: -2, 1: 1, 2: -6, 3: 3}, {0: -2, 1: 1}, 8, 1),
+    ({3: 1}, {0: -6, 3: 4}, 12, 162),
+], ids=["only-key-0", "only-key-0-negative", "empty", "stride-2",
+        "negative-c0-integral", "negative-c0-stride-3"])
+def test_quotient_edge_cases(num, divisor, cap, d):
+    assert assert_quotient(num, divisor, cap) == d
 
 
 def test_products_cut_by_precision():

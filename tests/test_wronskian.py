@@ -1,8 +1,10 @@
 """Wronskian determinants, the Vandermonde expansion oracle, scaling laws."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +16,7 @@ from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      normalized_character, rational, vandermonde,
                      weber_series, wronskian, wronskian_entry_precision)
 from qetakit import series as series_module
-from qetakit.identities import IDENTITIES
+from qetakit.identities import IDENTITIES, verify_identity
 from qetakit.minimal_models import chi_support
 from qetakit.wronskian import _jacobi_recursion
 
@@ -221,29 +223,65 @@ class TestKernelAgainstOracles:
         wronskian(vec)
         monkeypatch.undo()
         # two product pairs per entry and step, read back as one fused
-        # difference, and one more by the inverse of the previous pivot
-        # after the first step: 3k(k-1)/2 - (k-1) in all; Bareiss
-        # elimination needs 548 for k = 9 and the subset-minor expansion
-        # k * (2^(k-1) - 1) = 2295
-        assert products == 3 * k * (k - 1) // 2 - (k - 1)
+        # difference and divided exactly by the previous pivot, so no third
+        # pair by its inverse: k(k-1) in all; Bareiss elimination needs 548
+        # for k = 9 and the subset-minor expansion k * (2^(k-1) - 1) = 2295
+        assert products == k * (k - 1)
 
     @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
-    def test_inverts_every_pivot_but_the_last(self, monkeypatch, s, t, k):
+    def test_divides_by_every_pivot_but_the_last(self, monkeypatch, s, t, k):
         vec = characters_for_wronskian(make_model(s, t), 10)
         assert len(vec) == k
+        divisors = []
         inverts = 0
-        inverse_numerators = wronskian_module._inverse_numerators
+        quotient_numerators = wronskian_module._quotient_numerators
+        inverse_numerators = series_module._inverse_numerators
+
+        def counting_quotient(num, divisor, cap):
+            divisors.append(divisor)
+            return quotient_numerators(num, divisor, cap)
 
         def counting_inverse(num, count):
             nonlocal inverts
             inverts += 1
             return inverse_numerators(num, count)
 
-        monkeypatch.setattr(wronskian_module, "_inverse_numerators",
+        monkeypatch.setattr(wronskian_module, "_quotient_numerators",
+                            counting_quotient)
+        monkeypatch.setattr(series_module, "_inverse_numerators",
                             counting_inverse)
         wronskian(vec)
         monkeypatch.undo()
-        assert inverts == k - 2
+        # every later entry of steps 1 .. k-2 is one exact division by the
+        # pivot of the step before: k - 2 divisors, (k-1)(k-2)/2 divisions,
+        # and nothing is inverted
+        assert len({id(d) for d in divisors}) == k - 2
+        assert len(divisors) == (k - 1) * (k - 2) // 2
+        assert inverts == 0
+
+    def test_non_integral_quotients_are_scaled_lazily(self, monkeypatch):
+        # the primitive parts of (5,8) at order 35 leave three quotients an
+        # integer map over 19, 11 and 29; the report must be the one the
+        # benchmark expects, constant included
+        denominators = []
+        quotient_numerators = wronskian_module._quotient_numerators
+
+        def recording(num, divisor, cap):
+            q, d = quotient_numerators(num, divisor, cap)
+            denominators.append(d)
+            return q, d
+
+        monkeypatch.setattr(wronskian_module, "_quotient_numerators",
+                            recording)
+        report = verify_identity("denominator", s=5, t=8, order=35)
+        monkeypatch.undo()
+        assert any(d > 1 for d in denominators)
+        assert report.match
+        assert report.constant == IDENTITIES["denominator"].constant(s=5, t=8)
+        expected = json.loads(
+            (Path(__file__).resolve().parent.parent / "bench"
+             / "expected_lines.json").read_text(encoding="utf-8"))
+        assert report.to_line() == expected["denominator s=5,t=8 order=35"]
 
     def test_a_pivot_without_a_constant_term_is_a_broken_invariant(self):
         # wronskian never passes columns that share a leading exponent, so
@@ -332,7 +370,9 @@ class TestContentSplit:
 
     def test_products_see_primitive_numerators(self, monkeypatch):
         # (5,8), k = 14, chi numerators at headroom 20: multiplying whole
-        # entries passes numerators of up to 768 bits to the product loops
+        # entries passes numerators of up to 768 bits to the product loops,
+        # and so does a product by the primitive inverse of a pivot 327
+        # bits; the exact quotients have at most about 140
         chi = next(_model_vectors(make_model(5, 8), 20))
         widest = 0
 
@@ -349,7 +389,7 @@ class TestContentSplit:
             monkeypatch.setattr(series_module, name,
                                 recording(getattr(series_module, name)))
         wronskian(chi)
-        assert 0 < widest < 400
+        assert 0 < widest < 200
 
     @pytest.mark.parametrize("model", coprime_models(70),
                              ids=lambda m: f"{m.s},{m.t}")
