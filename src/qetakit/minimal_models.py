@@ -220,8 +220,7 @@ def strange_sum_2k1(k):
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    model = make_model(2, 2 * k + 1)
-    return sum((lab.h_bar for lab in distinct_weights(model)), Rational(0))
+    return strange_sum_general(2, 2 * k + 1)
 
 
 def strange_sum_general(s, t):

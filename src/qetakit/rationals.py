@@ -75,6 +75,22 @@ def largest_int_below(x) -> int:
     return n - 1 if x == n else n
 
 
+_CHUNK = 10 ** 4000
+
+
+def _int_str(n) -> str:
+    """Decimal digits of the int ``n``, of any size: ``str`` refuses ints of
+    more than 4300 digits by default, so wider ones go in chunks of 4000."""
+    if abs(n) < _CHUNK:
+        return str(n)
+    high, low = divmod(abs(n), _CHUNK)
+    return "-" * (n < 0) + _int_str(high) + str(low).zfill(4000)
+
+
 def rat_str(x) -> str:
-    """Render in the p/q lowest-terms convention (p alone when q = 1)."""
-    return str(rational(x))
+    """Render in the p/q lowest-terms convention (p alone when q = 1), in
+    full however many digits p and q have."""
+    x = rational(x)
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"

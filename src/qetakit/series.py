@@ -38,13 +38,11 @@ Both loops also take a list of factor pairs and return the sum of their
 products, read back once (:func:`_products`), which the Wronskian kernel
 uses on bare step -> numerator maps.
 
-Two integer back-substitutions divide.  :func:`_inverse_numerators`
-serves :meth:`QSeries.invert`: ``1/N`` really has ``c0**m``
-denominators, and substituting ``t -> c0 t`` keeps them out of the loop.
-:func:`_quotient_numerators` serves the Wronskian recursion: a long
-division of one map by another whose quotient is exact and nearly always
-integral, so it scales by ``c0`` only at the steps that need it.  Values
-are immutable after construction and safe to share between threads.
+One integer long division, :func:`_quotient_numerators`, divides.  It
+serves :meth:`QSeries.invert`, whose dividend is the constant map ``{0:
+den}``, and the Wronskian recursion, whose quotients are exact and nearly
+always integral; it scales by ``c0`` only at the steps that need it.
+Values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -242,7 +240,9 @@ def _quotient_numerators(num, divisor, cap):
     quotient is the running numerator ``t = d x_m - sum_j c_j q_(m-j)``
     over ``c0 = divisor[0]``.  When ``c0`` does not divide ``t``, the
     quotient so far and ``d`` are first scaled by ``|c0| / gcd(t, c0)``,
-    the least factor that makes it divide.
+    the least factor that makes it divide.  It serves both the Wronskian
+    recursion, whose quotients are exact minors, and
+    :meth:`QSeries.invert`, which divides ``{0: den}`` by the numerators.
     """
     if not num:
         return {}, 1
@@ -269,43 +269,6 @@ def _quotient_numerators(num, divisor, cap):
             t *= f
         q.append(t // c0)
     return {m * g: c for m, c in enumerate(q) if c}, d
-
-
-def _inverse_numerators(num, count):
-    """``(inv, scale)``: ``inv / scale`` is the inverse, below step
-    ``count``, of the series with the step -> numerator map ``num``, whose
-    step 0 is nonzero; ``inv`` maps steps to ints and ``scale`` is
-    ``num[0]**m`` for ``m`` the number of reduced steps kept.
-
-    With ``N(t) = c0 + c1 t + ...`` (``t`` the reduced step), ``M(t) =
-    N(c0 t) / c0`` has integer coefficients ``c_j c0^(j-1)`` and constant
-    term 1, so ``V = 1/M`` is found by back-substitution without a
-    division, and ``1/N(t) = V(t/c0) / c0``: reduced step j gets ``V_j
-    c0^(m-1-j)`` over ``c0^m``.
-    """
-    c0 = num[0]
-    g = gcd(*num) or count
-    count = (count - 1) // g + 1
-    inner = sorted((n // g, c * c0 ** (n // g - 1))
-                   for n, c in num.items() if n and n // g < count)
-    v = [0] * count
-    v[0] = 1
-    for m in range(1, count):
-        total = 0
-        for j, mj in inner:
-            if j > m:
-                break
-            vk = v[m - j]
-            if vk:
-                total += mj * vk
-        v[m] = -total
-    inv = {}
-    power = 1
-    for m in range(count - 1, -1, -1):
-        if v[m]:
-            inv[m * g] = v[m] * power
-        power *= c0
-    return inv, power
 
 
 class _CoefficientView(Mapping):
@@ -588,25 +551,20 @@ class QSeries:
 
         The lowest exponent of the result is the negation of the lowest
         exponent of the input; the result precision is ``P - 2*lowexp``.
-        With numerators ``N`` over ``den``, the inverse is ``den / N``, and
-        ``1/N`` is the one integer back-substitution of
-        :func:`_inverse_numerators`.
+        With numerators ``N`` over ``den``, the inverse is ``den / N``: the
+        long division of :func:`_quotient_numerators` with the dividend
+        ``{0: den}``.
         """
         if not self._num:
             raise NotInvertibleError("not invertible: series is zero up to "
                                      f"precision {self.precision}")
         D = self.grid_denominator
         a = self.offset
-        den = self._den
         e = Rational(a, D)
         rel = self.precision - e
-        inv, scale = _inverse_numerators(self._num,
-                                         largest_int_below(rel * D) + 1)
-        if scale < 0:
-            scale, den = -scale, -den
-        if den != 1:
-            inv = {n: den * c for n, c in inv.items()}
-        return QSeries._from_numerators(D, -a, inv, scale, rel - e)
+        inv, d = _quotient_numerators({0: self._den}, self._num,
+                                      largest_int_below(rel * D))
+        return QSeries._from_numerators(D, -a, inv, d, rel - e)
 
     def theta_derive(self):
         """Apply q d/dq: each term c*q**e maps to (c*e)*q**e."""

@@ -12,6 +12,7 @@ is at most 12, so each example runs in milliseconds.
 import io
 import json
 import os
+import sys
 import tempfile
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from qetakit.cli import main
 from qetakit.identities import IDENTITIES
+from qetakit.rationals import rat_str, rational
 
 GOOD_ORDERS = ["3", "7/2", "10", "35/4", "12"]
 BAD_ORDERS = ["1/0", "2/0", "0.5", "1e2", "abc", "", "-3", "0", "1/24",
@@ -294,3 +296,61 @@ def test_a_non_integer_eta_power_is_named():
     assert (code, out) == (2, "")
     assert err == ("qetakit: error: eta power must be an integer "
                    "(eta^M)\n")
+
+
+def full_decimal(n):
+    """``str(n)`` with the interpreter's int-to-str digit limit lifted for
+    the one call."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(n)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+WIDE_JOB = ["--s", "10", "--t", "13", "--order", "1043/4"]
+
+
+@pytest.mark.parametrize("form", ["text", "structured", "manifest"])
+def test_a_constant_of_more_than_4300_digits_is_printed(form, tmp_path):
+    # str() refuses such an int, but a matched verification is no bad input
+    argv = ["verify", "denominator", *WIDE_JOB]
+    if form == "structured":
+        argv += ["--format", "structured"]
+    elif form == "manifest":
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": "t", "jobs": [
+            {"identity": "denominator", "params": {"s": 10, "t": 13},
+             "order": "1043/4"}]}), encoding="utf-8")
+        argv = ["verify", "suite", "--manifest", str(path)]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    if form == "structured":
+        report, = json.loads(out)["reports"]
+        assert report["match"] is True
+        printed = report["constant"]
+    else:
+        line = out.splitlines()[-1]
+        assert "match=true" in line.split()
+        printed = line.split("constant=")[1].split()[0]
+    expected = IDENTITIES["denominator"].constant(s=10, t=13)
+    assert len(printed) > 4300
+    assert printed == full_decimal(expected)
+
+
+@pytest.mark.parametrize("value", [
+    10 ** 8000, -(10 ** 8000) + 1, 7 * 10 ** 4000 + 3, 10 ** 4000,
+    10 ** 4000 - 1, -(2 ** 20000) // 3], ids=[
+    "10^8000", "-(10^8000)+1", "7*10^4000+3", "10^4000", "10^4000-1",
+    "-(2^20000)//3"])
+def test_wide_ints_print_in_full(value):
+    # at and around one chunk of 4000 digits, which keeps its leading
+    # zeros; both parts of a fraction are converted
+    assert rat_str(value) == full_decimal(value)
+    fraction = rational(value) / (3 ** 9000)
+    assert rat_str(fraction) == (f"{full_decimal(fraction.numerator)}/"
+                                 f"{full_decimal(fraction.denominator)}")

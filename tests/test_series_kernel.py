@@ -98,21 +98,28 @@ def test_square_matches_fraction_oracle(x):
        st.booleans())
 def test_inverse_matches_fraction_oracle(x, unit):
     if unit:
-        # constant numerator +-1: the common denominator c0^count of the
-        # recurrence's output is then 1
+        # constant numerator +-1: the long division never scales, so its
+        # quotient is integral (d = 1)
         x = x * x.lowest_term()[1] ** -1
     assert_same_series(x.invert(), series_invert_fraction(x))
 
 
 @pytest.mark.parametrize("x", [
-    # c0 = -3 over 5 and 6 steps: c0^count negative and positive
+    # c0 = -3 cut after 5 and after 6 steps
     QSeries(1, 0, {0: -3, 1: 1, 2: 5, 4: -2}, 5),
     QSeries(1, 0, {0: -3, 1: 1, 2: 5, 4: -2}, 6),
     QSeries(1, 0, {0: 2 ** 70 + 1, 1: -2 ** 64, 3: 7}, 9),
     # den > 1, on a fractional grid with a step stride of 3
     QSeries(4, 3, {0: Fraction(-3, 5), 3: Fraction(7, 10),
                    9: Fraction(1, 3)}, Fraction(31, 4)),
-], ids=["c0=-3,odd", "c0=-3,even", "c0=2**70+1", "den>1"])
+    # a single key, so the key gcd is 0, with c0 not dividing den
+    QSeries.monomial(Fraction(-3, 7), Fraction(1, 24), 5),
+    # cap 0: only step 0 is kept
+    QSeries(1, 0, {0: -1}, 1),
+    # a negative unit numerator at step 0, stride 3 and den > 1
+    QSeries(3, 1, {0: Fraction(-1, 5), 6: Fraction(2, 5), 9: 1}, 8),
+], ids=["c0=-3,odd", "c0=-3,even", "c0=2**70+1", "den>1", "monomial",
+        "cap=0", "c0=-1,stride=3"])
 def test_inverse_of_a_non_unit_series_matches_fraction_oracle(x):
     assert_same_series(x.invert(), series_invert_fraction(x))
 

@@ -1,4 +1,5 @@
-"""The repository's tools: ``tools/code_lines.py`` counts code lines."""
+"""The repository's tools: ``tools/code_lines.py`` counts code lines, and
+``tools/bench_pairs.py`` reports paired benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,7 @@ def load_tool(name):
 
 
 code_lines = load_tool("code_lines")
+bench_pairs = load_tool("bench_pairs")
 
 # docstrings of the module, a class, a function and an async function,
 # comments, blank lines, a statement over two lines and a string over two
@@ -65,4 +67,37 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
         f"    10 {tmp_path / 'a.py'}",
         f"     1 {tmp_path / 'pkg' / 'b.py'}",
         "    11 total",
+    ]
+
+
+def test_pair_report_counts_wins_by_each_metrics_direction(monkeypatch,
+                                                           capsys):
+    # fixed runs, no subprocess: wall_s is better lower, score (declared
+    # here) better higher; pair 1 ties on both and counts for neither
+    monkeypatch.setitem(bench_pairs.BENCHMARK, "end_to_end", [
+        {"name": "wall_s", "better": "lower"},
+        {"name": "score", "better": "higher"}])
+    values = {"parent": [(1.0, 5), (2.0, 5), (3.0, 5), (4.0, 5)],
+              "change": [(0.5, 6), (2.0, 5), (3.5, 4), (3.0, 7)]}
+    runs = {side: [({"wall_s": wall, "score": score}, {})
+                   for wall, score in pairs]
+            for side, pairs in values.items()}
+    bench_pairs.report(runs, show_jobs=False)
+    assert capsys.readouterr().out.splitlines() == [
+        "wall_s:",
+        "  pair 0: parent 1  change 0.5",
+        "  pair 1: parent 2  change 2",
+        "  pair 2: parent 3  change 3.5",
+        "  pair 3: parent 4  change 3",
+        "  parent median 2.5  quartiles 1.25 .. 3.75",
+        "  change median 2.5  quartiles 0.875 .. 3.375",
+        "  change better in 2 of 4 pairs",
+        "score:",
+        "  pair 0: parent 5  change 6",
+        "  pair 1: parent 5  change 5",
+        "  pair 2: parent 5  change 4",
+        "  pair 3: parent 5  change 7",
+        "  parent median 5  quartiles 5 .. 5",
+        "  change median 5.5  quartiles 4.25 .. 6.75",
+        "  change better in 2 of 4 pairs",
     ]

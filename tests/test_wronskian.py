@@ -235,21 +235,20 @@ class TestKernelAgainstOracles:
         divisors = []
         inverts = 0
         quotient_numerators = wronskian_module._quotient_numerators
-        inverse_numerators = series_module._inverse_numerators
+        invert = QSeries.invert
 
         def counting_quotient(num, divisor, cap):
             divisors.append(divisor)
             return quotient_numerators(num, divisor, cap)
 
-        def counting_inverse(num, count):
+        def counting_invert(self):
             nonlocal inverts
             inverts += 1
-            return inverse_numerators(num, count)
+            return invert(self)
 
         monkeypatch.setattr(wronskian_module, "_quotient_numerators",
                             counting_quotient)
-        monkeypatch.setattr(series_module, "_inverse_numerators",
-                            counting_inverse)
+        monkeypatch.setattr(QSeries, "invert", counting_invert)
         wronskian(vec)
         monkeypatch.undo()
         # every later entry of steps 1 .. k-2 is one exact division by the
