@@ -4,22 +4,32 @@ Two families of weighted lattice sums are built here: the k-fold signed sum
 with the pairwise square-difference weight (for the s = 2 family) and the
 general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
-:data:`IDENTITIES`: its params, the eta power of its lhs (the power over 24
-is its leading exponent), its rhs builder, its predicted constant, and, for
-a lattice sum, the same rhs built by tuple enumeration and as one
-Wronskian.  Verification fixes the constant from the leading nonzero
-coefficients, then every remaining coefficient below the requested order
-must match exactly against that single constant, and the constant must
-equal the prediction.  The predictions are 1 for Euler and Jacobi, 7/256
-for Weber and ``(-1)^(k(k-1)/2)`` for Macdonald.  A per-model Wronskian
-leads with the Vandermonde of its entries' leading exponents, and the
-characters, the normalized characters and the chi-form numerators each
-lead with coefficient 1, so ``wronskian_raw`` and ``wronskian_normalized``
-predict the Vandermonde of the h_bar values and ``denominator``
-``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.  A check ends
-in a :class:`VerificationReport`, a ``NamedTuple`` like :class:`Identity`
-and :class:`LatticeTerm`, so reports compare by value and pickle across
-the worker processes of a parallel suite.
+:data:`IDENTITIES`, an :class:`Identity`: its params, the weight w0 shared
+by its k columns, the columns themselves as ``(leading exponent, builder)``
+pairs, an optional scale, its predicted constant and, for a lattice sum, the
+same rhs built by tuple enumeration.  Every rhs off the tuple path is
+``scale`` times the Wronskian W of the columns.  W is a modular form of
+weight ``w = k w0 + k(k-1)`` (Mason, "Vector-valued modular forms and
+linear differential operators", Int. J. Number Theory 3 (2007)), and every
+eta power on the lhs is twice that weight, so its leading exponent is
+``w / 12``.  The weights are 1/2 for Euler's pentagonal theta, 3/2 for
+Jacobi's cube sum, 0 for characters and Weber's functions and 1/2 for the
+normalized characters and chi-form numerators, which gives the powers 1, 3,
+12, ``2k(k-1)`` and ``2k^2 - k``.
+
+Verification fixes the constant from the leading nonzero coefficients, then
+every remaining coefficient below the requested order must match exactly
+against that single constant, and the constant must equal the prediction.
+The predictions are 1 for Euler and Jacobi, 7/256 for Weber and
+``(-1)^(k(k-1)/2)`` for Macdonald.  A per-model Wronskian leads with the
+Vandermonde of its entries' leading exponents, and the characters, the
+normalized characters and the chi-form numerators each lead with
+coefficient 1, so ``wronskian_raw`` and ``wronskian_normalized`` predict
+the Vandermonde of the h_bar values and ``denominator``
+``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.  A check ends in a
+:class:`VerificationReport`, a ``NamedTuple`` like :class:`Identity` and
+:class:`LatticeTerm`, so reports compare by value and pickle across the
+worker processes of a parallel suite.
 
 Both families are one tuple walk (``_walk``) over per-coordinate windows,
 each a :func:`~qetakit.eta.theta_window`: the integers v >= 1 in signed
@@ -32,7 +42,7 @@ squares, all in ints; only an emitted term's exponent and weight are
 rationals.  ``general_terms`` and ``macdonald_terms`` only build windows.
 
 Each sum is built on one of two paths, chosen by one rule
-(``_lattice_entry``) from its headroom, the order minus the sum's leading
+(:meth:`Identity.rhs`) from its headroom, the order minus the sum's leading
 exponent:
 
 * At a headroom of :data:`LATTICE_DETERMINANT_HEADROOM` or more, the sum is
@@ -41,10 +51,11 @@ exponent:
   column j is ``sum_v chi_j(v) v^(2(i-1)) q^(v^2/4st)``; that row is
   ``(4st)^(i-1)`` times the (i-1)-th ``q d/dq`` derivative of the chi-form
   numerator of label j, so the sum is ``(4st)^(k(k-1)/2)`` times the
-  Wronskian of those numerators.  The s = 2 sum is the (2, 2k+1) model's.
+  Wronskian of those numerators: that power is the entry's scale.  The
+  s = 2 sum is the (2, 2k+1) model's.
 * Below it, the tuples are walked; walked at any headroom they are the
   independent oracle of the Wronskian path.  An entry's ``tuples`` and
-  ``determinant`` build its sum each way at any headroom, and
+  :meth:`Identity.determinant` build its sum each way at any headroom, and
   :func:`audit_identity` compares the two.
 
 The determinant costs O(k^2) series products even when few tuples
@@ -62,6 +73,7 @@ on purpose, so that each checks the others.
 
 from __future__ import annotations
 
+from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -90,12 +102,6 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: Wronskian path about a quarter faster on rank 9-14 sums at order 35-38,
 #: so the crossover may now lie lower; 18 stays until a new sweep.
 LATTICE_DETERMINANT_HEADROOM = 18
-
-
-def _denominator_power(k):
-    """Eta power of a rank-k lattice sum and of a normalized Wronskian of k
-    characters; their leading exponent is this over 24."""
-    return (2 * k - 1) * k
 
 
 class LatticeTerm(NamedTuple):
@@ -295,20 +301,6 @@ def general_terms(model, order):
     return _walk(windows, cap, lambda cost: Rational(cost, st4), 1)
 
 
-def _lattice_determinant(model, order):
-    """The per-model sum as ``(4st)^(k(k-1)/2)`` times the Wronskian of the
-    chi-form numerators, exact below ``order`` (which must exceed the sum
-    of their leading exponents, ``(2k-1)k/24``)."""
-    labels = distinct_weights(model)
-    # a numerator is the normalized character, which starts at h_bar + 1/24
-    precision = wronskian_entry_precision(
-        [lab.h_bar + Rational(1, 24) for lab in labels], order)
-    numerators = [chi_numerator(model, lab, precision) for lab in labels]
-    k = model.k
-    st4 = 4 * model.s * model.t
-    return wronskian(numerators) * st4 ** (k * (k - 1) // 2)
-
-
 def general_rhs(model, order):
     """The per-model lattice sum as a series, exact below ``order``.
 
@@ -361,19 +353,11 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
 
 
 def characters_for_wronskian(model, order, *, normalized=False):
-    """Characters of the model at the one common precision at which their
-    Wronskian is exact below ``order``.
-
-    A raw character starts at ``q^(h_bar)`` and a normalized one at
-    ``q^(h_bar + 1/24)``; :func:`wronskian_entry_precision` turns these
-    leading exponents into the precision, so nothing is built twice.
-    """
-    build = normalized_character if normalized else character_double_sum
-    labels = distinct_weights(model)
-    shift = Rational(1, 24) if normalized else Rational(0)
-    precision = wronskian_entry_precision(
-        [lab.h_bar + shift for lab in labels], order)
-    return [build(model, lab, precision) for lab in labels]
+    """Characters of the model, raw or normalized, at the one common
+    precision at which their Wronskian is exact below ``order``: the
+    columns of the ``wronskian_raw`` or ``wronskian_normalized`` entry."""
+    name = "wronskian_normalized" if normalized else "wronskian_raw"
+    return IDENTITIES[name].built_columns(order, s=model.s, t=model.t)
 
 
 def wronskian_of_characters(model, order, *, normalized=False):
@@ -382,87 +366,121 @@ def wronskian_of_characters(model, order, *, normalized=False):
                                               normalized=normalized))
 
 
-def _weber_wronskian(order):
-    precision = wronskian_entry_precision(
-        (WEBER_F_EXPONENT, WEBER_F_EXPONENT, WEBER_F2_EXPONENT), order)
-    return wronskian([weber_series(w, precision) for w in ("f", "f1", "f2")])
-
-
 class Identity(NamedTuple):
-    """An identity ``rhs = constant * eta^power``, whose leading exponent is
-    ``power / 24``; ``power``, ``rhs``, ``constant`` and ``tuples`` take the
-    canonical params as keyword arguments."""
+    """An identity ``rhs = constant * eta^power`` whose rhs is ``scale``
+    times the Wronskian W of k columns that share the modular weight
+    ``w0``; a lattice sum's rhs is also walked as ``tuples``.  W has weight
+    ``w = k w0 + k(k-1)`` (Mason, Int. J. Number Theory 3 (2007)), and the
+    power is twice that weight, so the leading exponent is ``power / 24``.
+    A column is a pair ``(leading exponent, builder)``, the builder taking a
+    precision.  ``k``, ``columns``, ``constant``, ``scale`` and ``tuples``
+    take the canonical params as keyword arguments, and so do the methods
+    after ``order``."""
     params: tuple         # names of the int params it takes
-    power: Callable       # (**params) -> eta power of the lhs
-    rhs: Callable         # (order, **params) -> QSeries
+    twice_w0: int         # 2 w0, twice the weight of each column
+    k: Callable           # (**params) -> the number of columns
+    columns: Callable     # (**params) -> [(leading exponent, builder)]
     constant: Callable    # (**params) -> the one constant that matches
-    # a lattice sum's rhs built by tuple enumeration and as one Wronskian,
-    # each at any headroom, which audit_identity compares with each other;
-    # None off the lattice sums
+    scale: Optional[Callable] = None   # (**params) -> W's factor; None: 1
+    # a lattice sum's rhs built by tuple enumeration at any headroom, which
+    # audit_identity compares with determinant; None off the lattice sums
     tuples: Optional[Callable] = None
-    determinant: Optional[Callable] = None
+
+    def power(self, **params):
+        """The lhs eta power ``2w = k (2 w0) + 2k(k-1)``; no column is
+        built."""
+        k = self.k(**params)
+        return k * self.twice_w0 + 2 * k * (k - 1)
+
+    def built_columns(self, order, **params):
+        """Every column, built at the one common precision at which their
+        Wronskian is exact below ``order``."""
+        leads, builders = zip(*self.columns(**params))
+        precision = wronskian_entry_precision(leads, order)
+        return [build(precision) for build in builders]
+
+    def determinant(self, order, **params):
+        """``scale`` times the Wronskian of the columns, exact below
+        ``order``."""
+        w = wronskian(self.built_columns(order, **params))
+        return w if self.scale is None else w * self.scale(**params)
+
+    def rhs(self, order, **params):
+        """The rhs, exact below ``order``: ``tuples`` at a headroom (order
+        minus ``power/24``) below :data:`LATTICE_DETERMINANT_HEADROOM`,
+        read when it is called, and :meth:`determinant` otherwise."""
+        if self.tuples is not None:
+            base = Rational(self.power(**params), 24)
+            order = order_above(order, base)
+            if order - base < LATTICE_DETERMINANT_HEADROOM:
+                return self.tuples(order, **params)
+        return self.determinant(order, **params)
 
 
-def _lattice_entry(params, power, constant, tuples, determinant):
-    """The entry of a lattice sum, whose rhs is built by ``tuples`` at a
-    headroom (order minus ``power/24``) below
-    :data:`LATTICE_DETERMINANT_HEADROOM`, read when it is called, and by
-    ``determinant`` from there on."""
-    def rhs(order, **values):
-        base = Rational(power(**values), 24)
-        order = order_above(order, base)
-        if order - base < LATTICE_DETERMINANT_HEADROOM:
-            return tuples(order, **values)
-        return determinant(order, **values)
-    return Identity(params, power, rhs, constant, tuples, determinant)
+def _weight_vandermonde(s, t):
+    """The Vandermonde of the h_bar values of the (s, t) model, in
+    ``distinct_weights`` order.  As ``h_bar = (ns - mt)^2 / (4st) - 1/24``,
+    that is the Vandermonde of the integer squares ``(ns - mt)^2`` over
+    :func:`_lattice_scale`."""
+    squares = [(label.n * s - label.m * t) ** 2
+               for label in distinct_weights(make_model(s, t))]
+    return Rational(vandermonde(squares), _lattice_scale(s, t))
 
 
-def _weight_vandermonde(s, t, scale=1):
-    """``scale^(k(k-1)/2)`` times the Vandermonde of the h_bar values of the
-    (s, t) model, in ``distinct_weights`` order.  As ``h_bar = (ns - mt)^2
-    / (4st) - 1/24``, that is the Vandermonde of the integer squares
-    ``(ns - mt)^2`` times ``(scale / 4st)^(k(k-1)/2)``."""
+def _model_k(s, t):
+    """The number of distinct weights of the (s, t) model."""
+    return make_model(s, t).k
+
+
+def _lattice_scale(s, t):
+    """``(4st)^(k(k-1)/2)``, the per-model lattice sum over the Wronskian
+    of its chi-form numerators."""
+    k = _model_k(s, t)
+    return (4 * s * t) ** (k * (k - 1) // 2)
+
+
+def _label_columns(s, t, build, shift):
+    """One column per distinct weight of the (s, t) model, ``build(model,
+    label, precision)``, which leads at ``h_bar + shift``."""
     model = make_model(s, t)
-    k = model.k
-    return vandermonde([(label.n * s - label.m * t) ** 2
-                        for label in distinct_weights(model)]) \
-        * Rational(scale, 4 * s * t) ** (k * (k - 1) // 2)
+    return [(label.h_bar + shift, partial(build, model, label))
+            for label in distinct_weights(model)]
 
 
-# Each builder is looked up as a module global when its entry is called, so
-# a function patched into this module (by a tracer or a test) is used.
+# Each entry is (params, 2 w0, k, columns, constant[, scale, tuples]).  Each
+# builder is looked up as a module global when its entry's columns are
+# called, so a function patched into this module (by a tracer or a test) is
+# used.
 IDENTITIES = {
     # eta is built as the pentagonal sum, so the rhs is the product
-    "euler": Identity((), lambda: 1,
-                      lambda order: euler_product(order - ETA_EXPONENT)
-                      .shift(ETA_EXPONENT), lambda: 1),
-    "jacobi": Identity((), lambda: 3,
-                       lambda order: jacobi_cube_series(order), lambda: 1),
-    "macdonald": _lattice_entry(
-        ("k",), _denominator_power, _pair_sign,
+    "euler": Identity((), 1, lambda: 1, lambda: [(ETA_EXPONENT, lambda p:
+                      euler_product(p - ETA_EXPONENT).shift(ETA_EXPONENT))],
+                      lambda: 1),
+    "jacobi": Identity((), 3, lambda: 1, lambda: [
+        (Rational(1, 8), jacobi_cube_series)], lambda: 1),
+    "macdonald": Identity(
+        ("k",), 1, lambda k: k, lambda k: _label_columns(
+            2, 2 * k + 1, chi_numerator, ETA_EXPONENT), _pair_sign,
+        lambda k: _lattice_scale(2, 2 * k + 1) * _macdonald_prefactor(k),
         lambda order, k: _sum_terms(macdonald_terms(k, order), order)
-        * _macdonald_prefactor(k),
-        lambda order, k: _lattice_determinant(make_model(2, 2 * k + 1), order)
         * _macdonald_prefactor(k)),
-    "denominator": _lattice_entry(
-        ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
-        lambda s, t: _weight_vandermonde(s, t, 4 * s * t),
+    "denominator": Identity(
+        ("s", "t"), 1, _model_k, lambda s, t: _label_columns(
+            s, t, chi_numerator, ETA_EXPONENT),
+        lambda s, t: _weight_vandermonde(s, t) * _lattice_scale(s, t),
+        _lattice_scale,
         lambda order, s, t: _sum_terms(general_terms(make_model(s, t), order),
-                                       order),
-        lambda order, s, t: _lattice_determinant(make_model(s, t), order)),
+                                       order)),
     "wronskian_raw": Identity(
-        ("s", "t"),
-        lambda s, t: 2 * make_model(s, t).k * (make_model(s, t).k - 1),
-        lambda order, s, t: wronskian_of_characters(make_model(s, t), order),
-        _weight_vandermonde),
+        ("s", "t"), 0, _model_k, lambda s, t: _label_columns(
+            s, t, character_double_sum, 0), _weight_vandermonde),
     "wronskian_normalized": Identity(
-        ("s", "t"), lambda s, t: _denominator_power(make_model(s, t).k),
-        lambda order, s, t: wronskian_of_characters(
-            make_model(s, t), order, normalized=True),
-        _weight_vandermonde),
-    "weber": Identity((), lambda: 12,
-                      lambda order: _weber_wronskian(order),
-                      lambda: Rational(7, 256)),
+        ("s", "t"), 1, _model_k, lambda s, t: _label_columns(
+            s, t, normalized_character, ETA_EXPONENT), _weight_vandermonde),
+    "weber": Identity((), 0, lambda: 3, lambda: [
+        (lead, partial(weber_series, which)) for which, lead in (
+            ("f", WEBER_F_EXPONENT), ("f1", WEBER_F_EXPONENT),
+            ("f2", WEBER_F2_EXPONENT))], lambda: Rational(7, 256)),
 }
 
 IDENTITY_NAMES = tuple(IDENTITIES)
@@ -507,7 +525,8 @@ def _admissible(name, order, params):
     """``order`` and ``params`` for a verification of ``name``, checked;
     ValueError unless ``order`` exceeds the identity's leading exponent."""
     params = identity_params(name, params)
-    return order_above(order, identity_lowest_exponent(name, **params)), params
+    lead = Rational(IDENTITIES[name].power(**params), 24)
+    return order_above(order, lead), params
 
 
 def _compare(name, params, order, rhs):
@@ -524,9 +543,9 @@ def _compare(name, params, order, rhs):
 def verify_identity(name, *, order=20, **params):
     """Compare ``eta_power(power)`` with the rhs of the entry ``name`` of
     :data:`IDENTITIES` (params as in :func:`identity_params`), built on the
-    path its headroom selects; the entry's ``tuples`` is not consulted.  The
-    report carries the constant found, which must equal the entry's
-    predicted constant for a match.
+    path its headroom selects, without the cross-check of
+    :func:`audit_identity`.  The report carries the constant found, which
+    must equal the entry's predicted constant for a match.
     """
     order, params = _admissible(name, order, params)
     return _compare(name, params, order, IDENTITIES[name].rhs(order, **params))

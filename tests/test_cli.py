@@ -26,6 +26,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def double_scale(monkeypatch, name):
+    """Patch the entry ``name`` so that its Wronskian form is doubled."""
+    entry = IDENTITIES[name]
+    monkeypatch.setitem(IDENTITIES, name, entry._replace(
+        scale=lambda **params: 2 * entry.scale(**params)))
+
+
 def assert_usage_error(result, *fragments):
     """Exit 2, nothing on stdout, and one line on stderr naming the fault."""
     code, out, err = result
@@ -161,15 +168,12 @@ class TestVerifyCommand:
                                                       monkeypatch):
         # order 20 puts both sums above the crossover, where they are built
         # as Wronskians; the audit compares them with their tuple sums
-        import qetakit.identities as identities
         for argv in (("macdonald", "--k", "3"),
                      ("denominator", "--s", "3", "--t", "4")):
             code, out, _ = run_cli(capsys, "verify", *argv, "--order", "20",
                                    "--window-audit")
             assert code == 0 and "match=true" in out
-        build = identities._lattice_determinant
-        monkeypatch.setattr(identities, "_lattice_determinant",
-                            lambda model, order: build(model, order) * 2)
+        double_scale(monkeypatch, "denominator")
         code, _, err = run_cli(capsys, "verify", "denominator", "--s", "3",
                                "--t", "4", "--order", "20", "--window-audit")
         assert code == 2 and "window audit failed" in err
@@ -178,10 +182,8 @@ class TestVerifyCommand:
                                                     monkeypatch):
         # order 5 puts both sums below the crossover, where the verification
         # enumerates tuples; the audit still builds the Wronskian form
-        import qetakit.identities as identities
-        build = identities._lattice_determinant
-        monkeypatch.setattr(identities, "_lattice_determinant",
-                            lambda model, order: build(model, order) * 2)
+        for name in ("macdonald", "denominator"):
+            double_scale(monkeypatch, name)
         for argv in (("macdonald", "--k", "3"),
                      ("denominator", "--s", "3", "--t", "4")):
             code, out, _ = run_cli(capsys, "verify", *argv, "--order", "5")

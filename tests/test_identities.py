@@ -17,6 +17,7 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
+from qetakit.wronskian import _distinct_leading_exponents
 from oracles import (c_k_double_product, chi_indicator,
                      empirical_constant_terms,
                      general_terms_box, general_walk_windows,
@@ -422,7 +423,7 @@ class TestOneTheorem:
         k = model.k
         _, order = self._orders(model)
         normalized = wronskian_of_characters(model, order, normalized=True)
-        lattice = identities._lattice_determinant(model, order)
+        lattice = IDENTITIES["denominator"].determinant(order, s=s, t=t)
         assert not lattice.is_zero
         assert (normalized * (4 * s * t) ** (k * (k - 1) // 2)).equal_up_to(
             lattice, order)
@@ -659,6 +660,75 @@ class TestPredictedConstants:
                 (-1) ** (k * (k - 1) // 2), k
 
 
+def _weight_rule_cases():
+    """(name, params) of every entry over the models with s*t <= 300 and
+    Macdonald k = 2..40."""
+    cases = [(name, {}) for name, entry in IDENTITIES.items()
+             if not entry.params]
+    cases += [(name, {"s": model.s, "t": model.t})
+              for model in coprime_models(300)
+              for name, entry in IDENTITIES.items()
+              if entry.params == ("s", "t")]
+    return cases + [("macdonald", {"k": k}) for k in range(2, 41)]
+
+
+class TestWeightRule:
+    """Every power is twice the weight ``k w0 + k(k-1)`` of the entry's
+    Wronskian, and the Wronskian's leads sum to ``power/24``; read from the
+    labels, with no series built (Weber's excepted)."""
+
+    #: The powers as the table wrote them before they were derived.
+    OLD_POWERS = {
+        "euler": lambda: 1, "jacobi": lambda: 3, "weber": lambda: 12,
+        "macdonald": lambda k: (2 * k - 1) * k,
+        "denominator": lambda s, t: (2 * make_model(s, t).k - 1)
+        * make_model(s, t).k,
+        "wronskian_raw": lambda s, t: 2 * make_model(s, t).k
+        * (make_model(s, t).k - 1),
+        "wronskian_normalized": lambda s, t: (2 * make_model(s, t).k - 1)
+        * make_model(s, t).k}
+
+    def test_power_is_the_old_formula(self):
+        cases = _weight_rule_cases()
+        assert len(cases) == 3 + 3 * 340 + 39
+        for name, params in cases:
+            assert IDENTITIES[name].power(**params) == \
+                self.OLD_POWERS[name](**params), (name, params)
+
+    def test_column_leads_sum_to_the_leading_exponent(self):
+        checks = 0
+        for name, params in _weight_rule_cases():
+            if name == "weber":  # f and f1 share a lead; see below
+                continue
+            entry = IDENTITIES[name]
+            leads = [lead for lead, _ in entry.columns(**params)]
+            assert len(leads) == entry.k(**params), (name, params)
+            assert sum(leads) == Rational(entry.power(**params), 24), \
+                (name, params)
+            checks += 1
+        assert checks == 2 + 3 * 340 + 39
+
+    def test_a_proper_subset_of_labels_breaks_the_sum(self):
+        # Ising without h = 1/16: two characters, whose Wronskian would
+        # need leads summing to 2k(k-1)/24 = 1/6
+        entry = IDENTITIES["wronskian_raw"]
+        labels = distinct_weights(make_model(3, 4))
+        leads = [lead for (lead, _), label in zip(entry.columns(s=3, t=4),
+                                                  labels)
+                 if label.h != Rational(1, 16)]
+        assert len(leads) == 2
+        assert sum(leads) == Rational(11, 24)
+        pair = entry._replace(k=lambda s, t: 2)
+        assert Rational(pair.power(s=3, t=4), 24) == Rational(1, 6)
+
+    def test_weber_leads_after_reduction(self):
+        entry = IDENTITIES["weber"]
+        columns = _distinct_leading_exponents(entry.built_columns(2))
+        leads = [column.lowest_term()[0] for column in columns]
+        assert leads == [Rational(-1, 48), Rational(23, 48), Rational(1, 24)]
+        assert sum(leads) == Rational(1, 2) == Rational(entry.power(), 24)
+
+
 class TestIdentityTable:
     @pytest.mark.parametrize("name", sorted(IDENTITIES))
     def test_leading_exponent_is_the_power_over_24(self, name):
@@ -676,13 +746,25 @@ class TestIdentityTable:
             == {"euler": (), "jacobi": (), "weber": (), "macdonald": ("k",),
                 "denominator": ("s", "t"), "wronskian_raw": ("s", "t"),
                 "wronskian_normalized": ("s", "t")}
-        for field in ("tuples", "determinant"):
-            assert {name for name, entry in IDENTITIES.items()
-                    if getattr(entry, field) is not None} == \
-                {"macdonald", "denominator"}
+        assert {name for name, entry in IDENTITIES.items()
+                if entry.tuples is not None} == {"macdonald", "denominator"}
+        assert all(callable(entry.determinant)
+                   for entry in IDENTITIES.values())
         assert {name: entry.constant() for name, entry in IDENTITIES.items()
                 if not entry.params} == {
                     "euler": 1, "jacobi": 1, "weber": Rational(7, 256)}
+
+    def test_params_are_checked_once_per_verification(self, monkeypatch):
+        checked = []
+        check = identities.identity_params
+        monkeypatch.setattr(identities, "identity_params",
+                            lambda name, params: checked.append(name)
+                            or check(name, params))
+        for name, params in (("denominator", {"s": 5, "t": 3}),
+                             ("macdonald", {"k": 3}), ("weber", {})):
+            checked.clear()
+            assert verify_identity(name, order=10, **params).match
+            assert checked == [name]
 
     def test_canonical_params(self):
         assert identity_params("denominator", {"s": 5, "t": 2}) == \

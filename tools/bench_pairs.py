@@ -6,10 +6,13 @@ neither runs on bytecode left in a checkout's ``__pycache__`` (which lowers
 each side with seed ``SEED + i``; the side that runs first alternates from
 pair to pair, and every run lasts the benchmark's ``run_seconds`` from
 ``BENCHMARK.json``.  Printed per end-to-end metric: every pair's two
-values, each side's median and quartiles, and in how many pairs the change
-was better.  With ``--jobs``, each job's time (scaled like
-``slowest_job_s``, median over a run's passes) is printed as the median
-over the pairs of each side.  The exports are deleted at the end.
+values, each side's median and quartiles, in how many pairs the change was
+better, the relative change of the medians and whether it stays within the
+metric's ``bound``, and whether the gain rule holds: the change better in
+at least 9 of 10 pairs, and its median better than the parent's by more
+than the parent's quartile spread.  With ``--jobs``, each job's time
+(scaled like ``slowest_job_s``, median over a run's passes) is printed as
+the median over the pairs of each side.  The exports are deleted at the end.
 
 Usage (from the repository root):
 
@@ -80,8 +83,7 @@ def _quartiles(values):
 
 
 def report(runs, show_jobs):
-    lower = {m["name"]: m["better"] == "lower"
-             for m in BENCHMARK["end_to_end"]}
+    declared = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     pairs = len(runs["parent"])
     for name in runs["parent"][0][0]:
         values = {side: [metrics[name] for metrics, _ in runs[side]]
@@ -89,14 +91,30 @@ def report(runs, show_jobs):
         print(f"{name}:")
         for i, (p, c) in enumerate(zip(values["parent"], values["change"])):
             print(f"  pair {i}: parent {p:.6g}  change {c:.6g}")
+        medians, spreads = {}, {}
         for side in SIDES:
             q1, q3 = _quartiles(values[side])
-            print(f"  {side:<6} median {statistics.median(values[side]):.6g}"
+            medians[side] = statistics.median(values[side])
+            spreads[side] = q3 - q1
+            print(f"  {side:<6} median {medians[side]:.6g}"
                   f"  quartiles {q1:.6g} .. {q3:.6g}")
-        better = lower.get(name, True)
-        won = sum((c < p) if better else (c > p)
+        lower = declared[name]["better"] == "lower"
+        won = sum((c < p) if lower else (c > p)
                   for p, c in zip(values["parent"], values["change"]))
         print(f"  change better in {won} of {pairs} pairs")
+        # the regression bound and the gain rule of BENCHMARK.json
+        change = medians["change"] / medians["parent"] - 1
+        bound = declared[name]["bound"]
+        within = (change if lower else -change) <= bound
+        print(f"  medians change by {change:+.2%}: "
+              f"{'within' if within else 'out of'} the bound of {bound:.0%}")
+        need = -(-9 * pairs // 10)
+        gain = medians["parent"] - medians["change"]
+        gain = gain if lower else -gain
+        holds = won >= need and gain > spreads["parent"]
+        print(f"  gain rule {'holds' if holds else 'fails'}: better in "
+              f"{won} of {pairs} (needs {need}), median gain {gain:.6g} "
+              f"vs parent quartile spread {spreads['parent']:.6g}")
     if show_jobs:
         print("per job, s (median over pairs): parent  change")
         for key in sorted(runs["parent"][0][1]):
