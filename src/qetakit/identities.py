@@ -522,18 +522,20 @@ def identity_lowest_exponent(name, **params):
 
 
 def _admissible(name, order, params):
-    """``order`` and ``params`` for a verification of ``name``, checked;
-    ValueError unless ``order`` exceeds the identity's leading exponent."""
+    """``order`` and ``params`` for a verification of ``name``, checked,
+    and the entry's eta power; ValueError unless ``order`` exceeds the
+    identity's leading exponent, ``power / 24``."""
     params = identity_params(name, params)
-    lead = Rational(IDENTITIES[name].power(**params), 24)
-    return order_above(order, lead), params
+    power = IDENTITIES[name].power(**params)
+    return order_above(order, Rational(power, 24)), params, power
 
 
-def _compare(name, params, order, rhs):
-    """The report of ``rhs`` against ``eta_power(power)`` of the entry
-    ``name``; a match needs the entry's predicted constant."""
+def _compare(name, params, order, power, rhs):
+    """The report of ``rhs`` against ``eta_power(power)``, ``power`` the
+    eta power of the entry ``name``; a match needs the entry's predicted
+    constant."""
     entry = IDENTITIES[name]
-    lhs = eta_power(entry.power(**params), order)
+    lhs = eta_power(power, order)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
     if report.constant != entry.constant(**params):
         report = report._replace(match=False)
@@ -547,8 +549,9 @@ def verify_identity(name, *, order=20, **params):
     :func:`audit_identity`.  The report carries the constant found, which
     must equal the entry's predicted constant for a match.
     """
-    order, params = _admissible(name, order, params)
-    return _compare(name, params, order, IDENTITIES[name].rhs(order, **params))
+    order, params, power = _admissible(name, order, params)
+    rhs = IDENTITIES[name].rhs(order, **params)
+    return _compare(name, params, order, power, rhs)
 
 
 def audit_identity(name, *, order, **params):
@@ -556,7 +559,7 @@ def audit_identity(name, *, order, **params):
     and once as its Wronskian whatever its headroom: RuntimeError if the two
     differ below ``order``, else the report of either against the eta
     power."""
-    order, params = _admissible(name, order, params)
+    order, params, power = _admissible(name, order, params)
     entry = IDENTITIES[name]
     if entry.tuples is None:
         lattice = [key for key, other in IDENTITIES.items()
@@ -568,4 +571,4 @@ def audit_identity(name, *, order, **params):
         raise RuntimeError(f"window audit failed for {name}: the Wronskian "
                            "form differs from the tuple enumeration below "
                            "the order")
-    return _compare(name, params, order, rhs)
+    return _compare(name, params, order, power, rhs)

@@ -30,13 +30,17 @@ Rational = Fraction
 def rational(value):
     """Coerce ``value`` (int, 'p/q' string, Fraction) to Rational.
 
-    Floats are rejected on purpose; use a string or Fraction instead.
+    Floats are rejected on purpose; use a string or Fraction instead.  A
+    string that is no rational, zero denominator included, is a ValueError.
     """
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact series; "
                         "pass an int, Fraction or 'p/q' string")
     if isinstance(value, (numbers.Rational, str)):
-        return Rational(value)
+        try:
+            return Rational(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -13,24 +13,29 @@ Sylvester (Jacobi) identity for Wronskians gives,
   / V_(d-2)(d-1)``, so ``V_d(j) = W(f_1..f_d, f_j)`` and
   ``W = V_(k-1)(k)``.  Every entry is an exact Wronskian of d + 1 inputs,
   so numerators stay as small as the minors of Bareiss elimination;
-* every entry is kept as ``lambda_j M_j``: a reduced ``Rational`` scalar
-  times a primitive map (coprime int numerators, a positive one at the
-  entry's declared leading exponent).  Most of an entry's size is a common
+* every entry is ``lambda_j M_j``: a rational scalar times a primitive
+  map (coprime int numerators, a positive one at the entry's declared
+  leading exponent).  Most of an entry's size is a common
   Vandermonde-type factor, so the scalars take it and only the primitive
   parts are multiplied and divided: step d computes ``X = M_d theta M_j -
   M_j theta M_d`` as one two-pair product read back once, divides it by
   ``M_(d-1)`` by integer long division into ``Q / e`` (see
   :func:`qetakit.series._quotient_numerators`) and takes the content c
-  of ``Q`` out; the scalar takes the rest, ``lambda_j <- lambda_d lambda_j
-  c / (D e lambda_(d-1))``.  The division is exact, as in Bareiss'
+  of ``Q`` out, so that ``lambda_j <- lambda_d lambda_j c / (D e
+  lambda_(d-1))``.  The division is exact, as in Bareiss'
   integer-preserving elimination (Math. Comp. 22, 1968): by the identity
   above the quotient is again a minor, so its numerators are as narrow as
   the entries', where the inverse of ``M_(d-1)`` has numerators about ten
   times wider; ``e`` is 1 unless the contents taken out leave the
   quotient an integer map over a constant.  The result is ``lambda_(k-1)
-  M_(k-1)``, the very series the whole entries give.  The scalars are
-  reduced at every step: kept as unreduced integer pairs they grow
-  exponentially in k;
+  M_(k-1)``, the very series the whole entries give.  No scalar but that
+  one is ever needed, and it telescopes: each step multiplies by its
+  pivot's scalar over the previous pivot's, so ``lambda_(k-1)`` is the
+  product of the column scalars and of every content taken out, over
+  ``D^(k(k-1)/2)`` and every ``e``.  It is kept as one unreduced integer
+  pair and reduced once, at the end; that pair grows with the result
+  (about twice its reduced size at k = 78), where unreduced scalars kept
+  per entry would grow exponentially in k;
 * the divisor ``W(f_1..f_(d-1))`` starts at ``q^(l_1 + ... + l_(d-1))``
   with the Vandermonde of ``l_1, ..., l_(d-1)`` times the leading
   coefficients: nonzero, because the ``l_i`` are distinct.  So every
@@ -55,9 +60,13 @@ output: every entry is a bare ``key -> int`` map on the lcm grid ``1/D`` of
 the columns, keyed from its own leading offset (an int, ``D`` times its
 declared leading exponent), and every map is cut at the same last key,
 ``ceil(R D) - 1``; ``theta`` multiplies key i by ``offset + i`` and leaves
-the ``1/D`` to the scalar.  The columns and their derivatives are read
-into these maps by the series' own grid view, :meth:`QSeries._on_grid`;
-only the input columns' derivatives come from :meth:`QSeries.theta_derive`.
+the ``1/D`` to the scalar.  Step d moves every later entry up by the
+same ``l_d``, the pivot column's own leading exponent, so entry j sits at
+its column's offset plus one running sum ``D (l_1 + ... + l_d)``, the
+only offset the recursion updates.  The columns and their derivatives
+are read into these maps by the series' own grid view,
+:meth:`QSeries._on_grid`; only the input columns' derivatives come from
+:meth:`QSeries.theta_derive`.
 
 The independent oracles (Bareiss elimination of the full derivative
 matrix, the subset-minor and Vandermonde term expansions of the same
@@ -123,27 +132,35 @@ def _jacobi_recursion(columns, lows):
     into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)`` by one fused
     two-pair product and, from step 1 on, one exact long division by the
     primitive map of the pivot of step p - 1 (k(k-1) product pairs and
-    (k-1)(k-2)/2 divisions; nothing is inverted).  Every entry is kept as
-    a reduced scalar times a primitive key -> int map on one grid, cut at
-    one last key ``cap``: a quotient's key m reads its inputs at keys up
-    to m only, so products and divisions of maps cut at ``cap`` are exact
-    up to ``cap``."""
+    (k-1)(k-2)/2 divisions; nothing is inverted).  Every entry is a
+    primitive key -> int map on one grid, cut at one last key ``cap``: a
+    quotient's key m reads its inputs at keys up to m only, so products
+    and divisions of maps cut at ``cap`` are exact up to ``cap``.  The
+    entries' scalars telescope into one integer pair ``num / den``: the
+    column contents and every content taken out, over the column
+    denominators, ``D^(k(k-1)/2)`` and every ``e``.  At step p entry j
+    sits at its column's offset plus ``base``, the sum of the column
+    offsets of the pivots before p."""
     k = len(columns)
     D = lcm(*(y.grid_denominator for y in columns))
     headroom = min(y.precision - low for y, low in zip(columns, lows))
     cap = largest_int_below(headroom * D)
     offsets = [y.offset * (D // y.grid_denominator) for y in columns]
+    num, den = 1, D ** (k * (k - 1) // 2)
     scalars, v = [], []
     for y, origin in zip(columns, offsets):
         content, m = _primitive(y._on_grid(D, origin, cap))
         scalars.append(Rational(content, y._den))
+        num *= content
+        den *= y._den
         v.append(m)
 
     def theta(j):
         # D theta of entry j's map, whose key i sits at (offset + i)/D; at
         # step 0 it is read from the column's own derivative and rescaled
-        # from that series' denominator to the column's lambda_j / D
-        a = offsets[j]
+        # from that series' denominator to the column scalar over D, the
+        # one use of the column scalars
+        a = offsets[j] + base
         if p:
             return {i: c * (a + i) for i, c in v[j].items() if a + i}
         dy = columns[j].theta_derive()
@@ -153,33 +170,26 @@ def _jacobi_recursion(columns, lows):
             return t
         return {i: c * r.numerator // r.denominator for i, c in t.items()}
 
-    low = Rational(0)
+    base = 0
     for p in range(k - 1):
         pivot = v[p]
-        ratio = scalars[p] / D
-        shift = offsets[p]
-        divisor = None
-        if p:
-            divisor = v[p - 1]
-            if 0 not in divisor:
-                raise AssertionError(f"divisor {p} does not start at q^{low}")
-            ratio /= scalars[p - 1]
-            shift -= offsets[p - 1]
-        low += lows[p]
+        if p and 0 not in v[p - 1]:
+            raise AssertionError(
+                f"divisor {p} does not start at q^{Rational(base, D)}")
         minus_d_pivot = {i: -c for i, c in theta(p).items()}
         for j in range(p + 1, k):
             pairs = [(xs, ys) for xs, ys in ((pivot, theta(j)),
                                              (v[j], minus_d_pivot))
                      if xs and ys]
             x = _products(pairs, cap) if pairs else {}
-            d = 1
-            if divisor is not None:
-                x, d = _quotient_numerators(x, divisor, cap)
+            if p:
+                x, d = _quotient_numerators(x, v[p - 1], cap)
+                den *= d
             content, v[j] = _primitive(x)
-            scalars[j] *= ratio * Rational(content, d)
-            offsets[j] += shift
-    return scalars[k - 1], QSeries._from_numerators(
-        D, offsets[k - 1], v[k - 1], 1, sum(lows, Rational(0)) + headroom)
+            num *= content
+        base += offsets[p]
+    return Rational(num, den), QSeries._from_numerators(
+        D, offsets[k - 1] + base, v[k - 1], 1, sum(lows) + headroom)
 
 
 def wronskian(entries):

@@ -7,9 +7,11 @@ the criterion requires them to be recorded.
 
 The shipped suite manifest is executed once (session fixture) and covers the
 model-grid criteria; it includes every coprime pair with s*t <= 40.  For the
-three k = 12 models the order-10 request is vacuous (the eta power has no
-exponent below 11.5), so the suite raises those orders just past the leading
-exponent, which makes the check strictly stronger than requested.
+three k = 12 models, (5,7), (4,9) and (3,13), an order 10 would be vacuous
+(their eta powers start at 11.5 and 11), so the manifest already holds the
+orders 27/2 and 13 for them, and ``adjusted_order`` raises none of its 72
+jobs.  The raise itself is exercised by
+``tests/test_cli.py::TestSuiteCommand::test_vacuous_order_is_raised``.
 """
 
 import random

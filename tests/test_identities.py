@@ -766,6 +766,22 @@ class TestIdentityTable:
             assert verify_identity(name, order=10, **params).match
             assert checked == [name]
 
+    def test_power_is_computed_once_per_verification(self, monkeypatch):
+        # the lhs is built from the power that the order check computed;
+        # a lattice sum's rhs computes it once more to pick its path
+        calls = []
+        power = identities.Identity.power
+        monkeypatch.setattr(identities.Identity, "power",
+                            lambda self, **params: calls.append(params)
+                            or power(self, **params))
+        for name, params, count in (("denominator", {"s": 5, "t": 3}, 2),
+                                    ("macdonald", {"k": 3}, 2),
+                                    ("wronskian_raw", {"s": 2, "t": 5}, 1),
+                                    ("weber", {}, 1)):
+            calls.clear()
+            assert verify_identity(name, order=10, **params).match
+            assert len(calls) == count
+
     def test_canonical_params(self):
         assert identity_params("denominator", {"s": 5, "t": 2}) == \
             {"s": 2, "t": 5}

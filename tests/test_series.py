@@ -29,6 +29,8 @@ class TestMonomial:
             QSeries.monomial(0.5, 0, 3)
         with pytest.raises(TypeError, match="cannot interpret None"):
             rational(None)
+        with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+            rational("3/0")
 
     def test_zero_coefficient_gives_zero_series(self):
         z = QSeries.monomial(0, 3, 5)
@@ -235,6 +237,15 @@ class TestSerialization:
             with pytest.raises(ValueError, match="bad series header"):
                 QSeries.from_text(text)
         assert QSeries.from_text("D=1 P=3\n0 1\n") == QSeries.one(3)
+
+    def test_zero_denominator_rejected(self):
+        # a p/0 string is malformed input, as a zero grid header is, not
+        # an arithmetic error
+        for text in ("D=1 P=1/0\n", "D=1 P=5\n0 1/0\n", "D=1 P=5\n1/0 1\n"):
+            with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+                QSeries.from_text(text)
+        with pytest.raises(ValueError, match="zero denominator"):
+            eta_series("1/0")
 
     def test_off_grid_exponent(self):
         with pytest.raises(ValueError, match="off the declared grid"):

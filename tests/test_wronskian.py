@@ -363,9 +363,28 @@ class TestKernelAgainstBareiss:
 
 
 class TestContentSplit:
-    """The recursion carries each entry as a reduced scalar times a
-    primitive integer map, so the Vandermonde-type growth stays in the scalars
-    and the final scalar is the predicted constant."""
+    """The recursion carries each entry as a primitive integer map and
+    telescopes the entries' scalars into one integer pair, so the
+    Vandermonde-type growth stays in that pair and the final scalar is the
+    predicted constant."""
+
+    def test_builds_rationals_linear_in_k(self, monkeypatch):
+        # one Rational per column scalar and one for the result: a reduced
+        # scalar per entry and step would take O(k^2), 47 for (4,7)
+        vec = characters_for_wronskian(make_model(4, 7), 10)
+        k = len(vec)
+        assert k == 9
+        built = 0
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return Rational(*args)
+
+        monkeypatch.setattr(wronskian_module, "Rational", counting)
+        _jacobi_recursion(vec, [y.lowest_term()[0] for y in vec])
+        monkeypatch.undo()
+        assert built < 2 * k
 
     def test_products_see_primitive_numerators(self, monkeypatch):
         # (5,8), k = 14, chi numerators at headroom 20: multiplying whole
