@@ -36,10 +36,11 @@ each a :func:`~qetakit.eta.theta_window`: the integers v >= 1 in signed
 residue classes, as picks ``(cost, coordinate, sign, square)`` with cost
 and square ``v^2`` (Macdonald's coordinate is its lattice index n).  The
 walk compares integer partial sums of squares with one integer cap,
-pruned by the least cost of the coordinates still to pick, and weighs a
-tuple by its signs times the :func:`~qetakit.wronskian.vandermonde` of its
-squares, all in ints; only an emitted term's exponent and weight are
-rationals.  ``general_terms`` and ``macdonald_terms`` only build windows.
+pruned by the least cost of the coordinates still to pick, and builds a
+tuple's weight, its signs times the Vandermonde of its squares, as an int
+while it descends, so a repeated square ends a whole subtree.  Lattice
+weights are ints; only an emitted term's exponent is a rational.
+``general_terms`` and ``macdonald_terms`` only build windows.
 
 Each sum is built on one of two paths, chosen by one rule
 (:meth:`Identity.rhs`) from its headroom, the order minus the sum's leading
@@ -100,7 +101,12 @@ from .wronskian import vandermonde, wronskian, wronskian_entry_precision
 #: by the Wronskian than by their tuples at headroom 18.  The sweep
 #: predates the exact long division in the recursion, which made the
 #: Wronskian path about a quarter faster on rank 9-14 sums at order 35-38,
-#: so the crossover may now lie lower; 18 stays until a new sweep.
+#: and the int weights of the tuple walk, which made the tuples about 2.4-3x
+#: faster: (5,7) at order 60 went from 2.3 to 0.78 s (best of 3, same
+#: host).  18 still stays: above 19.25, the denominator sum of (5,8) at
+#: order 35, a job of the lattice-sums benchmark workload, would switch to
+#: tuples, which take about twice its Wronskian (18 ms against 9.4 ms).  A
+#: new sweep waits for a benchmark workload of large-k sums.
 LATTICE_DETERMINANT_HEADROOM = 18
 
 
@@ -108,7 +114,7 @@ class LatticeTerm(NamedTuple):
     """One summand of a k-fold lattice sum."""
     n_vec: tuple
     exponent: object  # exact rational
-    weight: object    # exact rational (sign times the combinatorial weight)
+    weight: int       # sign times the Vandermonde of the squares
 
 
 class VerificationReport(NamedTuple):
@@ -150,11 +156,13 @@ def _walk(windows, cap, exponent, sign):
     """Every tuple that takes one pick ``(cost, coordinate, sign, square)``
     from each window (sorted by cost) and whose costs sum to at most the
     integer ``cap``, lexicographic in the windows' order.  A tuple of
-    nonzero weight ``sign * prod(pick signs) * vandermonde(squares)``, all
-    in ints, is a term at ``exponent(cost sum)``.  A pick is taken while
-    the least cost of any tuple containing it stays within the cap, and its
-    window is left at the first pick past it, so no contributing tuple is
-    missed."""
+    nonzero weight ``sign * prod(pick signs) * vandermonde(squares)``, an
+    int, is a term at ``exponent(cost sum)``.  The weight is built while
+    the walk descends: a pick multiplies it by its sign and by its square
+    minus each earlier square, and a zero product ends the whole subtree.
+    A pick is taken while the least cost of any tuple containing it stays
+    within the cap, and its window is left at the first pick past it, so
+    no contributing tuple is missed."""
     if not all(windows):
         return []
     k = len(windows)
@@ -165,20 +173,22 @@ def _walk(windows, cap, exponent, sign):
     n_vec = [0] * k
     squares = [0] * k
 
-    def descend(i, cost, sign):
+    def descend(i, cost, weight):
         if i == k:
-            weight = vandermonde(squares)
-            if weight:
-                terms.append(LatticeTerm(tuple(n_vec), exponent(cost),
-                                         Rational(sign * weight)))
+            terms.append(LatticeTerm(tuple(n_vec), exponent(cost), weight))
             return
         room = cap - floor[i + 1]
+        earlier = squares[:i]
         for c, n, s, square in windows[i]:
             if cost + c > room:
                 break
-            n_vec[i] = n
-            squares[i] = square
-            descend(i + 1, cost + c, sign * s)
+            w = weight * s
+            for x in earlier:
+                w *= square - x
+            if w:
+                n_vec[i] = n
+                squares[i] = square
+                descend(i + 1, cost + c, w)
 
     descend(0, 0, sign)
     return terms
@@ -192,7 +202,7 @@ def _sum_terms(terms, order):
     for t in terms:
         e = t.exponent
         key = e.numerator * (scale // e.denominator)
-        num[key] = num.get(key, 0) + t.weight.numerator
+        num[key] = num.get(key, 0) + t.weight
     return QSeries._from_numerators(
         scale, 0, {key: c for key, c in num.items() if c}, 1, order)
 

@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 # eta_series is not called here, but bench/tracing.py wraps it at this site
-from .eta import (_binomial_product, eta_series,  # noqa: F401
+from .eta import (ETA_EXPONENT, _binomial_product, eta_series,  # noqa: F401
                   euler_inverse, unary_theta)
 from .rationals import Rational, largest_int_below, order_above
 from .series import QSeries
@@ -59,8 +59,10 @@ def make_model(s, t):
     return MinimalModel(s, t, (s - 1) * (t - 1) // 2, c)
 
 
+@lru_cache(maxsize=None)
 def weight_label(model, m, n):
-    """Build the label (m, n) with its exact weights."""
+    """Build the label (m, n) with its exact weights; cached, as every
+    character builder checks its label against it."""
     m, n = int(m), int(n)
     s, t = model.s, model.t
     if not (1 <= m < s and 1 <= n < t):
@@ -179,9 +181,9 @@ def character_chi_form(model, label, order):
     cached partition series, shifted by ``q^(-1/24)``."""
     _check_label(model, label)
     order = order_above(order, label.h_bar)
-    rel = order + Rational(1, 24)
+    rel = order + ETA_EXPONENT
     numer = chi_numerator(model, label, rel)
-    return (numer * euler_inverse(rel)).shift(Rational(-1, 24))
+    return (numer * euler_inverse(rel)).shift(-ETA_EXPONENT)
 
 
 def character_product_2k1(k, i, order):
@@ -210,7 +212,7 @@ def normalized_character(model, label, order):
     """Eta times the character: the double-sum numerator shifted by
     ``q^(h_bar + 1/24)``, integer coefficients, exact below ``order``."""
     _check_label(model, label)
-    lead = label.h_bar + Rational(1, 24)
+    lead = label.h_bar + ETA_EXPONENT
     rel = order_above(order, lead) - lead
     return _double_sum_numerator(model, label, rel).shift(lead)
 

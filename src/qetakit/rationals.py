@@ -15,7 +15,11 @@ Series coefficient arithmetic does not go through :data:`Rational`: a
 :class:`~qetakit.series.QSeries` keeps plain ``int`` numerators over one
 common denominator, its products, sums and inverses run on those integers,
 and a coefficient becomes a :data:`Rational` only where it leaves the
-series (``coefficients``, ``terms()``, ``coefficient()``).
+series (``coefficients``, ``terms()``, ``coefficient()``).  Nor does the
+rest of a verification's bookkeeping: lattice weights are ints and the
+Wronskian recursion keeps its scalars as integer pairs, so a
+:data:`Rational` is built only for exponents, precision bounds, constants
+and the coefficient views, and :func:`rational` returns one unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ def rational(value):
     Floats are rejected on purpose; use a string or Fraction instead.  A
     string that is no rational, zero denominator included, is a ValueError.
     """
+    if isinstance(value, Rational):
+        return value
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact series; "
                         "pass an int, Fraction or 'p/q' string")

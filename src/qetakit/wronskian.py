@@ -99,17 +99,18 @@ def vandermonde(values):
 def _distinct_leading_exponents(entries):
     """Columns with pairwise distinct leading exponents and the same
     Wronskian: each column is reduced against earlier ones with the same
-    leading exponent; a column may end up zero up to its precision."""
+    leading exponent, whose leading coefficients are read only then; a
+    column may end up zero up to its precision."""
     columns = []
     column_at = {}
     for y in entries:
-        lead = y.lowest_term()
-        while lead is not None and lead[0] in column_at:
-            x = columns[column_at[lead[0]]]
-            y = y - x * (lead[1] / x.lowest_term()[1])
-            lead = y.lowest_term()
-        if lead is not None:
-            column_at[lead[0]] = len(columns)
+        low = y._low_exponent()
+        while not y.is_zero and low in column_at:
+            x = columns[column_at[low]]
+            y = y - x * (y.lowest_term()[1] / x.lowest_term()[1])
+            low = y._low_exponent()
+        if not y.is_zero:
+            column_at[low] = len(columns)
         columns.append(y)
     return columns
 
@@ -138,9 +139,10 @@ def _jacobi_recursion(columns, lows):
     and divisions of maps cut at ``cap`` are exact up to ``cap``.  The
     entries' scalars telescope into one integer pair ``num / den``: the
     column contents and every content taken out, over the column
-    denominators, ``D^(k(k-1)/2)`` and every ``e``.  At step p entry j
-    sits at its column's offset plus ``base``, the sum of the column
-    offsets of the pivots before p."""
+    denominators, ``D^(k(k-1)/2)`` and every ``e``; each column's own
+    scalar is kept as the int pair ``(content, denominator)``.  At step p
+    entry j sits at its column's offset plus ``base``, the sum of the
+    column offsets of the pivots before p."""
     k = len(columns)
     D = lcm(*(y.grid_denominator for y in columns))
     headroom = min(y.precision - low for y, low in zip(columns, lows))
@@ -150,7 +152,7 @@ def _jacobi_recursion(columns, lows):
     scalars, v = [], []
     for y, origin in zip(columns, offsets):
         content, m = _primitive(y._on_grid(D, origin, cap))
-        scalars.append(Rational(content, y._den))
+        scalars.append((content, y._den))
         num *= content
         den *= y._den
         v.append(m)
@@ -159,16 +161,17 @@ def _jacobi_recursion(columns, lows):
         # D theta of entry j's map, whose key i sits at (offset + i)/D; at
         # step 0 it is read from the column's own derivative and rescaled
         # from that series' denominator to the column scalar over D, the
-        # one use of the column scalars
+        # one use of the column scalars: the quotients are exact
         a = offsets[j] + base
         if p:
             return {i: c * (a + i) for i, c in v[j].items() if a + i}
         dy = columns[j].theta_derive()
-        r = D / (dy._den * scalars[j])
+        content, y_den = scalars[j]
+        r, s = D * y_den, dy._den * content
         t = dy._on_grid(D, a, cap)
-        if r == 1:
+        if r == s:
             return t
-        return {i: c * r.numerator // r.denominator for i, c in t.items()}
+        return {i: c * r // s for i, c in t.items()}
 
     base = 0
     for p in range(k - 1):

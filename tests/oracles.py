@@ -18,7 +18,7 @@ enumeration that writes the paper's summands out in full.  The walk
 windows are each coordinate's picks built as the sums are written, by n
 for the A_2k^(2) sum and by scanning every integer for the per-model sum,
 to be fed to the package's tuple walk in place of its residue-class
-windows.  Two series are compared below a bound term by term on their
+windows, or to a plain walk that weighs each tuple at its leaf.  Two series are compared below a bound term by term on their
 common grid, and the A_2k^(2) constant ``c_k`` is its double product.
 """
 
@@ -522,6 +522,35 @@ def macdonald_terms_box(k, order):
     return _box_terms(columns, lambda ns: base + Fraction(sum(
         (2 * k + 1) * n * n + (2 * i - 1) * n
         for i, n in enumerate(ns, start=1)), 2), order)
+
+
+def walk_leaf_weights(windows, cap, exponent, sign):
+    """The terms of the package's tuple walk (``qetakit.identities._walk``)
+    with every weight computed at its leaf, as a ``Fraction``: each pick
+    ``(cost, coordinate, sign, square)`` is taken while the running cost
+    stays within ``cap``, and a full tuple of nonzero weight ``sign *
+    prod(signs) * prod_{j<i}(square_i - square_j)`` is the term
+    ``(coordinates, exponent(cost), weight)``."""
+    terms = []
+
+    def descend(picks, cost):
+        if len(picks) == len(windows):
+            weight = sign
+            for i, (_, _, s, square) in enumerate(picks):
+                weight *= s
+                for _, _, _, earlier in picks[:i]:
+                    weight *= square - earlier
+            if weight:
+                terms.append((tuple(n for _, n, _, _ in picks),
+                              exponent(cost), Fraction(weight)))
+            return
+        for pick in windows[len(picks)]:
+            if cost + pick[0] > cap:
+                break
+            descend(picks + [pick], cost + pick[0])
+
+    descend([], 0)
+    return terms
 
 
 def general_walk_windows(model, order):

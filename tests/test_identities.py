@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -12,17 +13,18 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      eta_power, eta_series, general_rhs, general_terms,
                      identity_lowest_exponent, lattice_exponent,
                      macdonald_rhs, macdonald_terms, make_model,
-                     normalized_character, rational, verify_identity,
-                     wronskian_of_characters)
+                     normalized_character, rational, vandermonde,
+                     verify_identity, wronskian_of_characters)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
+from qetakit.suite import run_job
 from qetakit.wronskian import _distinct_leading_exponents
 from oracles import (c_k_double_product, chi_indicator,
                      empirical_constant_terms,
                      general_terms_box, general_walk_windows,
                      macdonald_terms_box, macdonald_walk_windows,
-                     random_series)
+                     random_series, walk_leaf_weights)
 
 #: Small headrooms (order minus leading exponent) for the box oracles.
 BOX_HEADROOMS = (1, Rational(5, 2), 4)
@@ -394,6 +396,89 @@ class TestWindows:
                 order = base + headroom
                 assert macdonald_terms(k, order) == identities._walk(
                     *macdonald_walk_windows(k, order)), (k, headroom)
+
+
+class TestIntWeights:
+    """The walk builds each weight as an int while it descends, and ends a
+    subtree at the first repeated square; the terms are those of a walk
+    that weighs each tuple at its leaf as a Fraction."""
+
+    def test_general_weights(self):
+        for model in coprime_models(40):
+            base = identity_lowest_exponent("denominator", s=model.s,
+                                            t=model.t)
+            labels = distinct_weights(model)
+            for headroom in (Rational(1, 3), 2, 5):
+                order = base + headroom
+                terms = general_terms(model, order)
+                assert terms == walk_leaf_weights(
+                    *general_walk_windows(model, order)), (model, headroom)
+                for term in terms:
+                    weight = vandermonde([v * v for v in term.n_vec])
+                    for label, v in zip(labels, term.n_vec):
+                        weight *= chi_indicator(model, label, v)
+                    assert type(term.weight) is int
+                    assert term.weight == weight
+
+    def test_macdonald_weights(self):
+        for k in range(2, 7):
+            base = identity_lowest_exponent("macdonald", k=k)
+            for headroom in (1, 6, 11):
+                order = base + headroom
+                terms = macdonald_terms(k, order)
+                assert terms == walk_leaf_weights(
+                    *macdonald_walk_windows(k, order)), (k, headroom)
+                for term in terms:
+                    sign = (-1) ** (sum(term.n_vec) % 2)
+                    assert type(term.weight) is int
+                    assert term.weight == sign * chi_d(k, term.n_vec)
+
+    def test_a_shared_square_ends_its_subtree(self):
+        reads = []
+
+        class Window(list):
+            def __iter__(self):
+                reads.append(self[0][1])
+                return super().__iter__()
+
+        windows = [Window([(1, "a", 1, 1), (4, "b", 1, 4)]),
+                   Window([(1, "c", 1, 1), (4, "d", -1, 4)]),
+                   Window([(0, "e", 1, 9)])]
+        terms = identities._walk(windows, 9, Rational, 1)
+        assert terms == [(("a", "d", "e"), 5, -3 * 8 * 5),
+                         (("b", "c", "e"), 5, -3 * 8 * 5)]
+        # the third window is read under (a, d) and (b, c) only
+        assert reads == ["a", "c", "e", "c", "e"]
+        assert identities._walk(windows[:1] + windows[:1], 9, Rational,
+                                1) == [(("a", "b"), 5, 3), (("b", "a"), 5, -3)]
+
+    def test_fraction_tripwire(self, monkeypatch):
+        # a warm verification builds a Fraction only where a rational
+        # leaves it: exponents, precision bounds, constants and the
+        # coefficient views (Python 3.11 counts arithmetic results too)
+        jobs = [{"identity": "wronskian_raw", "params": {"s": 3, "t": 4},
+                 "order": "10"},
+                {"identity": "wronskian_normalized",
+                 "params": {"s": 2, "t": 7}, "order": "10"},
+                {"identity": "denominator", "params": {"s": 4, "t": 5},
+                 "order": "10"},
+                {"identity": "macdonald", "params": {"k": 3},
+                 "order": "12"}]
+        for job in jobs:
+            run_job(job)
+        built = 0
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        reports = [run_job(job) for job in jobs]
+        monkeypatch.undo()
+        assert all(report.match for report in reports)
+        assert built <= 200
 
 
 class TestOneTheorem:

@@ -99,6 +99,12 @@ class TestRecords:
         hits = distinct_weights.cache_info().hits
         assert distinct_weights(make_model(2, 5)) is labels
         assert distinct_weights.cache_info().hits == hits + 1
+        # every character builder checks its label against weight_label;
+        # a forged weight is still rejected (next test)
+        label = weight_label(model, 1, 2)
+        hits = weight_label.cache_info().hits
+        assert weight_label(model, 1, 2) is label
+        assert weight_label.cache_info().hits == hits + 1
 
     def test_text_is_kept(self):
         model = make_model(2, 5)

@@ -18,7 +18,7 @@ from qetakit import (Rational, character_chi_form, character_double_sum,
                      named_series, normalized_character,
                      pentagonal_sum_series, verify_identity, weber_series,
                      weight_label, wronskian_entry_precision)
-from qetakit.rationals import order_above
+from qetakit.rationals import order_above, rational
 
 ISING = make_model(3, 4)
 SIGMA = weight_label(ISING, 1, 2)  # h_bar = 1/16 - 1/48 = 1/24
@@ -69,6 +69,16 @@ def test_order_above_returns_a_rational():
         order_above("-1/2", 0)
     with pytest.raises(TypeError, match="floating point"):
         order_above(0.5, 0)
+
+
+def test_rational_returns_a_fraction_unchanged():
+    value = Rational(7, 2)
+    assert rational(value) is value
+    for given, expected in ((3, Rational(3)), ("-5/10", Rational(-1, 2))):
+        assert type(rational(given)) is Rational
+        assert rational(given) == expected
+    with pytest.raises(TypeError, match="floating point"):
+        rational(0.5)
 
 
 def test_order_above_is_the_one_order_admission_rule():

@@ -18,7 +18,7 @@ from qetakit import (QSeries, Rational, abel_log_derivative_check,
 from qetakit import series as series_module
 from qetakit.identities import IDENTITIES, verify_identity
 from qetakit.minimal_models import chi_support
-from qetakit.wronskian import _jacobi_recursion
+from qetakit.wronskian import _distinct_leading_exponents, _jacobi_recursion
 
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
                      wronskian_bareiss, wronskian_subset_minor,
@@ -185,6 +185,26 @@ class TestKernelAgainstOracles:
         vec = [weber_series(w, 6) for w in ("f", "f1", "f2")]
         det = assert_matches_oracles(vec)
         assert det.lowest_term() == (Rational(1, 2), Rational(7, 256))
+
+    def test_colliding_leads_reduce_to_distinct_leads(self, monkeypatch):
+        # f and f1 both lead at q^(-1/48); leading coefficients are read
+        # for that one collision only, one from each column
+        vec = [weber_series(w, 6) for w in ("f", "f1", "f2")]
+        assert vec[0]._low_exponent() == vec[1]._low_exponent()
+        reads = 0
+        original = QSeries.lowest_term
+
+        def counting(series):
+            nonlocal reads
+            reads += 1
+            return original(series)
+
+        monkeypatch.setattr(QSeries, "lowest_term", counting)
+        columns = _distinct_leading_exponents(vec)
+        monkeypatch.undo()
+        assert reads == 2
+        leads = [y._low_exponent() for y in columns]
+        assert leads == [Rational(-1, 48), Rational(23, 48), Rational(1, 24)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(series_vectors())
