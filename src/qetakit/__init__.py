@@ -43,7 +43,6 @@ from .wronskian import (
     abel_log_derivative_check,
     vandermonde,
     wronskian,
-    wronskian_entry_precision,
 )
 from .identities import (
     IDENTITIES,

@@ -25,6 +25,7 @@ exact.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, partial
 from math import isqrt
 
@@ -137,7 +138,7 @@ def eta_power(exponent, order):
     ((m + 1) j - n) f_(n-j)``, an exact integer division, with no series
     product.
     """
-    m = int(exponent)
+    m = operator.index(exponent)
     if m < 0:
         raise ValueError("eta power exponent must be >= 0")
     order = rational(order)

@@ -74,6 +74,7 @@ on purpose, so that each checks the others.
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Optional
@@ -85,7 +86,7 @@ from .minimal_models import _chi_signs, chi_numerator, distinct_weights, \
 from .rationals import Rational, largest_int_below, order_above, rat_str, \
     rational
 from .series import PrecisionError, QSeries
-from .wronskian import vandermonde, wronskian, wronskian_entry_precision
+from .wronskian import vandermonde, wronskian
 
 #: A lattice sum whose headroom (order minus leading exponent) is at least
 #: this is built as one Wronskian of chi-form numerators; below it the
@@ -220,7 +221,7 @@ def _pair_sign(k):
 def chi_d(k, n_vec):
     """Pairwise weight ``prod_{i<j} (d_i^2 - d_j^2)`` with
     ``d_i = 2i - 1 + n_i (4k + 2)``."""
-    k = int(k)
+    k = operator.index(k)
     if len(n_vec) != k:
         raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
     return _pair_sign(k) * vandermonde(
@@ -229,7 +230,7 @@ def chi_d(k, n_vec):
 
 def lattice_exponent(k, n_vec):
     """Exponent ``(2k^2-k)/24 + sum_i ((2k+1)n_i^2 + (2i-1)n_i)/2``."""
-    k = int(k)
+    k = operator.index(k)
     if len(n_vec) != k:
         raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
     rel = 0
@@ -242,7 +243,7 @@ def c_k_constant(k):
     """The closed-form normalisation ``1/(2^{k(k-1)} prod_{i<j}(i-j)(i+j-1))``,
     which is ``1/chi_d`` of the zero tuple: there ``d_i = 2i - 1``, and
     ``d_i^2 - d_j^2 = 4(i-j)(i+j-1)``."""
-    k = int(k)
+    k = operator.index(k)
     if k < 2:
         raise ValueError("k must be >= 2")
     return Rational(1, chi_d(k, (0,) * k))
@@ -257,7 +258,7 @@ def macdonald_terms(k, order):
     ``c = 2i - 1``, the classes +-c (even n, sign +1) and +-(c + 4k + 2)
     (odd n, sign -1), and ``n = (+-v - c)/(4k + 2)``.
     """
-    k = int(k)
+    k = operator.index(k)
     if k < 2:
         raise ValueError("k must be >= 2")
     order = rational(order)
@@ -362,18 +363,17 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
                               not bad, first_mismatch, len(steps))
 
 
-def characters_for_wronskian(model, order, *, normalized=False):
-    """Characters of the model, raw or normalized, at the one common
-    precision at which their Wronskian is exact below ``order``: the
-    columns of the ``wronskian_raw`` or ``wronskian_normalized`` entry."""
-    name = "wronskian_normalized" if normalized else "wronskian_raw"
-    return IDENTITIES[name].built_columns(order, s=model.s, t=model.t)
+def characters_for_wronskian(model, order):
+    """The raw characters of the model, the columns of the
+    ``wronskian_raw`` entry, each built to its own leading exponent plus
+    the headroom at which their Wronskian is exact below ``order``."""
+    return IDENTITIES["wronskian_raw"].built_columns(order, s=model.s,
+                                                     t=model.t)
 
 
-def wronskian_of_characters(model, order, *, normalized=False):
-    """Wronskian of the model's characters, exact below ``order``."""
-    return wronskian(characters_for_wronskian(model, order,
-                                              normalized=normalized))
+def wronskian_of_characters(model, order):
+    """Wronskian of the model's raw characters, exact below ``order``."""
+    return wronskian(characters_for_wronskian(model, order))
 
 
 class Identity(NamedTuple):
@@ -383,9 +383,11 @@ class Identity(NamedTuple):
     ``w = k w0 + k(k-1)`` (Mason, Int. J. Number Theory 3 (2007)), and the
     power is twice that weight, so the leading exponent is ``power / 24``.
     A column is a pair ``(leading exponent, builder)``, the builder taking a
-    precision.  ``k``, ``columns``, ``constant``, ``scale`` and ``tuples``
-    take the canonical params as keyword arguments, and so do the methods
-    after ``order``."""
+    precision; each column is built to its leading exponent plus the
+    headroom ``order`` minus the sum of the leading exponents, which is
+    what the Wronskian recursion reads of it.  ``k``, ``columns``,
+    ``constant``, ``scale`` and ``tuples`` take the canonical params as
+    keyword arguments, and so do the methods after ``order``."""
     params: tuple         # names of the int params it takes
     twice_w0: int         # 2 w0, twice the weight of each column
     k: Callable           # (**params) -> the number of columns
@@ -403,11 +405,15 @@ class Identity(NamedTuple):
         return k * self.twice_w0 + 2 * k * (k - 1)
 
     def built_columns(self, order, **params):
-        """Every column, built at the one common precision at which their
-        Wronskian is exact below ``order``."""
+        """Every column, built to its own leading exponent plus the headroom
+        ``order`` minus the sum of the leading exponents: what the Wronskian
+        recursion reads of it, so their Wronskian is exact below ``order``.
+        A column that leads above its declared exponent (Weber's ``f1 - f``
+        once reduced) only raises that bound."""
         leads, builders = zip(*self.columns(**params))
-        precision = wronskian_entry_precision(leads, order)
-        return [build(precision) for build in builders]
+        total = sum(leads, Rational(0))
+        headroom = order_above(order, total) - total
+        return [build(lead + headroom) for lead, build in zip(leads, builders)]
 
     def determinant(self, order, **params):
         """``scale`` times the Wronskian of the columns, exact below

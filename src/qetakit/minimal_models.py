@@ -16,6 +16,7 @@ label belongs to a model if and only if it is in range and equals
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -46,10 +47,10 @@ class WeightLabel(NamedTuple):
     h_bar: object
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_model(s, t):
     """Validate and canonicalise a model; raises for non-coprime input."""
-    s, t = int(s), int(t)
+    s, t = operator.index(s), operator.index(t)
     if s > t:
         s, t = t, s
     if s < 2 or s == t or gcd(s, t) != 1:
@@ -59,11 +60,11 @@ def make_model(s, t):
     return MinimalModel(s, t, (s - 1) * (t - 1) // 2, c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def weight_label(model, m, n):
     """Build the label (m, n) with its exact weights; cached, as every
     character builder checks its label against it."""
-    m, n = int(m), int(n)
+    m, n = operator.index(m), operator.index(n)
     s, t = model.s, model.t
     if not (1 <= m < s and 1 <= n < t):
         raise ValueError(f"label out of range: (m,n)=({m},{n}) for {model}")
@@ -194,7 +195,7 @@ def character_product_2k1(k, i, order):
     other character forms.  The labels i and 2k+1-i exclude the same
     residues and name the same character.
     """
-    k, i = int(k), int(i)
+    k, i = operator.index(k), operator.index(i)
     if k < 1 or not 1 <= i <= 2 * k:
         raise ValueError(f"need k >= 1 and 1 <= i <= 2k, got k={k}, i={i}")
     model = make_model(2, 2 * k + 1)
@@ -219,7 +220,7 @@ def normalized_character(model, label, order):
 
 def strange_sum_2k1(k):
     """Sum of h_bar over the k distinct weights of the (2, 2k+1) model."""
-    k = int(k)
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     return strange_sum_general(2, 2 * k + 1)
@@ -241,7 +242,7 @@ def strange_sum_general(s, t):
 
 def mu_count(k):
     """Number (and list) of coprime pairs 2 <= s < t with (s-1)(t-1) = 2k."""
-    k = int(k)
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     target = 2 * k
@@ -258,10 +259,8 @@ def mu_count(k):
 
 def coprime_models(max_st):
     """All models with s*t <= max_st, ordered by (s*t, s) for determinism."""
-    models = []
-    for t in range(3, int(max_st) // 2 + 1):
-        for s in range(2, t):
-            if s * t <= max_st and gcd(s, t) == 1:
-                models.append(make_model(s, t))
+    max_st = operator.index(max_st)
+    models = [make_model(s, t) for t in range(3, max_st // 2 + 1)
+              for s in range(2, min(t, max_st // t + 1)) if gcd(s, t) == 1]
     models.sort(key=lambda mdl: (mdl.s * mdl.t, mdl.s))
     return models

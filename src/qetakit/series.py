@@ -48,6 +48,7 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import numbers
+import operator
 import re
 import sys
 from array import array
@@ -296,13 +297,13 @@ class QSeries:
     __slots__ = ("grid_denominator", "offset", "precision", "_num", "_den")
 
     def __init__(self, grid_denominator, offset, coefficients, precision):
-        D = int(grid_denominator)
+        D = operator.index(grid_denominator)
         if D <= 0:
             raise ValueError("grid denominator must be >= 1")
-        a = int(offset)
+        a = operator.index(offset)
         P = rational(precision)
         num, den = _over_common_denominator(
-            {int(n): c if type(c) is int else rational(c)
+            {operator.index(n): c if type(c) is int else rational(c)
              for n, c in coefficients.items()})
         if num and not Rational(a + max(num), D) < P:
             raise PrecisionError("term beyond precision")
@@ -472,8 +473,7 @@ class QSeries:
                                         self._den, self.precision)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QSeries)
-                       else -rational(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -531,7 +531,7 @@ class QSeries:
         return NotImplemented
 
     def __pow__(self, n):
-        n = int(n)
+        n = operator.index(n)
         if n < 0:
             raise ValueError("negative power: invert() first")
         if n == 0:

@@ -11,6 +11,7 @@ actually used.
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 from .identities import IDENTITIES, identity_lowest_exponent, \
@@ -49,8 +50,9 @@ def model_grid_jobs(max_st, order):
 
 def adhoc_manifest(max_st, order):
     """Manifest for the model-grid families generated from CLI arguments."""
-    return {"version": f"adhoc-maxst{int(max_st)}-order{rat_str(rational(order))}",
-            "jobs": model_grid_jobs(int(max_st), order)}
+    max_st = operator.index(max_st)
+    return {"version": f"adhoc-maxst{max_st}-order{rat_str(rational(order))}",
+            "jobs": model_grid_jobs(max_st, order)}
 
 
 def default_manifest_text():

@@ -53,12 +53,13 @@ keep R, theta keeps both, and so does a division by a divisor that starts
 at its own leading exponent, because the quotient's term at key m is
 ``(x_m - sum_(i>=1) c_i q_(m-i)) / c_0``, which reads the dividend and the
 divisor at keys up to m only.  So the result is exact below ``sum_i l_i +
-min_i (P_i - l_i)``, a bound known before any work runs
-(:func:`wronskian_entry_precision` inverts it).  That is why the recursion
-needs no series and no precision arithmetic between its input and its
-output: every entry is a bare ``key -> int`` map on the lcm grid ``1/D`` of
-the columns, keyed from its own leading offset (an int, ``D`` times its
-declared leading exponent), and every map is cut at the same last key,
+min_i (P_i - l_i)``, a bound known before any work runs: column i built
+to ``l_i + R``, its own leading exponent plus the headroom, is all that
+the recursion reads of it.  That is why the recursion needs no series and
+no precision arithmetic between its input and its output: every entry is
+a bare ``key -> int`` map on the lcm grid ``1/D`` of the columns, keyed
+from its own leading offset (an int, ``D`` times its declared leading
+exponent), and every map is cut at the same last key,
 ``ceil(R D) - 1``; ``theta`` multiplies key i by ``offset + i`` and leaves
 the ``1/D`` to the scalar.  Step d moves every later entry up by the
 same ``l_d``, the pivot column's own leading exponent, so entry j sits at
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rationals import Rational, largest_int_below, order_above, rational
+from .rationals import Rational, largest_int_below
 from .series import QSeries, _products, _quotient_numerators
 
 
@@ -213,20 +214,6 @@ def wronskian(entries):
         return QSeries.zero(sum(lows, Rational(0)))
     scalar, part = _jacobi_recursion(columns, lows)
     return part * scalar
-
-
-def wronskian_entry_precision(lows, order):
-    """Common precision at which series with leading exponents at least
-    ``lows`` have a Wronskian exact below ``order``.
-
-    Inverts the bound ``sum(lows) + min_i (P - lows[i])`` of
-    :func:`wronskian`; raising any leading exponent never lowers that bound,
-    so lower bounds are safe.  ``order`` must exceed ``sum(lows)``, the
-    leading exponent of the Wronskian.
-    """
-    lows = [rational(x) for x in lows]
-    total = sum(lows, Rational(0))
-    return order_above(order, total) - total + max(lows)
 
 
 def abel_log_derivative_check(entries, expected_f1, order):

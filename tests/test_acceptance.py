@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from qetakit import (QSeries, Rational, abel_log_derivative_check,
-                     c_k_constant, character_chi_form, character_double_sum,
+from qetakit import (IDENTITIES, QSeries, Rational,
+                     abel_log_derivative_check, c_k_constant,
+                     character_chi_form, character_double_sum,
                      character_product_2k1, characters_for_wronskian,
                      coprime_models, distinct_weights, eisenstein_g2,
                      eta_power, eta_series, euler_product,
@@ -151,7 +152,8 @@ def test_criterion_7_abel_first_coefficient():
         g2 = eisenstein_g2(order)
         raw = characters_for_wronskian(model, order + 1)
         ok &= abel_log_derivative_check(raw, (k * (k - 1)) * g2, order)
-        norm = characters_for_wronskian(model, order + 1, normalized=True)
+        norm = IDENTITIES["wronskian_normalized"].built_columns(
+            order + 1, s=model.s, t=model.t)
         coeff = Rational(k * (k - 1)) + Rational(k, 2)
         ok &= abel_log_derivative_check(norm, coeff * g2, order)
     report_criterion(7, "first-coefficient reduction checks, k<=4, order 15",

@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+import qetakit.eta as eta_module
 import qetakit.identities as identities
 from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      coprime_models, distinct_weights, empirical_constant,
@@ -507,7 +508,8 @@ class TestOneTheorem:
         model = make_model(s, t)
         k = model.k
         _, order = self._orders(model)
-        normalized = wronskian_of_characters(model, order, normalized=True)
+        normalized = IDENTITIES["wronskian_normalized"].determinant(
+            order, s=s, t=t)
         lattice = IDENTITIES["denominator"].determinant(order, s=s, t=t)
         assert not lattice.is_zero
         assert (normalized * (4 * s * t) ** (k * (k - 1) // 2)).equal_up_to(
@@ -520,7 +522,8 @@ class TestOneTheorem:
         k = model.k
         raw_low, order = self._orders(model)
         raw = wronskian_of_characters(model, order - Rational(k, 24))
-        normalized = wronskian_of_characters(model, order, normalized=True)
+        normalized = IDENTITIES["wronskian_normalized"].determinant(
+            order, s=s, t=t)
         assert (eta_power(k, order - raw_low) * raw).equal_up_to(
             normalized, order)
 
@@ -812,6 +815,51 @@ class TestWeightRule:
         leads = [column.lowest_term()[0] for column in columns]
         assert leads == [Rational(-1, 48), Rational(23, 48), Rational(1, 24)]
         assert sum(leads) == Rational(1, 2) == Rational(entry.power(), 24)
+
+
+class TestBuiltColumns:
+    """Each column is built to its own leading exponent plus the headroom
+    ``order`` minus the sum of the leads, which is what the Wronskian
+    recursion reads of it."""
+
+    @staticmethod
+    def _cases():
+        cases = [(name, {}) for name, entry in IDENTITIES.items()
+                 if not entry.params]
+        cases += [(name, {"s": model.s, "t": model.t})
+                  for model in coprime_models(40)
+                  for name, entry in IDENTITIES.items()
+                  if entry.params == ("s", "t")]
+        return cases + [("macdonald", {"k": k}) for k in range(2, 6)]
+
+    @pytest.mark.parametrize("headroom", [Rational(1, 3), 5])
+    def test_each_column_reaches_its_lead_plus_the_headroom(self, headroom):
+        checks = 0
+        for name, params in self._cases():
+            entry = IDENTITIES[name]
+            leads = [lead for lead, _ in entry.columns(**params)]
+            order = Rational(entry.power(**params), 24) + headroom
+            columns = entry.built_columns(order, **params)
+            assert [column.precision for column in columns] == \
+                [lead + order - sum(leads) for lead in leads], (name, params)
+            # the recursion's bound sum(l) + min(P - l) is the order, and
+            # only Weber's reduced lead rises above its declared one
+            precision = entry.determinant(order, **params).precision
+            if name == "weber":
+                assert precision >= order
+            else:
+                assert precision == order, (name, params)
+            checks += 1
+        assert checks == 3 + 3 * 22 + 4
+
+    @pytest.mark.parametrize("s,t,headroom", [(4, 7, 4), (9, 10, 20)])
+    def test_raw_columns_build_the_partition_series_once(self, s, t,
+                                                         headroom):
+        entry = IDENTITIES["wronskian_raw"]
+        order = Rational(entry.power(s=s, t=t), 24) + headroom
+        eta_module._euler_inverse_cached.cache_clear()
+        entry.built_columns(order, s=s, t=t)
+        assert eta_module._euler_inverse_cached.cache_info().misses == 1
 
 
 class TestIdentityTable:

@@ -1,5 +1,7 @@
 """Minimal models: weights, the three character forms, sums, counting."""
 
+from math import gcd
+
 import pytest
 
 from qetakit import (QSeries, Rational, character_chi_form,
@@ -389,3 +391,12 @@ def test_coprime_models_grid():
         assert expected in pairs
     assert all(m.s * m.t <= 40 for m in models)
     assert len(models) == 22
+
+
+@pytest.mark.parametrize("max_st", [5, 6, 7, 60, 300])
+def test_coprime_models_is_the_brute_force_filter(max_st):
+    pairs = sorted(((s, t) for t in range(3, max_st + 1)
+                    for s in range(2, t)
+                    if s * t <= max_st and gcd(s, t) == 1),
+                   key=lambda pair: (pair[0] * pair[1], pair[0]))
+    assert [(m.s, m.t) for m in coprime_models(max_st)] == pairs

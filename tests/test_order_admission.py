@@ -2,7 +2,9 @@
 
 Every builder and verifier whose series starts at a known leading exponent
 rejects an order at or below it with the same message, and builds just
-above it; no other code in the package raises such a message.
+above it; no other code in the package raises such a message.  An integer
+argument is admitted by :func:`operator.index` alone, so a float is never
+truncated to one.
 """
 
 import ast
@@ -12,12 +14,13 @@ from pathlib import Path
 import pytest
 
 import qetakit
-from qetakit import (Rational, character_chi_form, character_double_sum,
-                     character_product_2k1, eisenstein_g2, general_terms,
-                     jacobi_cube_series, macdonald_rhs, make_model,
-                     named_series, normalized_character,
+from qetakit import (IDENTITIES, QSeries, Rational, character_chi_form,
+                     character_double_sum, character_product_2k1,
+                     eisenstein_g2, eta_power, general_terms,
+                     jacobi_cube_series, macdonald_rhs, macdonald_terms,
+                     make_model, named_series, normalized_character,
                      pentagonal_sum_series, verify_identity, weber_series,
-                     weight_label, wronskian_entry_precision)
+                     weight_label)
 from qetakit.rationals import order_above, rational
 
 ISING = make_model(3, 4)
@@ -46,9 +49,9 @@ ENTRY_POINTS = {
     "lattice rhs": (lambda order: macdonald_rhs(2, order), Rational(1, 4)),
     "verify_identity": (lambda order: verify_identity("weber", order=order),
                         Rational(1, 2)),
-    "wronskian_entry_precision": (
-        lambda order: wronskian_entry_precision(
-            [Rational(1, 8), Rational(1, 3)], order), Rational(11, 24)),
+    "built_columns": (
+        lambda order: IDENTITIES["wronskian_raw"].built_columns(
+            order, s=2, t=5), Rational(1, 6)),
 }
 
 
@@ -97,3 +100,48 @@ def test_order_above_is_the_one_order_admission_rule():
     lines, start = inspect.getsourcelines(order_above)
     assert [(name, start <= line < start + len(lines))
             for name, line in found] == [("rationals.py", True)]
+
+
+#: Calls that read an integer argument, each given a float.
+FLOAT_INTEGERS = {
+    "QSeries key": lambda: QSeries(1, 0, {0.5: 1}, 5),
+    "QSeries grid and offset": lambda: QSeries(2.9, 0.7, {1: 1}, 5),
+    "QSeries power": lambda: QSeries.monomial(1, 1, 5) ** 2.5,
+    "make_model": lambda: make_model(2.5, 5.9),
+    "make_model integral": lambda: make_model(2.0, 5.0),
+    "weight_label": lambda: weight_label(ISING, 1.9, 2.2),
+    "weight_label integral": lambda: weight_label(ISING, 1.0, 2.0),
+    "eta_power": lambda: eta_power(2.7, 5),
+    "macdonald_terms": lambda: macdonald_terms(2.9, 5),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_INTEGERS)
+def test_a_float_is_never_read_as_an_integer(name):
+    with pytest.raises(TypeError):
+        FLOAT_INTEGERS[name]()
+    # the same call with the cached builders warmed by the integers that a
+    # truncation would give: a cache keyed by value alone returns 2 for 2.0
+    make_model(2, 5)
+    weight_label(ISING, 1, 2)
+    with pytest.raises(TypeError):
+        FLOAT_INTEGERS[name]()
+
+
+def test_operator_index_is_the_one_integer_admission_rule():
+    # int() truncates a float; only a string parse and a report's param
+    # serialisation may call it
+    allowed = {("eta.py", "named_series"), ("series.py", "from_text"),
+               ("identities.py", "to_dict")}
+    stray = []
+    for path in sorted(Path(qetakit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and (path.name, function.name) in allowed
+                  for node in ast.walk(function)}
+        stray += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "int" and id(node) not in inside]
+    assert stray == []

@@ -73,6 +73,20 @@ class TestAdd:
         with pytest.raises(TypeError):
             x + "a"
 
+    def test_subtraction_adds_the_negation(self):
+        x = QSeries.from_terms([(0, 2), (Rational(1, 2), -3)], 7)
+        assert (x - 1).terms() == [(0, 1), (Rational(1, 2), -3)]
+        assert (x - Rational(1, 2)).terms() == [(0, Rational(3, 2)),
+                                               (Rational(1, 2), -3)]
+        assert (1 - x).terms() == [(0, -1), (Rational(1, 2), 3)]
+        assert (x - x).is_zero and (x - x).precision == 7
+        # a string or a float is no more a scalar to subtract than to add
+        for scalar in ("1/2", 0.5):
+            with pytest.raises(TypeError):
+                x + scalar
+            with pytest.raises(TypeError):
+                x - scalar
+
 
 class TestMul:
     def test_geometric_inverse(self):

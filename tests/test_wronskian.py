@@ -14,7 +14,7 @@ from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      chi_numerator, coprime_models, distinct_weights,
                      eisenstein_g2, eta_power, eta_series, make_model,
                      normalized_character, rational, vandermonde,
-                     weber_series, wronskian, wronskian_entry_precision)
+                     weber_series, wronskian)
 from qetakit import series as series_module
 from qetakit.identities import IDENTITIES, verify_identity
 from qetakit.minimal_models import chi_support
@@ -213,14 +213,10 @@ class TestKernelAgainstOracles:
 
     def test_entry_precision_reaches_order(self):
         for s, t in ((2, 5), (3, 4), (3, 5)):
-            model = make_model(s, t)
-            for normalized in (False, True):
-                vec = characters_for_wronskian(model, 6,
-                                               normalized=normalized)
+            for name in ("wronskian_raw", "wronskian_normalized"):
+                vec = IDENTITIES[name].built_columns(6, s=s, t=t)
                 assert wronskian(vec).precision >= 6
                 assert_matches_oracles(vec)
-        lows = [Rational(-1, 48), Rational(-1, 48), Rational(1, 24)]
-        assert wronskian_entry_precision(lows, 10) == 10 + Rational(1, 24)
         with pytest.raises(ValueError, match="leading exponent 1/6"):
             characters_for_wronskian(make_model(2, 5), Rational(1, 10))
 
@@ -322,12 +318,12 @@ def _model_vectors(model, headroom):
     st4 = 4 * model.s * model.t
     lows = [Rational(min(plus | minus) ** 2, st4)
             for plus, minus in (chi_support(model, lab) for lab in labels)]
-    precision = wronskian_entry_precision(lows, sum(lows) + headroom)
-    yield [chi_numerator(model, lab, precision) for lab in labels]
+    yield [chi_numerator(model, lab, low + headroom)
+           for lab, low in zip(labels, lows)]
     base = sum(lab.h_bar for lab in labels)
     yield characters_for_wronskian(model, base + headroom)
-    yield characters_for_wronskian(model, base + Rational(model.k, 24)
-                                   + headroom, normalized=True)
+    yield IDENTITIES["wronskian_normalized"].built_columns(
+        base + Rational(model.k, 24) + headroom, s=model.s, t=model.t)
 
 
 @st.composite
