@@ -6,27 +6,29 @@ general sum over residue-class supports weighted by a Vandermonde of squares
 (one identity per minimal model).  Each verified identity is one entry of
 :data:`IDENTITIES`, an :class:`Identity`: its params, the weight w0 shared
 by its k columns, the columns themselves as ``(leading exponent, builder)``
-pairs, an optional scale, its predicted constant and, for a lattice sum, the
-same rhs built by tuple enumeration.  Every rhs off the tuple path is
-``scale`` times the Wronskian W of the columns.  W is a modular form of
-weight ``w = k w0 + k(k-1)`` (Mason, "Vector-valued modular forms and
-linear differential operators", Int. J. Number Theory 3 (2007)), and every
-eta power on the lhs is twice that weight, so its leading exponent is
-``w / 12``.  The weights are 1/2 for Euler's pentagonal theta, 3/2 for
-Jacobi's cube sum, 0 for characters and Weber's functions and 1/2 for the
-normalized characters and chi-form numerators, which gives the powers 1, 3,
-12, ``2k(k-1)`` and ``2k^2 - k``.
+pairs, an optional scale and, for a lattice sum, the same rhs built by
+tuple enumeration.  Every rhs off the tuple path is ``scale`` times the
+Wronskian W of the columns.  W is a modular form of weight ``w = k w0 +
+k(k-1)`` (Mason, "Vector-valued modular forms and linear differential
+operators", Int. J. Number Theory 3 (2007)), and every eta power on the
+lhs is twice that weight, so its leading exponent is ``w / 12``.  The
+weights are 1/2 for Euler's pentagonal theta, 3/2 for Jacobi's cube sum, 0
+for characters and Weber's functions and 1/2 for the normalized characters
+and chi-form numerators, which gives the powers 1, 3, 12, ``2k(k-1)`` and
+``2k^2 - k``.
 
 Verification fixes the constant from the leading nonzero coefficients, then
 every remaining coefficient below the requested order must match exactly
 against that single constant, and the constant must equal the prediction.
-The predictions are 1 for Euler and Jacobi, 7/256 for Weber and
-``(-1)^(k(k-1)/2)`` for Macdonald.  A per-model Wronskian leads with the
-Vandermonde of its entries' leading exponents, and the characters, the
-normalized characters and the chi-form numerators each lead with
-coefficient 1, so ``wronskian_raw`` and ``wronskian_normalized`` predict
-the Vandermonde of the h_bar values and ``denominator``
-``(4st)^(k(k-1)/2)`` times it; eta powers lead with 1.  A check ends in a
+One rule predicts every constant (:meth:`Identity.predicted`): each
+column leads with coefficient 1 at an exponent of its own, so W leads
+with the Vandermonde of the column leads, eta powers lead with 1, and the
+constant is ``scale`` times that Vandermonde.  With one column, Euler and
+Jacobi predict 1.  Weber's f and f1 share their lead, so its columns are
+f, ``(f - f1)/2`` and f2 at scale -2, which predicts 7/256.  Macdonald
+predicts ``(-1)^(k(k-1)/2)``, ``wronskian_raw`` and
+``wronskian_normalized`` the Vandermonde of the h_bar values, and
+``denominator`` ``(4st)^(k(k-1)/2)`` times it.  A check ends in a
 :class:`VerificationReport`, a ``NamedTuple`` like :class:`Identity` and
 :class:`LatticeTerm`, so reports compare by value and pickle across the
 worker processes of a parallel suite.
@@ -75,7 +77,7 @@ on purpose, so that each checks the others.
 from __future__ import annotations
 
 import operator
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -379,20 +381,22 @@ def wronskian_of_characters(model, order):
 class Identity(NamedTuple):
     """An identity ``rhs = constant * eta^power`` whose rhs is ``scale``
     times the Wronskian W of k columns that share the modular weight
-    ``w0``; a lattice sum's rhs is also walked as ``tuples``.  W has weight
-    ``w = k w0 + k(k-1)`` (Mason, Int. J. Number Theory 3 (2007)), and the
-    power is twice that weight, so the leading exponent is ``power / 24``.
-    A column is a pair ``(leading exponent, builder)``, the builder taking a
-    precision; each column is built to its leading exponent plus the
-    headroom ``order`` minus the sum of the leading exponents, which is
-    what the Wronskian recursion reads of it.  ``k``, ``columns``,
-    ``constant``, ``scale`` and ``tuples`` take the canonical params as
-    keyword arguments, and so do the methods after ``order``."""
+    ``w0``; a lattice sum's rhs is also walked as ``tuples``.  A column is
+    a pair ``(leading exponent, builder)``, the builder taking a precision,
+    and it leads with coefficient 1 at its declared exponent, which no
+    other column of the entry shares.  So everything else comes from the
+    columns: k is their count, W has weight ``w = k w0 + k(k-1)`` (Mason,
+    Int. J. Number Theory 3 (2007)) and the power is twice that, the
+    leading exponent ``power / 24`` is the sum of the leads, and the
+    constant is ``scale`` times the Vandermonde of the leads, W's leading
+    coefficient.  Each column is built to its lead plus the headroom
+    ``order`` minus the sum of the leads, which is what the Wronskian
+    recursion reads of it.  ``columns``, ``scale`` and ``tuples`` take the
+    canonical params as keyword arguments, and so do the methods after
+    ``order``."""
     params: tuple         # names of the int params it takes
     twice_w0: int         # 2 w0, twice the weight of each column
-    k: Callable           # (**params) -> the number of columns
     columns: Callable     # (**params) -> [(leading exponent, builder)]
-    constant: Callable    # (**params) -> the one constant that matches
     scale: Optional[Callable] = None   # (**params) -> W's factor; None: 1
     # a lattice sum's rhs built by tuple enumeration at any headroom, which
     # audit_identity compares with determinant; None off the lattice sums
@@ -401,15 +405,26 @@ class Identity(NamedTuple):
     def power(self, **params):
         """The lhs eta power ``2w = k (2 w0) + 2k(k-1)``; no column is
         built."""
-        k = self.k(**params)
+        k = len(self.columns(**params))
         return k * self.twice_w0 + 2 * k * (k - 1)
+
+    def predicted(self, **params):
+        """The one constant that matches, ``scale`` times the Vandermonde of
+        the column leads; no column is built.  The leads are read as ints
+        over their common denominator D, whose power ``D^(k(k-1)/2)`` the
+        Vandermonde then divides out."""
+        leads = [lead for lead, _ in self.columns(**params)]
+        D = lcm(*(lead.denominator for lead in leads))
+        v = vandermonde([lead.numerator * (D // lead.denominator)
+                         for lead in leads])
+        scale = 1 if self.scale is None else self.scale(**params)
+        return Rational(scale * v, D ** (len(leads) * (len(leads) - 1) // 2))
 
     def built_columns(self, order, **params):
         """Every column, built to its own leading exponent plus the headroom
         ``order`` minus the sum of the leading exponents: what the Wronskian
-        recursion reads of it, so their Wronskian is exact below ``order``.
-        A column that leads above its declared exponent (Weber's ``f1 - f``
-        once reduced) only raises that bound."""
+        recursion reads of it, so their Wronskian is exact below
+        ``order``."""
         leads, builders = zip(*self.columns(**params))
         total = sum(leads, Rational(0))
         headroom = order_above(order, total) - total
@@ -433,70 +448,61 @@ class Identity(NamedTuple):
         return self.determinant(order, **params)
 
 
-def _weight_vandermonde(s, t):
-    """The Vandermonde of the h_bar values of the (s, t) model, in
-    ``distinct_weights`` order.  As ``h_bar = (ns - mt)^2 / (4st) - 1/24``,
-    that is the Vandermonde of the integer squares ``(ns - mt)^2`` over
-    :func:`_lattice_scale`."""
-    squares = [(label.n * s - label.m * t) ** 2
-               for label in distinct_weights(make_model(s, t))]
-    return Rational(vandermonde(squares), _lattice_scale(s, t))
-
-
-def _model_k(s, t):
-    """The number of distinct weights of the (s, t) model."""
-    return make_model(s, t).k
-
-
 def _lattice_scale(s, t):
     """``(4st)^(k(k-1)/2)``, the per-model lattice sum over the Wronskian
     of its chi-form numerators."""
-    k = _model_k(s, t)
+    k = make_model(s, t).k
     return (4 * s * t) ** (k * (k - 1) // 2)
 
 
+@lru_cache(maxsize=None)
 def _label_columns(s, t, build, shift):
     """One column per distinct weight of the (s, t) model, ``build(model,
-    label, precision)``, which leads at ``h_bar + shift``."""
+    label, precision)``, which leads at ``h_bar + shift``.  Cached, like
+    ``weight_label``, so that the power, the prediction and the built
+    columns of one verification read one tuple."""
     model = make_model(s, t)
-    return [(label.h_bar + shift, partial(build, model, label))
-            for label in distinct_weights(model)]
+    return tuple((label.h_bar + shift, partial(build, model, label))
+                 for label in distinct_weights(model))
 
 
-# Each entry is (params, 2 w0, k, columns, constant[, scale, tuples]).  Each
-# builder is looked up as a module global when its entry's columns are
-# called, so a function patched into this module (by a tracer or a test) is
-# used.
+#: Jacobi's cube sum leads at 1/8.
+_JACOBI_LEAD = Rational(1, 8)
+#: Weber's f and f1 both lead at -1/48, and (f - f1)/2 at 23/48.
+_WEBER_F_MINUS_F1_LEAD = WEBER_F_EXPONENT + Rational(1, 2)
+
+# Each entry is (params, 2 w0, columns[, scale, tuples]).  Each builder is
+# looked up as a module global when its entry's columns are called or
+# built, so a function patched into this module (by a tracer or a test) is
+# used.  Weber's W(f, f1, f2) is -2 W(f, (f - f1)/2, f2), whose leads are
+# distinct.
 IDENTITIES = {
     # eta is built as the pentagonal sum, so the rhs is the product
-    "euler": Identity((), 1, lambda: 1, lambda: [(ETA_EXPONENT, lambda p:
-                      euler_product(p - ETA_EXPONENT).shift(ETA_EXPONENT))],
-                      lambda: 1),
-    "jacobi": Identity((), 3, lambda: 1, lambda: [
-        (Rational(1, 8), jacobi_cube_series)], lambda: 1),
+    "euler": Identity((), 1, lambda: [(ETA_EXPONENT, lambda p: euler_product(
+        p - ETA_EXPONENT).shift(ETA_EXPONENT))]),
+    "jacobi": Identity((), 3, lambda: [(_JACOBI_LEAD, jacobi_cube_series)]),
     "macdonald": Identity(
-        ("k",), 1, lambda k: k, lambda k: _label_columns(
-            2, 2 * k + 1, chi_numerator, ETA_EXPONENT), _pair_sign,
+        ("k",), 1, lambda k: _label_columns(
+            2, 2 * k + 1, chi_numerator, ETA_EXPONENT),
         lambda k: _lattice_scale(2, 2 * k + 1) * _macdonald_prefactor(k),
         lambda order, k: _sum_terms(macdonald_terms(k, order), order)
         * _macdonald_prefactor(k)),
     "denominator": Identity(
-        ("s", "t"), 1, _model_k, lambda s, t: _label_columns(
-            s, t, chi_numerator, ETA_EXPONENT),
-        lambda s, t: _weight_vandermonde(s, t) * _lattice_scale(s, t),
-        _lattice_scale,
+        ("s", "t"), 1, lambda s, t: _label_columns(
+            s, t, chi_numerator, ETA_EXPONENT), _lattice_scale,
         lambda order, s, t: _sum_terms(general_terms(make_model(s, t), order),
                                        order)),
     "wronskian_raw": Identity(
-        ("s", "t"), 0, _model_k, lambda s, t: _label_columns(
-            s, t, character_double_sum, 0), _weight_vandermonde),
+        ("s", "t"), 0, lambda s, t: _label_columns(
+            s, t, character_double_sum, 0)),
     "wronskian_normalized": Identity(
-        ("s", "t"), 1, _model_k, lambda s, t: _label_columns(
-            s, t, normalized_character, ETA_EXPONENT), _weight_vandermonde),
-    "weber": Identity((), 0, lambda: 3, lambda: [
-        (lead, partial(weber_series, which)) for which, lead in (
-            ("f", WEBER_F_EXPONENT), ("f1", WEBER_F_EXPONENT),
-            ("f2", WEBER_F2_EXPONENT))], lambda: Rational(7, 256)),
+        ("s", "t"), 1, lambda s, t: _label_columns(
+            s, t, normalized_character, ETA_EXPONENT)),
+    "weber": Identity((), 0, lambda: [
+        (WEBER_F_EXPONENT, partial(weber_series, "f")),
+        (_WEBER_F_MINUS_F1_LEAD, lambda p: (
+            weber_series("f", p) - weber_series("f1", p)) * Rational(1, 2)),
+        (WEBER_F2_EXPONENT, partial(weber_series, "f2"))], lambda: -2),
 }
 
 IDENTITY_NAMES = tuple(IDENTITIES)
@@ -553,7 +559,7 @@ def _compare(name, params, order, power, rhs):
     entry = IDENTITIES[name]
     lhs = eta_power(power, order)
     report = empirical_constant(lhs, rhs, order, identity=name, params=params)
-    if report.constant != entry.constant(**params):
+    if report.constant != entry.predicted(**params):
         report = report._replace(match=False)
     return report
 

@@ -26,11 +26,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def double_scale(monkeypatch, name):
-    """Patch the entry ``name`` so that its Wronskian form is doubled."""
+def double_one_column(monkeypatch, name):
+    """Patch the entry ``name`` so that its first column, and so its
+    Wronskian form, is doubled; its tuples and its predicted constant are
+    left as they are."""
     entry = IDENTITIES[name]
-    monkeypatch.setitem(IDENTITIES, name, entry._replace(
-        scale=lambda **params: 2 * entry.scale(**params)))
+
+    def columns(**params):
+        (lead, build), *rest = entry.columns(**params)
+        return [(lead, lambda p: 2 * build(p)), *rest]
+
+    monkeypatch.setitem(IDENTITIES, name, entry._replace(columns=columns))
 
 
 def assert_usage_error(result, *fragments):
@@ -173,7 +179,7 @@ class TestVerifyCommand:
             code, out, _ = run_cli(capsys, "verify", *argv, "--order", "20",
                                    "--window-audit")
             assert code == 0 and "match=true" in out
-        double_scale(monkeypatch, "denominator")
+        double_one_column(monkeypatch, "denominator")
         code, _, err = run_cli(capsys, "verify", "denominator", "--s", "3",
                                "--t", "4", "--order", "20", "--window-audit")
         assert code == 2 and "window audit failed" in err
@@ -183,7 +189,7 @@ class TestVerifyCommand:
         # order 5 puts both sums below the crossover, where the verification
         # enumerates tuples; the audit still builds the Wronskian form
         for name in ("macdonald", "denominator"):
-            double_scale(monkeypatch, name)
+            double_one_column(monkeypatch, name)
         for argv in (("macdonald", "--k", "3"),
                      ("denominator", "--s", "3", "--t", "4")):
             code, out, _ = run_cli(capsys, "verify", *argv, "--order", "5")

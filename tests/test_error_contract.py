@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetakit.cli import main
-from qetakit.identities import IDENTITIES
+from qetakit.identities import IDENTITIES, Identity
 from qetakit.rationals import rat_str, rational
 
 GOOD_ORDERS = ["3", "7/2", "10", "35/4", "12"]
@@ -223,9 +223,9 @@ def test_a_sign_flipped_prediction_is_exit_1(monkeypatch, name, params):
     argv = ["verify", name, *params, "--order", "12"]
     code, out, err = run(argv)
     assert code == 0 and "match=true" in out and err == ""
-    entry = IDENTITIES[name]
-    monkeypatch.setitem(IDENTITIES, name, entry._replace(
-        constant=lambda **values: -entry.constant(**values)))
+    predicted = Identity.predicted
+    monkeypatch.setattr(Identity, "predicted",
+                        lambda self, **values: -predicted(self, **values))
     assert run(argv) == (1, out.replace("match=true", "match=false"), "")
 
 
@@ -337,7 +337,7 @@ def test_a_constant_of_more_than_4300_digits_is_printed(form, tmp_path):
         line = out.splitlines()[-1]
         assert "match=true" in line.split()
         printed = line.split("constant=")[1].split()[0]
-    expected = IDENTITIES["denominator"].constant(s=10, t=13)
+    expected = IDENTITIES["denominator"].predicted(s=10, t=13)
     assert len(printed) > 4300
     assert printed == full_decimal(expected)
 

@@ -15,7 +15,7 @@ from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
                      identity_lowest_exponent, lattice_exponent,
                      macdonald_rhs, macdonald_terms, make_model,
                      normalized_character, rational, vandermonde,
-                     verify_identity, wronskian_of_characters)
+                     verify_identity, weber_series, wronskian_of_characters)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
@@ -25,7 +25,7 @@ from oracles import (c_k_double_product, chi_indicator,
                      empirical_constant_terms,
                      general_terms_box, general_walk_windows,
                      macdonald_terms_box, macdonald_walk_windows,
-                     random_series, walk_leaf_weights)
+                     random_series, walk_leaf_weights, wronskian_bareiss)
 
 #: Small headrooms (order minus leading exponent) for the box oracles.
 BOX_HEADROOMS = (1, Rational(5, 2), 4)
@@ -739,12 +739,12 @@ class TestPredictedConstants:
         for model in coprime_models(max_st):
             params = {"s": model.s, "t": model.t}
             assert self._empirical(name, **params) == \
-                IDENTITIES[name].constant(**params), model
+                IDENTITIES[name].predicted(**params), model
 
     def test_macdonald(self):
         for k in range(2, 11):
             assert self._empirical("macdonald", k=k) == \
-                IDENTITIES["macdonald"].constant(k=k) == \
+                IDENTITIES["macdonald"].predicted(k=k) == \
                 (-1) ** (k * (k - 1) // 2), k
 
 
@@ -760,10 +760,32 @@ def _weight_rule_cases():
     return cases + [("macdonald", {"k": k}) for k in range(2, 41)]
 
 
+def _model_k(s, t):
+    """The number of distinct weights of the (s, t) model."""
+    return make_model(s, t).k
+
+
+def _lattice_scale(s, t):
+    """``(4st)^(k(k-1)/2)``."""
+    k = _model_k(s, t)
+    return (4 * s * t) ** (k * (k - 1) // 2)
+
+
+def _weight_vandermonde(s, t):
+    """The Vandermonde of the h_bar values of the (s, t) model, in
+    ``distinct_weights`` order: as ``h_bar = (ns - mt)^2 / (4st) - 1/24``,
+    the Vandermonde of the squares ``(ns - mt)^2`` over
+    :func:`_lattice_scale`."""
+    squares = [(label.n * s - label.m * t) ** 2
+               for label in distinct_weights(make_model(s, t))]
+    return Rational(vandermonde(squares), _lattice_scale(s, t))
+
+
 class TestWeightRule:
     """Every power is twice the weight ``k w0 + k(k-1)`` of the entry's
-    Wronskian, and the Wronskian's leads sum to ``power/24``; read from the
-    labels, with no series built (Weber's excepted)."""
+    Wronskian, the Wronskian's leads are distinct and sum to ``power/24``,
+    and every constant is ``scale`` times their Vandermonde; read from the
+    labels, with no series built."""
 
     #: The powers as the table wrote them before they were derived.
     OLD_POWERS = {
@@ -776,6 +798,21 @@ class TestWeightRule:
         "wronskian_normalized": lambda s, t: (2 * make_model(s, t).k - 1)
         * make_model(s, t).k}
 
+    #: The column counts as the table wrote them before they were derived.
+    OLD_K = {"euler": lambda: 1, "jacobi": lambda: 1, "weber": lambda: 3,
+             "macdonald": lambda k: k, "denominator": _model_k,
+             "wronskian_raw": _model_k, "wronskian_normalized": _model_k}
+
+    #: The constants as the table wrote them before they were derived.
+    OLD_CONSTANTS = {
+        "euler": lambda: 1, "jacobi": lambda: 1,
+        "weber": lambda: Rational(7, 256),
+        "macdonald": lambda k: (-1) ** (k * (k - 1) // 2),
+        "denominator": lambda s, t: _weight_vandermonde(s, t)
+        * _lattice_scale(s, t),
+        "wronskian_raw": lambda s, t: _weight_vandermonde(s, t),
+        "wronskian_normalized": lambda s, t: _weight_vandermonde(s, t)}
+
     def test_power_is_the_old_formula(self):
         cases = _weight_rule_cases()
         assert len(cases) == 3 + 3 * 340 + 39
@@ -786,35 +823,56 @@ class TestWeightRule:
     def test_column_leads_sum_to_the_leading_exponent(self):
         checks = 0
         for name, params in _weight_rule_cases():
-            if name == "weber":  # f and f1 share a lead; see below
-                continue
             entry = IDENTITIES[name]
             leads = [lead for lead, _ in entry.columns(**params)]
-            assert len(leads) == entry.k(**params), (name, params)
+            assert len(leads) == len(set(leads)) == \
+                self.OLD_K[name](**params), (name, params)
             assert sum(leads) == Rational(entry.power(**params), 24), \
                 (name, params)
             checks += 1
-        assert checks == 2 + 3 * 340 + 39
+        assert checks == 3 + 3 * 340 + 39
+
+    def test_predicted_is_the_old_constant(self):
+        cases = [(name, params) for name, params in _weight_rule_cases()
+                 if "s" not in params or params["s"] * params["t"] <= 160]
+        assert len(cases) == 3 + 3 * 151 + 39
+        for name, params in cases:
+            assert IDENTITIES[name].predicted(**params) == \
+                self.OLD_CONSTANTS[name](**params), (name, params)
 
     def test_a_proper_subset_of_labels_breaks_the_sum(self):
         # Ising without h = 1/16: two characters, whose Wronskian would
         # need leads summing to 2k(k-1)/24 = 1/6
         entry = IDENTITIES["wronskian_raw"]
         labels = distinct_weights(make_model(3, 4))
-        leads = [lead for (lead, _), label in zip(entry.columns(s=3, t=4),
-                                                  labels)
-                 if label.h != Rational(1, 16)]
-        assert len(leads) == 2
-        assert sum(leads) == Rational(11, 24)
-        pair = entry._replace(k=lambda s, t: 2)
+        columns = [column for column, label in zip(entry.columns(s=3, t=4),
+                                                   labels)
+                   if label.h != Rational(1, 16)]
+        assert len(columns) == 2
+        assert sum(lead for lead, _ in columns) == Rational(11, 24)
+        pair = entry._replace(columns=lambda s, t: columns)
         assert Rational(pair.power(s=3, t=4), 24) == Rational(1, 6)
 
     def test_weber_leads_after_reduction(self):
+        # (f - f1)/2 is f1 reduced against f, so the reduction leaves
+        # Weber's columns as they are built
         entry = IDENTITIES["weber"]
-        columns = _distinct_leading_exponents(entry.built_columns(2))
+        built = entry.built_columns(2)
+        columns = _distinct_leading_exponents(built)
+        assert columns == built
         leads = [column.lowest_term()[0] for column in columns]
         assert leads == [Rational(-1, 48), Rational(23, 48), Rational(1, 24)]
         assert sum(leads) == Rational(1, 2) == Rational(entry.power(), 24)
+
+    @pytest.mark.parametrize("order", [4, 20, 60])
+    def test_weber_scale_is_the_column_step(self, order):
+        # W is multilinear: W(f, f1, f2) = -2 W(f, (f - f1)/2, f2)
+        f, f1, f2 = (weber_series(which, order)
+                     for which in ("f", "f1", "f2"))
+        reduced = wronskian_bareiss([f, (f - f1) * Rational(1, 2), f2])
+        w = wronskian_bareiss([f, f1, f2])
+        assert -2 * reduced == w
+        assert (-2 * reduced).precision == w.precision
 
 
 class TestBuiltColumns:
@@ -842,13 +900,23 @@ class TestBuiltColumns:
             columns = entry.built_columns(order, **params)
             assert [column.precision for column in columns] == \
                 [lead + order - sum(leads) for lead in leads], (name, params)
-            # the recursion's bound sum(l) + min(P - l) is the order, and
-            # only Weber's reduced lead rises above its declared one
+            # the recursion's bound sum(l) + min(P - l) is the order
             precision = entry.determinant(order, **params).precision
-            if name == "weber":
-                assert precision >= order
-            else:
-                assert precision == order, (name, params)
+            assert precision == order, (name, params)
+            checks += 1
+        assert checks == 3 + 3 * 22 + 4
+
+    def test_each_column_leads_at_its_declared_lead_with_1(self):
+        # the hypothesis of the constant rule: W then leads with the
+        # Vandermonde of the declared leads
+        checks = 0
+        for name, params in self._cases():
+            entry = IDENTITIES[name]
+            leads = [lead for lead, _ in entry.columns(**params)]
+            order = Rational(entry.power(**params), 24) + 1
+            columns = entry.built_columns(order, **params)
+            assert [column.lowest_term() for column in columns] == \
+                [(lead, 1) for lead in leads], (name, params)
             checks += 1
         assert checks == 3 + 3 * 22 + 4
 
@@ -875,6 +943,8 @@ class TestIdentityTable:
 
     def test_names_and_shapes(self):
         assert identities.IDENTITY_NAMES == tuple(IDENTITIES)
+        assert identities.Identity._fields == ("params", "twice_w0",
+                                               "columns", "scale", "tuples")
         assert {name: entry.params for name, entry in IDENTITIES.items()} \
             == {"euler": (), "jacobi": (), "weber": (), "macdonald": ("k",),
                 "denominator": ("s", "t"), "wronskian_raw": ("s", "t"),
@@ -883,7 +953,7 @@ class TestIdentityTable:
                 if entry.tuples is not None} == {"macdonald", "denominator"}
         assert all(callable(entry.determinant)
                    for entry in IDENTITIES.values())
-        assert {name: entry.constant() for name, entry in IDENTITIES.items()
+        assert {name: entry.predicted() for name, entry in IDENTITIES.items()
                 if not entry.params} == {
                     "euler": 1, "jacobi": 1, "weber": Rational(7, 256)}
 

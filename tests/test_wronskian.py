@@ -292,7 +292,8 @@ class TestKernelAgainstOracles:
         monkeypatch.undo()
         assert any(d > 1 for d in denominators)
         assert report.match
-        assert report.constant == IDENTITIES["denominator"].constant(s=5, t=8)
+        assert report.constant == \
+            IDENTITIES["denominator"].predicted(s=5, t=8)
         expected = json.loads(
             (Path(__file__).resolve().parent.parent / "bench"
              / "expected_lines.json").read_text(encoding="utf-8"))
@@ -440,7 +441,7 @@ class TestContentSplit:
             entry = IDENTITIES[identity]
             scalar, part = _jacobi_recursion(
                 vec, [y.lowest_term()[0] for y in vec])
-            assert scalar == entry.constant(**params)
+            assert scalar == entry.predicted(**params)
             eta = eta_power(entry.power(**params), part.precision)
             assert part.equal_up_to(eta, part.precision)
             assert len(part.coefficients) > 1 or model.k == 1
