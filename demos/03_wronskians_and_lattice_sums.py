@@ -9,9 +9,8 @@ the leading coefficients and then check all remaining coefficients exactly.
 
 from qetakit import (Rational, eisenstein_g2, abel_log_derivative_check,
                      c_k_constant, characters_for_wronskian, eta_power,
-                     general_rhs, lattice_exponent, macdonald_rhs,
-                     macdonald_terms, make_model, chi_d, verify_identity,
-                     wronskian_of_characters)
+                     general_rhs, macdonald_rhs, macdonald_terms, make_model,
+                     verify_identity, wronskian_of_characters)
 
 # ---------------------------------------------------------------------------
 # Wronskians of the (2,5) characters: raw and eta-normalized.
@@ -35,10 +34,12 @@ print("theta(W) + 2*G2*W = 0:",
 # The k-fold signed lattice sum that the normalized Wronskian expands into.
 # ---------------------------------------------------------------------------
 print("\nlowest lattice terms for k = 2:")
-for term in sorted(macdonald_terms(2, 4), key=lambda t: t.exponent)[:6]:
+terms = macdonald_terms(2, 4)
+for term in sorted(terms, key=lambda t: t.exponent)[:6]:
     print(f"   n={term.n_vec}  exponent={term.exponent}  weight={term.weight}")
-print("weight at the origin:", chi_d(2, (0, 0)))
-print("exponent at the origin:", lattice_exponent(2, (0, 0)))
+origin = next(term for term in terms if term.n_vec == (0, 0))
+print("weight at the origin:", origin.weight)
+print("exponent at the origin:", origin.exponent)
 
 rhs = macdonald_rhs(2, 8)
 print("\nassembled sum:", rhs)

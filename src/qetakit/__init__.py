@@ -51,13 +51,11 @@ from .identities import (
     VerificationReport,
     c_k_constant,
     characters_for_wronskian,
-    chi_d,
     empirical_constant,
     general_rhs,
     general_terms,
     identity_lowest_exponent,
     identity_params,
-    lattice_exponent,
     macdonald_rhs,
     macdonald_terms,
     verify_identity,

@@ -42,13 +42,13 @@ _CHI_12 = {1: 1, 11: 1, 5: -1, 7: -1}
 _CUBE_SIGNS = {1: 1, 3: -1}
 
 def theta_window(modulus, signs, cap):
-    """The picks ``(v^2, v, sign, v^2)`` of every v >= 1 whose residue mod
+    """The picks ``(v^2, v, sign)`` of every v >= 1 whose residue mod
     ``modulus`` has a sign in the residue -> +-1 map ``signs`` and whose
-    square is at most the integer ``cap``, in ascending order: one
-    coordinate's window of a lattice tuple walk, and the terms of
-    :func:`unary_theta`."""
+    square is at most the integer ``cap``, in ascending order: the terms of
+    :func:`unary_theta`, and one coordinate's window of a lattice tuple
+    walk, whose cost is the square."""
     top = isqrt(max(cap, 0))
-    return sorted((v * v, v, sign, v * v) for r, sign in signs.items()
+    return sorted((v * v, v, sign) for r, sign in signs.items()
                   for v in range(r or modulus, top + 1, modulus))
 
 
@@ -59,7 +59,7 @@ def unary_theta(modulus, signs, scale, precision, *, weighted=False):
     P = rational(precision)
     window = theta_window(modulus, signs, largest_int_below(P * scale))
     num = {square: sign * v if weighted else sign
-           for square, v, sign, _ in window}
+           for square, v, sign in window}
     return QSeries._from_numerators(scale, 0, num, 1, P)
 
 
@@ -152,7 +152,7 @@ def eta_power(exponent, order):
     # (j, g_j, (m + 1) j g_j) for the nonzero g_j with 1 <= j < count: the
     # sign of v at j = (v^2 - 1)/24
     pentagonal = []
-    for square, _, sign, _ in theta_window(12, _CHI_12, 24 * count - 23)[1:]:
+    for square, _, sign in theta_window(12, _CHI_12, 24 * count - 23)[1:]:
         j = (square - 1) // 24
         pentagonal.append((j, sign, (m + 1) * j * sign))
     f = [1] * count

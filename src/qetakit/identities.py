@@ -33,16 +33,17 @@ predicts ``(-1)^(k(k-1)/2)``, ``wronskian_raw`` and
 :class:`LatticeTerm`, so reports compare by value and pickle across the
 worker processes of a parallel suite.
 
-Both families are one tuple walk (``_walk``) over per-coordinate windows,
-each a :func:`~qetakit.eta.theta_window`: the integers v >= 1 in signed
-residue classes, as picks ``(cost, coordinate, sign, square)`` with cost
-and square ``v^2`` (Macdonald's coordinate is its lattice index n).  The
-walk compares integer partial sums of squares with one integer cap,
-pruned by the least cost of the coordinates still to pick, and builds a
-tuple's weight, its signs times the Vandermonde of its squares, as an int
-while it descends, so a repeated square ends a whole subtree.  Lattice
-weights are ints; only an emitted term's exponent is a rational.
-``general_terms`` and ``macdonald_terms`` only build windows.
+Both families are one tuple walk (``_walk``) over a model's windows
+(``_model_windows``), one per label, each a
+:func:`~qetakit.eta.theta_window`: the integers v >= 1 in the label's
+signed residue classes mod 2st, as picks ``(v^2, v, sign)``.  The walk
+compares integer partial sums of squares with one integer cap, pruned by
+the least square of the coordinates still to pick, and builds a tuple's
+weight, its signs times the Vandermonde of its squares, as an int while it
+descends, so a repeated square ends a whole subtree.  Lattice weights are
+ints; only an emitted term's exponent, its sum of squares over 4st, is a
+rational.  Macdonald's sum walks the (2, 2k+1) model's windows in reverse
+label order, each pick keyed by its lattice index n instead of v.
 
 Each sum is built on one of two paths, chosen by one rule
 (:meth:`Identity.rhs`) from its headroom, the order minus the sum's leading
@@ -93,23 +94,11 @@ from .wronskian import vandermonde, wronskian
 #: A lattice sum whose headroom (order minus leading exponent) is at least
 #: this is built as one Wronskian of chi-form numerators; below it the
 #: tuples are enumerated, which is faster while few of them contribute.
-#: Swept over one model per k = 2..14 (the largest s) and the s = 2 models
-#: up to k = 9 at headrooms 4-24 in steps of 2 (Python 3.11, 2-vCPU Intel
-#: Xeon, each path best of 3 with cold caches, median of 5 sweeps), the
-#: constants 10/12/14/16/18/20 summed to 0.56/0.55/0.53/0.54/0.57/0.63 s
-#: with the recursion on integer maps, against 0.81/0.77/0.73/0.71/0.71/
-#: 0.75 s for the recursion on one series per entry on the same host.  14
-#: wins by 0.035 s, less than the 0.07 s spread of the sweeps at 18, so 18
-#: stays.  The (2,17), (2,19) and (2,23) sums still take 1.3-2.5x longer
-#: by the Wronskian than by their tuples at headroom 18.  The sweep
-#: predates the exact long division in the recursion, which made the
-#: Wronskian path about a quarter faster on rank 9-14 sums at order 35-38,
-#: and the int weights of the tuple walk, which made the tuples about 2.4-3x
-#: faster: (5,7) at order 60 went from 2.3 to 0.78 s (best of 3, same
-#: host).  18 still stays: above 19.25, the denominator sum of (5,8) at
-#: order 35, a job of the lattice-sums benchmark workload, would switch to
-#: tuples, which take about twice its Wronskian (18 ms against 9.4 ms).  A
-#: new sweep waits for a benchmark workload of large-k sums.
+#: It stays at 18 for the denominator sum of (5,8) at order 35, a job of
+#: the lattice-sums benchmark workload: above 19.25 that sum would switch
+#: to tuples, which take about twice its Wronskian (18 ms against 9.4 ms,
+#: Python 3.11, 2-vCPU Intel Xeon).  A new sweep waits for a benchmark
+#: workload of large-k sums.
 LATTICE_DETERMINANT_HEADROOM = 18
 
 
@@ -155,21 +144,29 @@ class VerificationReport(NamedTuple):
 # the tuple walk
 # ----------------------------------------------------------------------
 
-def _walk(windows, cap, exponent, sign):
-    """Every tuple that takes one pick ``(cost, coordinate, sign, square)``
-    from each window (sorted by cost) and whose costs sum to at most the
+def _model_windows(model, cap):
+    """One :func:`~qetakit.eta.theta_window` per distinct weight of
+    ``model``: the v >= 1 in its label's signed residue classes mod 2st
+    whose square is at most ``cap``."""
+    return [theta_window(2 * model.s * model.t, _chi_signs(model, label), cap)
+            for label in distinct_weights(model)]
+
+
+def _walk(windows, cap, scale, sign):
+    """Every tuple that takes one pick ``(square, coordinate, sign)`` from
+    each window (sorted by square) and whose squares sum to at most the
     integer ``cap``, lexicographic in the windows' order.  A tuple of
     nonzero weight ``sign * prod(pick signs) * vandermonde(squares)``, an
-    int, is a term at ``exponent(cost sum)``.  The weight is built while
-    the walk descends: a pick multiplies it by its sign and by its square
-    minus each earlier square, and a zero product ends the whole subtree.
-    A pick is taken while the least cost of any tuple containing it stays
-    within the cap, and its window is left at the first pick past it, so
-    no contributing tuple is missed."""
+    int, is a term at the exponent ``sum(squares) / scale``.  The weight is
+    built while the walk descends: a pick multiplies it by its sign and by
+    its square minus each earlier square, and a zero product ends the whole
+    subtree.  A pick is taken while the least sum of any tuple containing
+    it stays within the cap, and its window is left at the first pick past
+    it, so no contributing tuple is missed."""
     if not all(windows):
         return []
     k = len(windows)
-    floor = [0] * (k + 1)  # least cost of the coordinates from i on
+    floor = [0] * (k + 1)  # least sum of squares of the coordinates from i on
     for i in range(k - 1, -1, -1):
         floor[i] = floor[i + 1] + windows[i][0][0]
     terms = []
@@ -178,12 +175,13 @@ def _walk(windows, cap, exponent, sign):
 
     def descend(i, cost, weight):
         if i == k:
-            terms.append(LatticeTerm(tuple(n_vec), exponent(cost), weight))
+            terms.append(LatticeTerm(tuple(n_vec), Rational(cost, scale),
+                                     weight))
             return
         room = cap - floor[i + 1]
         earlier = squares[:i]
-        for c, n, s, square in windows[i]:
-            if cost + c > room:
+        for square, n, s in windows[i]:
+            if cost + square > room:
                 break
             w = weight * s
             for x in earlier:
@@ -191,7 +189,7 @@ def _walk(windows, cap, exponent, sign):
             if w:
                 n_vec[i] = n
                 squares[i] = square
-                descend(i + 1, cost + c, w)
+                descend(i + 1, cost + square, w)
 
     descend(0, 0, sign)
     return terms
@@ -220,62 +218,40 @@ def _pair_sign(k):
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
-def chi_d(k, n_vec):
-    """Pairwise weight ``prod_{i<j} (d_i^2 - d_j^2)`` with
-    ``d_i = 2i - 1 + n_i (4k + 2)``."""
-    k = operator.index(k)
-    if len(n_vec) != k:
-        raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
-    return _pair_sign(k) * vandermonde(
-        [(2 * i + 1 + n * (4 * k + 2)) ** 2 for i, n in enumerate(n_vec)])
-
-
-def lattice_exponent(k, n_vec):
-    """Exponent ``(2k^2-k)/24 + sum_i ((2k+1)n_i^2 + (2i-1)n_i)/2``."""
-    k = operator.index(k)
-    if len(n_vec) != k:
-        raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
-    rel = 0
-    for i, n in enumerate(n_vec, start=1):
-        rel += (2 * k + 1) * n * n + (2 * i - 1) * n
-    return Rational(2 * k * k - k, 24) + Rational(rel, 2)
-
-
 def c_k_constant(k):
     """The closed-form normalisation ``1/(2^{k(k-1)} prod_{i<j}(i-j)(i+j-1))``,
-    which is ``1/chi_d`` of the zero tuple: there ``d_i = 2i - 1``, and
-    ``d_i^2 - d_j^2 = 4(i-j)(i+j-1)``."""
+    which is ``1/prod_{i<j}(d_i^2 - d_j^2)`` at ``d_i = 2i - 1``, where
+    ``d_i^2 - d_j^2 = 4(i-j)(i+j-1)``: the Vandermonde of the squares in
+    reverse order."""
     k = operator.index(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    return Rational(1, chi_d(k, (0,) * k))
+    return Rational(1, vandermonde([(2 * i - 1) ** 2
+                                    for i in range(k, 0, -1)]))
 
 
 def macdonald_terms(k, order):
     """Every lattice term with exponent below ``order``, without the
     closed-form prefactor; deterministic lexicographic enumeration.
 
-    The exponent is ``sum_i d_i^2 / (16k+8)``, so coordinate i is a
-    :func:`~qetakit.eta.theta_window` mod 8k+4 of ``v = |d_i|``: with
-    ``c = 2i - 1``, the classes +-c (even n, sign +1) and +-(c + 4k + 2)
-    (odd n, sign -1), and ``n = (+-v - c)/(4k + 2)``.
+    The exponent is ``sum_i d_i^2 / (16k+8)`` with ``d_i = 2i - 1 + n_i
+    (4k + 2)``, and ``v = |d_i|`` runs over the support of label ``(1, k +
+    1 - i)`` of the (2, 2k+1) model, with the sign ``(-1)^n_i``: coordinate
+    i walks that model's window of the label, so the windows come in
+    reverse label order, and a pick is keyed by ``n_i = (+-v - c)/(4k +
+    2)`` with ``c = 2i - 1``.
     """
     k = operator.index(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    order = rational(order)
     step = 4 * k + 2
-    scale = 4 * step
     # a tuple's sum of squares is an integer, at most this cap
-    cap = largest_int_below(order * scale)
-    windows = []
-    for c in range(1, 2 * k, 2):
-        signs = {c: 1, 2 * step - c: 1, c + step: -1, step - c: -1}
-        windows.append([(cost, ((v if v % step == c else -v) - c) // step,
-                         sign, square) for cost, v, sign, square
-                        in theta_window(2 * step, signs, cap)])
-    return _walk(windows, cap, lambda cost: Rational(cost, scale),
-                 _pair_sign(k))
+    cap = largest_int_below(rational(order) * 4 * step)
+    windows = [[(square, ((v if v % step == c else -v) - c) // step, sign)
+                for square, v, sign in window]
+               for c, window in zip(range(1, 2 * k, 2), reversed(
+                   _model_windows(make_model(2, 2 * k + 1), cap)))]
+    return _walk(windows, cap, 4 * step, _pair_sign(k))
 
 
 def _macdonald_prefactor(k):
@@ -287,12 +263,12 @@ def macdonald_rhs(k, order):
     """The full signed lattice sum for the s = 2 family, including the
     closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``.
 
-    The prefactor-free sum equals the per-model sum of the (2, 2k+1) model
-    term for term (``|d_i|`` runs over the support of label
-    ``(1, k + 1 - i)``, so the columns come in reverse order, and the two
-    ``(-1)^(k(k-1)/2)`` signs cancel), so at a headroom of
-    ``LATTICE_DETERMINANT_HEADROOM`` or more it is that model's Wronskian
-    form; below it, the tuples of :func:`macdonald_terms` are summed.
+    The prefactor-free sum is the per-model sum of the (2, 2k+1) model
+    term for term: :func:`macdonald_terms` walks that model's windows in
+    reverse label order, and the two ``(-1)^(k(k-1)/2)`` signs cancel.  So
+    at a headroom of ``LATTICE_DETERMINANT_HEADROOM`` or more it is that
+    model's Wronskian form; below it, the tuples of
+    :func:`macdonald_terms` are summed.
     """
     return IDENTITIES["macdonald"].rhs(order, k=k)
 
@@ -309,9 +285,7 @@ def general_terms(model, order):
     st4 = 4 * model.s * model.t
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
-    windows = [theta_window(2 * model.s * model.t, _chi_signs(model, lab), cap)
-               for lab in distinct_weights(model)]
-    return _walk(windows, cap, lambda cost: Rational(cost, st4), 1)
+    return _walk(_model_windows(model, cap), cap, st4, 1)
 
 
 def general_rhs(model, order):

@@ -64,17 +64,20 @@ def default_manifest_text():
 
 
 def load_manifest(path=None):
-    """Load and validate a manifest from ``path`` (or the shipped default)."""
+    """Load and validate a manifest from ``path`` (or the shipped default):
+    ValueError unless its version is a non-empty string and its jobs a
+    non-empty list of valid jobs."""
     if path is None:
         text = default_manifest_text()
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     doc = json.loads(text)
-    if (not isinstance(doc, dict) or "version" not in doc
-            or not isinstance(doc.get("jobs"), list)):
-        raise ValueError("manifest must be an object with 'version' and a "
-                         "'jobs' list")
+    if (not isinstance(doc, dict) or not isinstance(doc.get("version"), str)
+            or not doc["version"] or not isinstance(doc.get("jobs"), list)
+            or not doc["jobs"]):
+        raise ValueError("manifest must be an object with a non-empty "
+                         "string 'version' and a non-empty 'jobs' list")
     for job in doc["jobs"]:
         validate_job(job)
     return doc
@@ -109,9 +112,11 @@ def run_suite(manifest, jobs=1):
 
     Verifications are independent pure computations; with ``jobs > 1`` they
     run in at most ``jobs`` worker processes, one per job at most, with the
-    output order still following the manifest.  ``jobs`` below 1 is a
+    output order still following the manifest.  ``jobs`` is admitted by
+    ``operator.index``, so a float is a TypeError, and below 1 it is a
     ValueError.
     """
+    jobs = operator.index(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     entries = manifest["jobs"]

@@ -17,9 +17,10 @@ checks), and the lattice-sum terms come from a box
 enumeration that writes the paper's summands out in full.  The walk
 windows are each coordinate's picks built as the sums are written, by n
 for the A_2k^(2) sum and by scanning every integer for the per-model sum,
-to be fed to the package's tuple walk in place of its residue-class
-windows, or to a plain walk that weighs each tuple at its leaf.  Two series are compared below a bound term by term on their
-common grid, and the A_2k^(2) constant ``c_k`` is its double product.
+fed to a plain walk that weighs each tuple at its leaf.  Two series are
+compared below a bound term by term on their common grid, and the
+A_2k^(2) constant ``c_k``, the weight of a lattice tuple and its exponent
+are their products and sums written out.
 """
 
 from fractions import Fraction
@@ -504,6 +505,30 @@ def general_terms_box(model, order):
                       (-1) ** (k * (k - 1) // 2))
 
 
+def chi_d(k, n_vec):
+    """The A_2k^(2) pairwise weight ``prod_{i<j} (d_i^2 - d_j^2)`` with
+    ``d_i = 2i - 1 + n_i (4k + 2)``; ValueError unless ``n_vec`` has k
+    entries."""
+    if len(n_vec) != k:
+        raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
+    d = [2 * i - 1 + n * (4 * k + 2) for i, n in enumerate(n_vec, start=1)]
+    weight = 1
+    for i in range(k):
+        for j in range(i + 1, k):
+            weight *= d[i] ** 2 - d[j] ** 2
+    return weight
+
+
+def lattice_exponent(k, n_vec):
+    """The A_2k^(2) exponent ``(2k^2-k)/24 + sum_i ((2k+1)n_i^2 +
+    (2i-1)n_i)/2``; ValueError unless ``n_vec`` has k entries."""
+    if len(n_vec) != k:
+        raise ValueError(f"expected a {k}-tuple, got {len(n_vec)} entries")
+    return Fraction(2 * k * k - k, 24) + Fraction(sum(
+        (2 * k + 1) * n * n + (2 * i - 1) * n
+        for i, n in enumerate(n_vec, start=1)), 2)
+
+
 def macdonald_terms_box(k, order):
     """The A_2k^(2) Macdonald sum's terms below ``order``, without its
     prefactor, by brute force over every ``|n_i| <= sqrt(cap)``, where
@@ -525,8 +550,9 @@ def macdonald_terms_box(k, order):
 
 
 def walk_leaf_weights(windows, cap, exponent, sign):
-    """The terms of the package's tuple walk (``qetakit.identities._walk``)
-    with every weight computed at its leaf, as a ``Fraction``: each pick
+    """The terms of a tuple walk like the package's
+    (``qetakit.identities._walk``), with every weight computed at its leaf,
+    as a ``Fraction``, and a cost of its own beside each square: each pick
     ``(cost, coordinate, sign, square)`` is taken while the running cost
     stays within ``cap``, and a full tuple of nonzero weight ``sign *
     prod(signs) * prod_{j<i}(square_i - square_j)`` is the term
@@ -555,7 +581,7 @@ def walk_leaf_weights(windows, cap, exponent, sign):
 
 def general_walk_windows(model, order):
     """``(windows, cap, exponent, sign)`` of the per-model sum's tuple walk
-    (``qetakit.identities._walk``), scanned one integer at a time: window
+    (:func:`walk_leaf_weights`), scanned one integer at a time: window
     j has every integer ``v >= 0`` with ``v^2 <= cap``, the largest integer
     below ``4st * order``, where the j-th label's indicator is nonzero, as
     picks ``(v^2, v, indicator, v^2)`` in ascending order."""
@@ -578,7 +604,7 @@ def general_walk_windows(model, order):
 
 def macdonald_walk_windows(k, order):
     """``(windows, cap, exponent, sign)`` of the A_2k^(2) sum's tuple walk
-    (``qetakit.identities._walk``) indexed by the lattice n: window i has
+    (:func:`walk_leaf_weights`) indexed by the lattice n: window i has
     every integer n, found by stepping outwards from 0, whose cost
     ``(2k+1) n^2 + (2i-1) n`` (twice its exponent above ``(2k^2-k)/24``)
     is at most ``cap``, the largest integer below twice the order's

@@ -460,6 +460,21 @@ class TestSuiteCommand:
                                str(path))
         assert code == 2 and "manifest" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"version": "empty", "jobs": []}',
+        '{"version": null, "jobs": [{"identity": "euler", "order": "5"}]}',
+        '{"version": ["a", 1], "jobs": [{"identity": "euler", "order": "5"}]}',
+    ])
+    def test_manifest_needs_a_string_version_and_jobs(self, capsys, tmp_path,
+                                                       text):
+        # an empty suite verifies nothing, and a version prints as given
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "suite", "--manifest",
+                                 str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "non-empty string 'version'" in err
+
     @pytest.mark.parametrize("bad_job, message", [
         ({"identity": "euler", "params": {"x": 1}, "order": "10"},
          "unknown param 'x'"),

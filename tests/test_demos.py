@@ -1,4 +1,5 @@
-"""The narrative demos run to completion against the package in ``src/``."""
+"""The narrative demos run to completion against the package in ``src/``
+and print their golden output."""
 
 import os
 import subprocess
@@ -27,7 +28,9 @@ def run_demo(demo):
 def test_demo_exits_zero(demo):
     proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    # every demo is deterministic, so its stdout is pinned byte for byte
+    golden = ROOT / "tests" / "golden" / f"demo_{demo.name[:2]}.txt"
+    assert proc.stdout == golden.read_text()
 
 
 def test_classical_demo_finds_product_equal_to_sum():

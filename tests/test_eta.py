@@ -100,7 +100,7 @@ def test_unary_theta_matches_the_brute_force_oracle(modulus, scale, precision,
     assert series == QSeries.from_terms(terms, precision)
     window = theta_window(modulus, signs, largest_int_below(precision * scale))
     assert [(Rational(square, scale), sign * (v if weighted else 1))
-            for square, v, sign, _ in window] == terms
+            for square, v, sign in window] == terms
 
 
 def test_jacobi_equals_eta_cubed():

@@ -9,11 +9,11 @@ import pytest
 
 import qetakit.eta as eta_module
 import qetakit.identities as identities
-from qetakit import (QSeries, Rational, c_k_constant, chi_d, chi_numerator,
+from qetakit import (QSeries, Rational, c_k_constant, chi_numerator,
                      coprime_models, distinct_weights, empirical_constant,
                      eta_power, eta_series, general_rhs, general_terms,
-                     identity_lowest_exponent, lattice_exponent,
-                     macdonald_rhs, macdonald_terms, make_model,
+                     identity_lowest_exponent, macdonald_rhs,
+                     macdonald_terms, make_model,
                      normalized_character, rational, vandermonde,
                      verify_identity, weber_series, wronskian_of_characters)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
@@ -21,8 +21,8 @@ from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
 from qetakit.rationals import largest_int_below
 from qetakit.suite import run_job
 from qetakit.wronskian import _distinct_leading_exponents
-from oracles import (c_k_double_product, chi_indicator,
-                     empirical_constant_terms,
+from oracles import (c_k_double_product, chi_d, chi_indicator,
+                     empirical_constant_terms, lattice_exponent,
                      general_terms_box, general_walk_windows,
                      macdonald_terms_box, macdonald_walk_windows,
                      random_series, walk_leaf_weights, wronskian_bareiss)
@@ -90,6 +90,12 @@ class TestCkConstant:
     @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_the_double_product(self, k):
         assert c_k_constant(k) == c_k_double_product(k)
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_is_the_inverse_of_the_2_2k1_denominator_constant(self, k):
+        # the Vandermonde of the (2,2k+1) column leads, times its scale
+        assert c_k_constant(k) == 1 / IDENTITIES["denominator"].predicted(
+            s=2, t=2 * k + 1)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_sign_alternation(self, k):
@@ -376,7 +382,8 @@ class TestLatticeDeterminant:
 
 class TestWindows:
     """The residue-class windows give the very term lists, order included,
-    of the windows built as the sums are written."""
+    of a leaf-weighing walk over the windows built as the sums are
+    written."""
 
     def test_general_terms(self):
         for model in coprime_models(70):
@@ -386,7 +393,7 @@ class TestWindows:
                              Rational(13, 2), 9):
                 order = base + headroom
                 terms = general_terms(model, order)
-                assert terms and terms == identities._walk(
+                assert terms and terms == walk_leaf_weights(
                     *general_walk_windows(model, order)), (model, headroom)
 
     def test_macdonald_terms(self):
@@ -395,8 +402,24 @@ class TestWindows:
             for headroom in (-1, 0, Rational(1, 3), 1, Rational(5, 2), 6, 11,
                              17):
                 order = base + headroom
-                assert macdonald_terms(k, order) == identities._walk(
+                assert macdonald_terms(k, order) == walk_leaf_weights(
                     *macdonald_walk_windows(k, order)), (k, headroom)
+
+    def test_macdonald_terms_are_the_2_2k1_model_terms(self):
+        # |d_i| in reverse order is the (2,2k+1) tuple, at the same
+        # exponent and with the same weight
+        for k in range(2, 8):
+            base = identity_lowest_exponent("macdonald", k=k)
+            for headroom in (Rational(1, 3), 5, 11):
+                order = base + headroom
+                mapped = sorted(
+                    (tuple(abs(2 * i - 1 + n * (4 * k + 2)) for i, n
+                           in reversed(list(enumerate(term.n_vec, start=1)))),
+                     term.exponent, term.weight)
+                    for term in macdonald_terms(k, order))
+                expected = general_terms(make_model(2, 2 * k + 1), order)
+                assert mapped and mapped == sorted(map(tuple, expected)), \
+                    (k, headroom)
 
 
 class TestIntWeights:
@@ -442,16 +465,16 @@ class TestIntWeights:
                 reads.append(self[0][1])
                 return super().__iter__()
 
-        windows = [Window([(1, "a", 1, 1), (4, "b", 1, 4)]),
-                   Window([(1, "c", 1, 1), (4, "d", -1, 4)]),
-                   Window([(0, "e", 1, 9)])]
-        terms = identities._walk(windows, 9, Rational, 1)
-        assert terms == [(("a", "d", "e"), 5, -3 * 8 * 5),
-                         (("b", "c", "e"), 5, -3 * 8 * 5)]
+        windows = [Window([(1, "a", 1), (4, "b", 1)]),
+                   Window([(1, "c", 1), (4, "d", -1)]),
+                   Window([(9, "e", 1)])]
+        terms = identities._walk(windows, 14, 1, 1)
+        assert terms == [(("a", "d", "e"), 14, -3 * 8 * 5),
+                         (("b", "c", "e"), 14, -3 * 8 * 5)]
         # the third window is read under (a, d) and (b, c) only
         assert reads == ["a", "c", "e", "c", "e"]
-        assert identities._walk(windows[:1] + windows[:1], 9, Rational,
-                                1) == [(("a", "b"), 5, 3), (("b", "a"), 5, -3)]
+        assert identities._walk(windows[:1] + windows[:1], 9, 1, 1) == [
+            (("a", "b"), 5, 3), (("b", "a"), 5, -3)]
 
     def test_fraction_tripwire(self, monkeypatch):
         # a warm verification builds a Fraction only where a rational

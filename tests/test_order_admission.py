@@ -22,8 +22,12 @@ from qetakit import (IDENTITIES, QSeries, Rational, character_chi_form,
                      pentagonal_sum_series, verify_identity, weber_series,
                      weight_label)
 from qetakit.rationals import order_above, rational
+from qetakit.suite import run_suite
 
 ISING = make_model(3, 4)
+#: Two jobs, so that any jobs count above 1 would ask for a worker pool.
+TWO_JOBS = {"version": "t", "jobs": [
+    {"identity": "euler", "order": "5"}, {"identity": "jacobi", "order": "5"}]}
 SIGMA = weight_label(ISING, 1, 2)  # h_bar = 1/16 - 1/48 = 1/24
 LEE_YANG = weight_label(make_model(2, 5), 1, 1)  # h_bar = 11/60
 
@@ -113,6 +117,8 @@ FLOAT_INTEGERS = {
     "weight_label integral": lambda: weight_label(ISING, 1.0, 2.0),
     "eta_power": lambda: eta_power(2.7, 5),
     "macdonald_terms": lambda: macdonald_terms(2.9, 5),
+    "run_suite jobs integral": lambda: run_suite(TWO_JOBS, jobs=1.0),
+    "run_suite jobs": lambda: run_suite(TWO_JOBS, jobs=2.5),
 }
 
 
