@@ -7,16 +7,20 @@ weighted lattice sum: the verification drivers below pin each constant from
 the leading coefficients and then check all remaining coefficients exactly.
 """
 
-from qetakit import (Rational, eisenstein_g2, abel_log_derivative_check,
-                     c_k_constant, characters_for_wronskian, eta_power,
-                     general_rhs, macdonald_rhs, macdonald_terms, make_model,
-                     verify_identity, wronskian_of_characters)
+from qetakit import (IDENTITIES, Rational, eisenstein_g2,
+                     abel_log_derivative_check, c_k_constant, eta_power,
+                     macdonald_terms, verify_identity)
+
+# Every identity is one entry of the table: its rhs, its columns and their
+# Wronskian are read off the entry, with the entry's params as keywords.
+wronskian_raw = IDENTITIES["wronskian_raw"]
+macdonald = IDENTITIES["macdonald"]
+denominator = IDENTITIES["denominator"]
 
 # ---------------------------------------------------------------------------
 # Wronskians of the (2,5) characters: raw and eta-normalized.
 # ---------------------------------------------------------------------------
-model = make_model(2, 5)
-raw = wronskian_of_characters(model, 10)
+raw = wronskian_raw.determinant(10, s=2, t=5)
 print("W(ch_1, ch_2)       =", raw)
 print("vs eta^4            :",
       verify_identity("wronskian_raw", s=2, t=5, order=10).to_line())
@@ -25,7 +29,7 @@ print("vs eta^6 normalized :",
 
 # The first-order coefficient of the underlying differential relation shows
 # up as an exact statement: theta(W) + k(k-1) G2 W = 0.
-entries = characters_for_wronskian(model, 16)
+entries = wronskian_raw.built_columns(16, s=2, t=5)
 g2 = eisenstein_g2(15)
 print("theta(W) + 2*G2*W = 0:",
       abel_log_derivative_check(entries, 2 * g2, 15))
@@ -41,7 +45,7 @@ origin = next(term for term in terms if term.n_vec == (0, 0))
 print("weight at the origin:", origin.weight)
 print("exponent at the origin:", origin.exponent)
 
-rhs = macdonald_rhs(2, 8)
+rhs = macdonald.rhs(8, k=2)
 print("\nassembled sum:", rhs)
 print("eta^6        :", eta_power(6, 8))
 for k in (2, 3, 4):
@@ -50,7 +54,7 @@ for k in (2, 3, 4):
 # The bridge: the k = 3 signed sum is the (2,7) model's sum times the
 # closed-form prefactor C_3 * (-1)^3.
 print("macdonald_rhs(3) == -C_3 * general_rhs((2,7)):",
-      macdonald_rhs(3, 6) == general_rhs(make_model(2, 7), 6) * -c_k_constant(3))
+      macdonald.rhs(6, k=3) == denominator.rhs(6, s=2, t=7) * -c_k_constant(3))
 
 # ---------------------------------------------------------------------------
 # The general family: one identity per minimal model.  The (2,3) case is the
@@ -59,7 +63,7 @@ print("macdonald_rhs(3) == -C_3 * general_rhs((2,7)):",
 print()
 for s, t in ((2, 3), (2, 5), (3, 4), (3, 5)):
     print(verify_identity("denominator", s=s, t=t, order=12).to_line())
-print("\n(3,4) general sum:", general_rhs(make_model(3, 4), 5))
+print("\n(3,4) general sum:", denominator.rhs(5, s=3, t=4))
 
 # ---------------------------------------------------------------------------
 # The Weber product functions close the circle: their Wronskian is an exact

@@ -46,20 +46,15 @@ from .wronskian import (
 )
 from .identities import (
     IDENTITIES,
-    IDENTITY_NAMES,
     LatticeTerm,
     VerificationReport,
     c_k_constant,
-    characters_for_wronskian,
     empirical_constant,
-    general_rhs,
     general_terms,
     identity_lowest_exponent,
     identity_params,
-    macdonald_rhs,
     macdonald_terms,
     verify_identity,
-    wronskian_of_characters,
 )
 from .suite import adhoc_manifest, adjusted_order, load_manifest, run_suite
 

@@ -34,6 +34,11 @@ from .minimal_models import (character_chi_form, character_double_sum,
 from .rationals import parse_order
 from .suite import adhoc_manifest, load_manifest, run_suite
 
+#: Every param an identity of the table takes, in table order: each is one
+#: ``--<param>`` option of ``verify``.
+_PARAMS = tuple(dict.fromkeys(
+    param for entry in IDENTITIES.values() for param in entry.params))
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -95,9 +100,11 @@ def _cmd_verify(args):
     started = time.monotonic()
     order = parse_order("20" if args.order is None else args.order)
     if args.identity == "suite":
-        if args.window_audit or (args.k, args.s, args.t) != (None,) * 3:
-            raise ValueError("--k, --s, --t and --window-audit apply to a "
-                             "single identity, not to a suite")
+        if args.window_audit or any(getattr(args, param) is not None
+                                    for param in _PARAMS):
+            raise ValueError(", ".join(f"--{param}" for param in _PARAMS)
+                             + " and --window-audit apply to a single "
+                             "identity, not to a suite")
         if args.manifest is not None and args.max_st is not None:
             raise ValueError("choose either --manifest or --max-st")
         if args.max_st is not None:
@@ -116,8 +123,9 @@ def _cmd_verify(args):
             raise ValueError("--manifest, --max-st and --jobs apply to "
                              "verify suite only")
         verify = audit_identity if args.window_audit else verify_identity
-        reports = [verify(args.identity, order=order, k=args.k, s=args.s,
-                          t=args.t)]
+        reports = [verify(args.identity, order=order,
+                          **{param: getattr(args, param)
+                             for param in _PARAMS})]
         version = None
         header = ""
     runtime = time.monotonic() - started
@@ -145,10 +153,8 @@ def build_parser():
     p_series.set_defaults(func=_cmd_series)
 
     p_char = sub.add_parser("char", help="emit a minimal-model character")
-    p_char.add_argument("--s", type=int, required=True)
-    p_char.add_argument("--t", type=int, required=True)
-    p_char.add_argument("--m", type=int, required=True)
-    p_char.add_argument("--n", type=int, required=True)
+    for param in ("s", "t", "m", "n"):
+        p_char.add_argument(f"--{param}", type=int, required=True)
     p_char.add_argument("--order", default="20")
     p_char.add_argument("--form", choices=("double", "chi", "product"),
                         default="double")
@@ -158,9 +164,8 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="verify a named identity")
     p_verify.add_argument("identity",
                           choices=tuple(IDENTITIES) + ("suite",))
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--s", type=int)
-    p_verify.add_argument("--t", type=int)
+    for param in _PARAMS:
+        p_verify.add_argument(f"--{param}", type=int)
     p_verify.add_argument("--order",
                           help="truncation order p/q (default 20); not for "
                                "a manifest suite")

@@ -26,6 +26,7 @@ exact.
 from __future__ import annotations
 
 import operator
+import re
 from functools import lru_cache, partial
 from math import isqrt
 
@@ -98,8 +99,9 @@ def _integer_count(order):
 
 
 def euler_product(order):
-    """``prod_{i>=1} (1 - q^i)`` with all exponents < order exact."""
-    order = rational(order)
+    """``prod_{i>=1} (1 - q^i)`` with all exponents < order exact; the
+    order must exceed its leading exponent 0."""
+    order = order_above(order, 0)
     return _euler_product_cached(_integer_count(order)).truncate(order)
 
 
@@ -111,8 +113,10 @@ def _euler_inverse_cached(count):
 
 
 def euler_inverse(order):
-    """The partition generating function ``1/prod(1 - q^i)``, exact below order."""
-    order = max(rational(order), 1)
+    """The partition generating function ``1/prod(1 - q^i)``, exact below
+    order, which must exceed its leading exponent 0; it is built to at
+    least precision 1."""
+    order = max(order_above(order, 0), 1)
     return _euler_inverse_cached(_integer_count(order)).truncate(order)
 
 
@@ -249,10 +253,11 @@ def named_series(name, order):
     if not key.startswith("eta^"):
         raise ValueError(f"unknown series name {name!r}; "
                          f"known: {', '.join(NAMED_SERIES)}")
-    try:
-        m = int(key[4:])
-    except ValueError:
-        raise ValueError("eta power must be an integer (eta^M)") from None
+    # ASCII digits only, as in an order: int() would also read blanks,
+    # a '+', '_' separators and non-ASCII digits
+    if not re.fullmatch(r"-?[0-9]+", key[4:]):
+        raise ValueError("eta power must be an integer (eta^M)")
+    m = int(key[4:])
     if m < 1:
         raise ValueError("eta power must be >= 1")
     # as for every other name, no order at or below the leading exponent

@@ -7,15 +7,18 @@ general sum over residue-class supports weighted by a Vandermonde of squares
 :data:`IDENTITIES`, an :class:`Identity`: its params, the weight w0 shared
 by its k columns, the columns themselves as ``(leading exponent, builder)``
 pairs, an optional scale and, for a lattice sum, the same rhs built by
-tuple enumeration.  Every rhs off the tuple path is ``scale`` times the
-Wronskian W of the columns.  W is a modular form of weight ``w = k w0 +
-k(k-1)`` (Mason, "Vector-valued modular forms and linear differential
-operators", Int. J. Number Theory 3 (2007)), and every eta power on the
-lhs is twice that weight, so its leading exponent is ``w / 12``.  The
-weights are 1/2 for Euler's pentagonal theta, 3/2 for Jacobi's cube sum, 0
-for characters and Weber's functions and 1/2 for the normalized characters
-and chi-form numerators, which gives the powers 1, 3, 12, ``2k(k-1)`` and
-``2k^2 - k``.
+tuple enumeration.  The entry is the one way to reach an identity:
+``IDENTITIES[name].rhs(order, **params)`` builds its rhs,
+:meth:`Identity.built_columns` its columns and
+:meth:`Identity.determinant` their Wronskian.  Every rhs off the tuple
+path is ``scale`` times the Wronskian W of the columns.  W is a modular
+form of weight ``w = k w0 + k(k-1)`` (Mason, "Vector-valued modular forms
+and linear differential operators", Int. J. Number Theory 3 (2007)), and
+every eta power on the lhs is twice that weight, so its leading exponent
+is ``w / 12``.  The weights are 1/2 for Euler's pentagonal theta, 3/2
+for Jacobi's cube sum, 0 for characters and Weber's functions and 1/2 for
+the normalized characters and chi-form numerators, which gives the powers
+1, 3, 12, ``2k(k-1)`` and ``2k^2 - k``.
 
 Verification fixes the constant from the leading nonzero coefficients, then
 every remaining coefficient below the requested order must match exactly
@@ -259,20 +262,6 @@ def _macdonald_prefactor(k):
     return c_k_constant(k) * _pair_sign(k)
 
 
-def macdonald_rhs(k, order):
-    """The full signed lattice sum for the s = 2 family, including the
-    closed-form prefactor ``c_k_constant(k) * (-1)^(k(k-1)/2)``.
-
-    The prefactor-free sum is the per-model sum of the (2, 2k+1) model
-    term for term: :func:`macdonald_terms` walks that model's windows in
-    reverse label order, and the two ``(-1)^(k(k-1)/2)`` signs cancel.  So
-    at a headroom of ``LATTICE_DETERMINANT_HEADROOM`` or more it is that
-    model's Wronskian form; below it, the tuples of
-    :func:`macdonald_terms` are summed.
-    """
-    return IDENTITIES["macdonald"].rhs(order, k=k)
-
-
 # ----------------------------------------------------------------------
 # the general family: residue-class supports with Vandermonde weights
 # ----------------------------------------------------------------------
@@ -286,17 +275,6 @@ def general_terms(model, order):
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
     return _walk(_model_windows(model, cap), cap, st4, 1)
-
-
-def general_rhs(model, order):
-    """The per-model lattice sum as a series, exact below ``order``.
-
-    At a headroom (``order`` minus the sum's leading exponent
-    ``(2k-1)k/24``) of ``LATTICE_DETERMINANT_HEADROOM`` or more it is built
-    as one Wronskian of the chi-form numerators; below it, the tuples of
-    :func:`general_terms` are summed.
-    """
-    return IDENTITIES["denominator"].rhs(order, s=model.s, t=model.t)
 
 
 # ----------------------------------------------------------------------
@@ -337,19 +315,6 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     first_mismatch = Rational(min(bad), D) if bad else None
     return VerificationReport(identity, params, order, constant,
                               not bad, first_mismatch, len(steps))
-
-
-def characters_for_wronskian(model, order):
-    """The raw characters of the model, the columns of the
-    ``wronskian_raw`` entry, each built to its own leading exponent plus
-    the headroom at which their Wronskian is exact below ``order``."""
-    return IDENTITIES["wronskian_raw"].built_columns(order, s=model.s,
-                                                     t=model.t)
-
-
-def wronskian_of_characters(model, order):
-    """Wronskian of the model's raw characters, exact below ``order``."""
-    return wronskian(characters_for_wronskian(model, order))
 
 
 class Identity(NamedTuple):
@@ -411,9 +376,13 @@ class Identity(NamedTuple):
         return w if self.scale is None else w * self.scale(**params)
 
     def rhs(self, order, **params):
-        """The rhs, exact below ``order``: ``tuples`` at a headroom (order
-        minus ``power/24``) below :data:`LATTICE_DETERMINANT_HEADROOM`,
-        read when it is called, and :meth:`determinant` otherwise."""
+        """The rhs, exact below ``order``, on the one path rule of the
+        lattice sums: ``tuples`` at a headroom (order minus ``power/24``)
+        below :data:`LATTICE_DETERMINANT_HEADROOM`, read when it is called,
+        and :meth:`determinant` otherwise, which is every rhs of an entry
+        without ``tuples``.  The ``macdonald`` rhs is ``c_k_constant(k)
+        (-1)^(k(k-1)/2)`` times the (2, 2k+1) model's ``denominator`` rhs
+        on either path."""
         if self.tuples is not None:
             base = Rational(self.power(**params), 24)
             order = order_above(order, base)
@@ -478,8 +447,6 @@ IDENTITIES = {
             weber_series("f", p) - weber_series("f1", p)) * Rational(1, 2)),
         (WEBER_F2_EXPONENT, partial(weber_series, "f2"))], lambda: -2),
 }
-
-IDENTITY_NAMES = tuple(IDENTITIES)
 
 
 def identity_params(name, params):

@@ -65,8 +65,9 @@ def default_manifest_text():
 
 def load_manifest(path=None):
     """Load and validate a manifest from ``path`` (or the shipped default):
-    ValueError unless its version is a non-empty string and its jobs a
-    non-empty list of valid jobs."""
+    ValueError unless its version is a non-empty string of printable
+    characters, so that the report's ``manifest=<version>`` header stays one
+    line, and its jobs a non-empty list of valid jobs."""
     if path is None:
         text = default_manifest_text()
     else:
@@ -74,10 +75,11 @@ def load_manifest(path=None):
             text = handle.read()
     doc = json.loads(text)
     if (not isinstance(doc, dict) or not isinstance(doc.get("version"), str)
-            or not doc["version"] or not isinstance(doc.get("jobs"), list)
-            or not doc["jobs"]):
+            or not doc["version"] or not doc["version"].isprintable()
+            or not isinstance(doc.get("jobs"), list) or not doc["jobs"]):
         raise ValueError("manifest must be an object with a non-empty "
-                         "string 'version' and a non-empty 'jobs' list")
+                         "string 'version' of printable characters and a "
+                         "non-empty 'jobs' list")
     for job in doc["jobs"]:
         validate_job(job)
     return doc

@@ -24,9 +24,8 @@ import pytest
 from qetakit import (IDENTITIES, QSeries, Rational,
                      abel_log_derivative_check, c_k_constant,
                      character_chi_form, character_double_sum,
-                     character_product_2k1, characters_for_wronskian,
-                     coprime_models, distinct_weights, eisenstein_g2,
-                     eta_power, eta_series, euler_product,
+                     character_product_2k1, coprime_models, distinct_weights,
+                     eisenstein_g2, eta_power, eta_series, euler_product,
                      jacobi_cube_series, make_model, mu_count,
                      pentagonal_sum_series, rational, strange_sum_2k1,
                      strange_sum_general, verify_identity, wronskian)
@@ -150,7 +149,8 @@ def test_criterion_7_abel_first_coefficient():
     for model in models:
         k = model.k
         g2 = eisenstein_g2(order)
-        raw = characters_for_wronskian(model, order + 1)
+        raw = IDENTITIES["wronskian_raw"].built_columns(
+            order + 1, s=model.s, t=model.t)
         ok &= abel_log_derivative_check(raw, (k * (k - 1)) * g2, order)
         norm = IDENTITIES["wronskian_normalized"].built_columns(
             order + 1, s=model.s, t=model.t)

@@ -464,6 +464,11 @@ class TestSuiteCommand:
         '{"version": "empty", "jobs": []}',
         '{"version": null, "jobs": [{"identity": "euler", "order": "5"}]}',
         '{"version": ["a", 1], "jobs": [{"identity": "euler", "order": "5"}]}',
+        # a line break would split the one-line manifest=<version> header
+        '{"version": "a\\nb", "jobs": [{"identity": "euler", "order": "5"}]}',
+        '{"version": "a\\rb", "jobs": [{"identity": "euler", "order": "5"}]}',
+        '{"version": "a\\u2028b", "jobs": [{"identity": "euler", '
+        '"order": "5"}]}',
     ])
     def test_manifest_needs_a_string_version_and_jobs(self, capsys, tmp_path,
                                                        text):

@@ -1,9 +1,10 @@
 """The narrative demos run to completion against the package in ``src/``
-and print their golden output."""
+and print their golden output, and the README's library tour runs."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,14 @@ def test_classical_demo_finds_product_equal_to_sum():
     lines = [line for line in proc.stdout.splitlines()
              if line.startswith("product == sum below 15:")]
     assert lines == ["product == sum below 15: True"], proc.stdout
+
+
+def test_readme_library_tour_runs():
+    # the README's first python block, run as written; its two commented
+    # results are asserted here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(tour, names)
+    assert names["eta"].equal_up_to(names["product"], 50) is True
+    assert names["report"].constant == Fraction(7, 256)

@@ -292,10 +292,13 @@ def test_a_negative_order_is_read_as_an_order(argv, code):
 
 
 def test_a_non_integer_eta_power_is_named():
-    code, out, err = run(["series", "eta^x", "--order", "3"])
-    assert (code, out) == (2, "")
-    assert err == ("qetakit: error: eta power must be an integer "
-                   "(eta^M)\n")
+    # the power is ASCII digits, as in an order: int() alone reads all but
+    # the first of these
+    for name in ["eta^x", "eta^1_2", "eta^ 3", "eta^+3", "eta^\u0663"]:
+        code, out, err = run(["series", name, "--order", "3"])
+        assert (code, out) == (2, ""), name
+        assert err == ("qetakit: error: eta power must be an integer "
+                       "(eta^M)\n"), name
 
 
 def full_decimal(n):

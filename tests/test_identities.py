@@ -11,11 +11,10 @@ import qetakit.eta as eta_module
 import qetakit.identities as identities
 from qetakit import (QSeries, Rational, c_k_constant, chi_numerator,
                      coprime_models, distinct_weights, empirical_constant,
-                     eta_power, eta_series, general_rhs, general_terms,
-                     identity_lowest_exponent, macdonald_rhs,
-                     macdonald_terms, make_model,
+                     eta_power, eta_series, general_terms,
+                     identity_lowest_exponent, macdonald_terms, make_model,
                      normalized_character, rational, vandermonde,
-                     verify_identity, weber_series, wronskian_of_characters)
+                     verify_identity, weber_series)
 from qetakit.identities import (IDENTITIES, LATTICE_DETERMINANT_HEADROOM,
                                 identity_params)
 from qetakit.rationals import largest_int_below
@@ -29,6 +28,9 @@ from oracles import (c_k_double_product, chi_d, chi_indicator,
 
 #: Small headrooms (order minus leading exponent) for the box oracles.
 BOX_HEADROOMS = (1, Rational(5, 2), 4)
+#: The two lattice-sum entries, whose ``rhs`` the path tests build.
+MACDONALD = IDENTITIES["macdonald"]
+DENOMINATOR = IDENTITIES["denominator"]
 
 # empirically determined and order-stable; the closed-form prefactor is off
 # from the eta-power leading coefficient by exactly this sign
@@ -111,7 +113,7 @@ class TestCkConstant:
 
 class TestMacdonaldSum:
     def test_lowest_term(self):
-        rhs = macdonald_rhs(2, 10)
+        rhs = MACDONALD.rhs(10, k=2)
         # C_2 * (-1)^1 * chi_D(0,0) = (1/8) * (-8) = -1 at exponent 1/4
         assert rhs.lowest_term() == (Rational(1, 4), Rational(-1))
 
@@ -138,17 +140,17 @@ class TestMacdonaldSum:
         tuples = IDENTITIES["macdonald"].tuples
         for headroom in (4, LATTICE_DETERMINANT_HEADROOM + 2):
             order = identity_lowest_exponent("macdonald", k=k) + headroom
-            assert macdonald_rhs(k, order) == tuples(order, k=k)
+            assert MACDONALD.rhs(order, k=k) == tuples(order, k=k)
 
     def test_insufficient_order(self):
         with pytest.raises(ValueError, match="must exceed"):
-            macdonald_rhs(2, rational("1/4"))
+            MACDONALD.rhs(rational("1/4"), k=2)
 
 
 class TestGeneralSum:
     def test_lee_yang_constant(self):
         report = empirical_constant(eta_power(6, 20),
-                                    general_rhs(make_model(2, 5), 20), 20)
+                                    DENOMINATOR.rhs(20, s=2, t=5), 20)
         assert report.match and report.constant == -8
 
     def test_weights_never_vanish(self):
@@ -191,25 +193,24 @@ class TestGeneralSum:
             assert built[0] <= 2 * len(terms) + 40, (s, t, built[0])
 
     def test_ising_eta_power_15(self):
-        model = make_model(3, 4)
         report = empirical_constant(eta_power(15, 15),
-                                    general_rhs(model, 15), 15)
+                                    DENOMINATOR.rhs(15, s=3, t=4), 15)
         assert report.match and report.constant != 0
 
     def test_euler_as_k1_case(self):
-        model = make_model(2, 3)
-        report = empirical_constant(eta_series(30), general_rhs(model, 30), 30)
+        report = empirical_constant(eta_series(30),
+                                    DENOMINATOR.rhs(30, s=2, t=3), 30)
         assert report.match and report.constant == 1
 
     def test_rhs_is_its_tuple_sum(self):
         # below the crossover and above it, where the rhs is a Wronskian
         tuples = IDENTITIES["denominator"].tuples
         for s, t in ((2, 5), (3, 4)):
-            model = make_model(s, t)
             for headroom in (4, LATTICE_DETERMINANT_HEADROOM + 2):
                 order = identity_lowest_exponent("denominator", s=s,
                                                  t=t) + headroom
-                assert general_rhs(model, order) == tuples(order, s=s, t=t)
+                assert DENOMINATOR.rhs(order, s=s, t=t) == \
+                    tuples(order, s=s, t=t)
 
 
 def _summed(terms, order):
@@ -283,7 +284,8 @@ class TestLatticeDeterminant:
             expected = _summed(general_terms(model, order), order)
             for path in ("tuples", "wronskian"):
                 self._force(monkeypatch, path)
-                assert general_rhs(model, order) == expected, (model, path)
+                assert DENOMINATOR.rhs(order, s=model.s,
+                                       t=model.t) == expected, (model, path)
 
     @pytest.mark.parametrize("headroom", (4, 17))
     def test_macdonald_sum_matches_its_own_lattice(self, monkeypatch,
@@ -294,7 +296,7 @@ class TestLatticeDeterminant:
                 * _macdonald_prefactor(k)
             for path in ("tuples", "wronskian"):
                 self._force(monkeypatch, path)
-                assert macdonald_rhs(k, order) == expected, (k, path)
+                assert MACDONALD.rhs(order, k=k) == expected, (k, path)
 
     @pytest.mark.parametrize("side", (-1, 1))
     def test_macdonald_is_the_2_2k1_sum(self, side):
@@ -302,8 +304,8 @@ class TestLatticeDeterminant:
         for k in range(2, 6):
             order = (identity_lowest_exponent("macdonald", k=k)
                      + LATTICE_DETERMINANT_HEADROOM + side)
-            assert macdonald_rhs(k, order) == \
-                general_rhs(make_model(2, 2 * k + 1), order) \
+            assert MACDONALD.rhs(order, k=k) == \
+                DENOMINATOR.rhs(order, s=2, t=2 * k + 1) \
                 * _macdonald_prefactor(k)
 
     def test_headroom_selects_the_path(self, monkeypatch):
@@ -326,13 +328,12 @@ class TestLatticeDeterminant:
             build(*args, **kwargs)
             return dict(calls)
 
-        model = make_model(3, 5)
         base = identity_lowest_exponent("denominator", s=3, t=5)
         below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
         above = base + LATTICE_DETERMINANT_HEADROOM
-        assert run(general_rhs, model, below) == \
+        assert run(DENOMINATOR.rhs, below, s=3, t=5) == \
             {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
-        assert run(general_rhs, model, above) == \
+        assert run(DENOMINATOR.rhs, above, s=3, t=5) == \
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
         assert run(IDENTITIES["denominator"].tuples, above, s=3, t=5) == \
             {"general_terms": 1, "macdonald_terms": 0, "wronskian": 0}
@@ -342,9 +343,9 @@ class TestLatticeDeterminant:
         base = identity_lowest_exponent("macdonald", k=3)
         below = base + LATTICE_DETERMINANT_HEADROOM - rational("1/8")
         above = base + LATTICE_DETERMINANT_HEADROOM
-        assert run(macdonald_rhs, 3, below) == \
+        assert run(MACDONALD.rhs, below, k=3) == \
             {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
-        assert run(macdonald_rhs, 3, above) == \
+        assert run(MACDONALD.rhs, above, k=3) == \
             {"general_terms": 0, "macdonald_terms": 0, "wronskian": 1}
         assert run(IDENTITIES["macdonald"].tuples, above, k=3) == \
             {"general_terms": 0, "macdonald_terms": 1, "wronskian": 0}
@@ -544,7 +545,8 @@ class TestOneTheorem:
         model = make_model(s, t)
         k = model.k
         raw_low, order = self._orders(model)
-        raw = wronskian_of_characters(model, order - Rational(k, 24))
+        raw = IDENTITIES["wronskian_raw"].determinant(
+            order - Rational(k, 24), s=s, t=t)
         normalized = IDENTITIES["wronskian_normalized"].determinant(
             order, s=s, t=t)
         assert (eta_power(k, order - raw_low) * raw).equal_up_to(
@@ -965,7 +967,6 @@ class TestIdentityTable:
         assert min(e for e, _ in rhs.terms()) == base
 
     def test_names_and_shapes(self):
-        assert identities.IDENTITY_NAMES == tuple(IDENTITIES)
         assert identities.Identity._fields == ("params", "twice_w0",
                                                "columns", "scale", "tuples")
         assert {name: entry.params for name, entry in IDENTITIES.items()} \

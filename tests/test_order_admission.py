@@ -16,8 +16,8 @@ import pytest
 import qetakit
 from qetakit import (IDENTITIES, QSeries, Rational, character_chi_form,
                      character_double_sum, character_product_2k1,
-                     eisenstein_g2, eta_power, general_terms,
-                     jacobi_cube_series, macdonald_rhs, macdonald_terms,
+                     eisenstein_g2, eta_power, euler_inverse, euler_product,
+                     general_terms, jacobi_cube_series, macdonald_terms,
                      make_model, named_series, normalized_character,
                      pentagonal_sum_series, verify_identity, weber_series,
                      weight_label)
@@ -34,6 +34,8 @@ LEE_YANG = weight_label(make_model(2, 5), 1, 1)  # h_bar = 11/60
 #: (entry point, its leading exponent): one for each call site of the rule.
 ENTRY_POINTS = {
     "pentagonal_sum_series": (pentagonal_sum_series, Rational(1, 24)),
+    "euler_product": (euler_product, 0),
+    "euler_inverse": (euler_inverse, 0),
     "jacobi_cube_series": (jacobi_cube_series, Rational(1, 8)),
     "eisenstein_g2": (eisenstein_g2, 0),
     "weber_series": (lambda order: weber_series("f", order),
@@ -50,7 +52,8 @@ ENTRY_POINTS = {
         lambda order: normalized_character(ISING, SIGMA, order),
         SIGMA.h_bar + Rational(1, 24)),
     "general_terms": (lambda order: general_terms(ISING, order), 0),
-    "lattice rhs": (lambda order: macdonald_rhs(2, order), Rational(1, 4)),
+    "lattice rhs": (lambda order: IDENTITIES["macdonald"].rhs(order, k=2),
+                    Rational(1, 4)),
     "verify_identity": (lambda order: verify_identity("weber", order=order),
                         Rational(1, 2)),
     "built_columns": (

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qetakit import (QSeries, Rational, abel_log_derivative_check,
-                     character_double_sum, characters_for_wronskian,
-                     chi_numerator, coprime_models, distinct_weights,
-                     eisenstein_g2, eta_power, eta_series, make_model,
-                     normalized_character, rational, vandermonde,
+                     character_double_sum, chi_numerator, coprime_models,
+                     distinct_weights, eisenstein_g2, eta_power, eta_series,
+                     make_model, normalized_character, rational, vandermonde,
                      weber_series, wronskian)
 from qetakit import series as series_module
 from qetakit.identities import IDENTITIES, verify_identity
@@ -218,14 +217,15 @@ class TestKernelAgainstOracles:
                 assert wronskian(vec).precision >= 6
                 assert_matches_oracles(vec)
         with pytest.raises(ValueError, match="leading exponent 1/6"):
-            characters_for_wronskian(make_model(2, 5), Rational(1, 10))
+            IDENTITIES["wronskian_raw"].built_columns(Rational(1, 10), s=2,
+                                                      t=5)
 
     @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (3, 5, 4),
                                        (4, 7, 9), (5, 8, 14)])
     def test_products_are_quadratic_in_k(self, monkeypatch, s, t, k):
         model = make_model(s, t)
         base = sum(lab.h_bar for lab in distinct_weights(model))
-        vec = characters_for_wronskian(model, base + 4)
+        vec = IDENTITIES["wronskian_raw"].built_columns(base + 4, s=s, t=t)
         assert len(vec) == k
         products = 0
         series_products = wronskian_module._products
@@ -246,7 +246,7 @@ class TestKernelAgainstOracles:
 
     @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
     def test_divides_by_every_pivot_but_the_last(self, monkeypatch, s, t, k):
-        vec = characters_for_wronskian(make_model(s, t), 10)
+        vec = IDENTITIES["wronskian_raw"].built_columns(10, s=s, t=t)
         assert len(vec) == k
         divisors = []
         inverts = 0
@@ -322,7 +322,8 @@ def _model_vectors(model, headroom):
     yield [chi_numerator(model, lab, low + headroom)
            for lab, low in zip(labels, lows)]
     base = sum(lab.h_bar for lab in labels)
-    yield characters_for_wronskian(model, base + headroom)
+    yield IDENTITIES["wronskian_raw"].built_columns(
+        base + headroom, s=model.s, t=model.t)
     yield IDENTITIES["wronskian_normalized"].built_columns(
         base + Rational(model.k, 24) + headroom, s=model.s, t=model.t)
 
@@ -388,7 +389,7 @@ class TestContentSplit:
     def test_builds_rationals_linear_in_k(self, monkeypatch):
         # one Rational per column scalar and one for the result: a reduced
         # scalar per entry and step would take O(k^2), 47 for (4,7)
-        vec = characters_for_wronskian(make_model(4, 7), 10)
+        vec = IDENTITIES["wronskian_raw"].built_columns(10, s=4, t=7)
         k = len(vec)
         assert k == 9
         built = 0
