@@ -53,7 +53,7 @@ for k in (2, 3, 4):
 
 # The bridge: the k = 3 signed sum is the (2,7) model's sum times the
 # closed-form prefactor C_3 * (-1)^3.
-print("macdonald_rhs(3) == -C_3 * general_rhs((2,7)):",
+print("macdonald.rhs(6, k=3) == -C_3 * denominator.rhs(6, s=2, t=7):",
       macdonald.rhs(6, k=3) == denominator.rhs(6, s=2, t=7) * -c_k_constant(3))
 
 # ---------------------------------------------------------------------------

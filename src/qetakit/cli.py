@@ -50,16 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _resolve_output(path):
-    if os.path.isabs(path):
-        return path
-    override = os.environ.get("QETAKIT_OUTPUT_DIR")
-    return os.path.join(override, path) if override else path
-
-
 def _emit(text, output):
     if output:
-        path = _resolve_output(output)
+        # join keeps an absolute output and ignores an empty directory
+        path = os.path.join(os.environ.get("QETAKIT_OUTPUT_DIR", ""), output)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

@@ -135,12 +135,13 @@ def eta_power(exponent, order):
     """``eta**exponent`` with precision at least ``order``.
 
     When every exponent of the power lies at or beyond ``order`` the result
-    is the empty (zero) series at that precision.  For ``exponent`` m >= 2,
-    ``eta^m = q^(m/24) f`` with ``f = g^m`` and g Euler's pentagonal sum
-    ``sum_j g_j q^j`` (``g_0 = 1``); f comes from J. C. P. Miller's power
-    recurrence (Knuth, TAOCP Vol. 2, 4.7) ``n f_n = sum_(1 <= j <= n) g_j
-    ((m + 1) j - n) f_(n-j)``, an exact integer division, with no series
-    product.
+    is the empty (zero) series at that precision.  ``eta^1`` is
+    :func:`eta_series`.  For every other ``exponent`` m, ``eta^m = q^(m/24)
+    f`` with ``f = g^m`` and g Euler's pentagonal sum ``sum_j g_j q^j``
+    (``g_0 = 1``); f comes from J. C. P. Miller's power recurrence (Knuth,
+    TAOCP Vol. 2, 4.7) ``n f_n = sum_(1 <= j <= n) g_j ((m + 1) j - n)
+    f_(n-j)``, an exact integer division, with no series product.  At m = 0
+    the recurrence gives f = 1, so ``eta^0`` is ``QSeries.one(order)``.
     """
     m = operator.index(exponent)
     if m < 0:
@@ -148,8 +149,6 @@ def eta_power(exponent, order):
     order = rational(order)
     if not order > Rational(m, 24):
         return QSeries.zero(order)
-    if m == 0:
-        return QSeries.one(order)
     if m == 1:
         return eta_series(order)
     count = largest_int_below(order - Rational(m, 24)) + 1

@@ -242,14 +242,16 @@ def macdonald_terms(k, order):
     1 - i)`` of the (2, 2k+1) model, with the sign ``(-1)^n_i``: coordinate
     i walks that model's window of the label, so the windows come in
     reverse label order, and a pick is keyed by ``n_i = (+-v - c)/(4k +
-    2)`` with ``c = 2i - 1``.
+    2)`` with ``c = 2i - 1``.  The order must exceed the sum's leading
+    exponent ``k(2k - 1)/24``, that of ``d_i = 2i - 1``.
     """
     k = operator.index(k)
     if k < 2:
         raise ValueError("k must be >= 2")
+    order = order_above(order, Rational(k * (2 * k - 1), 24))
     step = 4 * k + 2
     # a tuple's sum of squares is an integer, at most this cap
-    cap = largest_int_below(rational(order) * 4 * step)
+    cap = largest_int_below(order * 4 * step)
     windows = [[(square, ((v if v % step == c else -v) - c) // step, sign)
                 for square, v, sign in window]
                for c, window in zip(range(1, 2 * k, 2), reversed(
@@ -269,9 +271,14 @@ def _macdonald_prefactor(k):
 def general_terms(model, order):
     """Lattice terms of the per-model sum: tuples from the indicator
     supports, weighted by the sign product times the Vandermonde of the
-    squares, with exponent ``sum n_i^2 / (4st)`` below ``order``."""
-    order = order_above(order, 0)
+    squares, with exponent ``sum n_i^2 / (4st)`` below ``order``.  The
+    order must exceed the sum's leading exponent, ``sum (ns - mt)^2 /
+    (4st)`` over the labels: the least v of a label's window is
+    ``|ns - mt|``."""
     st4 = 4 * model.s * model.t
+    order = order_above(order, Rational(sum(
+        (label.n * model.s - label.m * model.t) ** 2
+        for label in distinct_weights(model)), st4))
     # a tuple's sum of squares is an integer, at most this cap
     cap = largest_int_below(order * st4)
     return _walk(_model_windows(model, cap), cap, st4, 1)
@@ -281,12 +288,14 @@ def general_terms(model, order):
 # verification drivers
 # ----------------------------------------------------------------------
 
-def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
+def empirical_constant(lhs, rhs, order):
     """Fix ``constant = leading(rhs)/leading(lhs)`` and check
     ``rhs = constant * lhs`` coefficientwise below ``order``.  Leading
     terms at different exponents, or a side with no term below ``order``,
     are a mismatch with no constant at the lowest exponent of either side;
-    ValueError when neither side has a term below ``order``.
+    ValueError when neither side has a term below ``order``.  The report
+    is labelled ``identity="ratio"`` with no params; a verification
+    relabels it with the entry's name and params.
 
     Both series are read as integer numerators on one grid, so with leading
     numerators ``l0`` and ``r0`` a step matches when ``r * l0 == r0 * l``;
@@ -295,7 +304,6 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
     if order > lhs.precision or order > rhs.precision:
         raise PrecisionError(f"insufficient precision for comparison at "
                              f"order {order}")
-    params = dict(params or {})
     D = lcm(lhs.grid_denominator, rhs.grid_denominator)
     smax = largest_int_below(order * D)
     left = lhs._on_grid(D, 0, smax)
@@ -306,14 +314,14 @@ def empirical_constant(lhs, rhs, order, *, identity="ratio", params=None):
                          "raise the order above the leading exponent")
     s0 = min(steps)
     if s0 not in left or s0 not in right:
-        return VerificationReport(identity, params, order, None, False,
+        return VerificationReport("ratio", {}, order, None, False,
                                   Rational(s0, D), len(steps))
     l0 = left[s0]
     r0 = right[s0]
     constant = Rational(r0 * lhs._den, l0 * rhs._den)
     bad = [s for s in steps if right.get(s, 0) * l0 != r0 * left.get(s, 0)]
     first_mismatch = Rational(min(bad), D) if bad else None
-    return VerificationReport(identity, params, order, constant,
+    return VerificationReport("ratio", {}, order, constant,
                               not bad, first_mismatch, len(steps))
 
 
@@ -495,14 +503,13 @@ def _admissible(name, order, params):
 
 def _compare(name, params, order, power, rhs):
     """The report of ``rhs`` against ``eta_power(power)``, ``power`` the
-    eta power of the entry ``name``; a match needs the entry's predicted
+    eta power of the entry ``name``, labelled with ``name`` and the
+    canonical ``params``; a match also needs the entry's predicted
     constant."""
-    entry = IDENTITIES[name]
-    lhs = eta_power(power, order)
-    report = empirical_constant(lhs, rhs, order, identity=name, params=params)
-    if report.constant != entry.predicted(**params):
-        report = report._replace(match=False)
-    return report
+    report = empirical_constant(eta_power(power, order), rhs, order)
+    predicted = IDENTITIES[name].predicted(**params)
+    return report._replace(identity=name, params=params, match=(
+        report.match and report.constant == predicted))
 
 
 def verify_identity(name, *, order=20, **params):

@@ -24,6 +24,7 @@ and the coefficient views, and :func:`rational` returns one unchanged.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -74,15 +75,10 @@ def order_above(order, lead):
                      f"{lead}; order must exceed {lead}")
 
 
-def rat_floor(x) -> int:
-    """Largest integer <= x."""
-    return x.numerator // x.denominator
-
-
 def largest_int_below(x) -> int:
-    """Largest integer strictly less than x."""
-    n = rat_floor(x)
-    return n - 1 if x == n else n
+    """Largest integer strictly less than the rational ``x``: one less
+    than its ceiling, so ``x - 1`` at an integer."""
+    return math.ceil(x) - 1
 
 
 _CHUNK = 10 ** 4000

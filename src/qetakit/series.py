@@ -54,9 +54,9 @@ import sys
 from array import array
 from collections.abc import Mapping
 from itertools import repeat
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
-from .rationals import Rational, largest_int_below, rat_floor, rational
+from .rationals import Rational, largest_int_below, rational
 
 
 class PrecisionError(ValueError):
@@ -90,7 +90,7 @@ def _canonical(D, a, num, den, P):
     q**((a + n)/D)``; ``num`` maps integer steps (of either sign) to
     nonzero ints, ``den`` is positive."""
     if not num:
-        return 1, rat_floor(P), {}, 1, P
+        return 1, floor(P), {}, 1, P
     lo = min(num)
     if lo:
         a += lo
@@ -108,16 +108,6 @@ def _canonical(D, a, num, den, P):
             den //= g
             num = {n: c // g for n, c in num.items()}
     return D, a, num, den, P
-
-
-def _over_common_denominator(values):
-    """``(numerators, den)`` of a step -> int or Rational map, ``den`` the
-    lcm of the denominators; zero values are dropped."""
-    den = 1
-    for c in values.values():
-        den = lcm(den, c.denominator)
-    return ({n: c.numerator * (den // c.denominator)
-             for n, c in values.items() if c}, den)
 
 
 def _int_to_words(value, count, width):
@@ -302,9 +292,11 @@ class QSeries:
             raise ValueError("grid denominator must be >= 1")
         a = operator.index(offset)
         P = rational(precision)
-        num, den = _over_common_denominator(
-            {operator.index(n): c if type(c) is int else rational(c)
-             for n, c in coefficients.items()})
+        values = {operator.index(n): c if type(c) is int else rational(c)
+                  for n, c in coefficients.items()}
+        den = lcm(*(c.denominator for c in values.values()))
+        num = {n: c.numerator * (den // c.denominator)
+               for n, c in values.items() if c}
         if num and not Rational(a + max(num), D) < P:
             raise PrecisionError("term beyond precision")
         self._set(*_canonical(D, a, num, den, P))
@@ -367,9 +359,7 @@ class QSeries:
         acc = {e: c for e, c in acc.items() if c}
         if not acc:
             return cls.zero(P)
-        D = 1
-        for e in acc:
-            D = lcm(D, e.denominator)
+        D = lcm(*(e.denominator for e in acc))
         coeffs = {e.numerator * (D // e.denominator): c
                   for e, c in acc.items()}
         return cls(D, 0, coeffs, P)

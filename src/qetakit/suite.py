@@ -55,25 +55,16 @@ def adhoc_manifest(max_st, order):
             "jobs": model_grid_jobs(max_st, order)}
 
 
-def default_manifest_text():
-    """The manifest shipped with the package, as raw JSON text."""
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "suite_manifest.json")
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def load_manifest(path=None):
     """Load and validate a manifest from ``path`` (or the shipped default):
     ValueError unless its version is a non-empty string of printable
     characters, so that the report's ``manifest=<version>`` header stays one
     line, and its jobs a non-empty list of valid jobs."""
     if path is None:
-        text = default_manifest_text()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    doc = json.loads(text)
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "suite_manifest.json")
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
     if (not isinstance(doc, dict) or not isinstance(doc.get("version"), str)
             or not doc["version"] or not doc["version"].isprintable()
             or not isinstance(doc.get("jobs"), list) or not doc["jobs"]):

@@ -77,7 +77,7 @@ with the tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .rationals import Rational, largest_int_below
 from .series import QSeries, _products, _quotient_numerators
@@ -87,14 +87,7 @@ def vandermonde(values):
     """Product of pairwise differences ``prod_{j<i}(x_i - x_j)``: an int
     for ints, a Rational for Rationals; 1 for k <= 1."""
     xs = list(values)
-    result = 1
-    for i in range(1, len(xs)):
-        xi = xs[i]
-        for j in range(i):
-            result *= xi - xs[j]
-            if not result:
-                return result
-    return result
+    return prod(xs[i] - xs[j] for i in range(len(xs)) for j in range(i))
 
 
 def _distinct_leading_exponents(entries):

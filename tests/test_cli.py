@@ -439,6 +439,10 @@ class TestSuiteCommand:
         assert_usage_error(run_cli(capsys, "verify", "euler", "--manifest",
                                    str(path)), "apply to verify suite only")
 
+    def test_default_manifest_is_the_shipped_file(self):
+        data = Path(qetakit.__file__).parent / "data"
+        assert load_manifest() == load_manifest(data / "suite_manifest.json")
+
     def test_default_manifest_loads(self):
         manifest = load_manifest()
         assert manifest["version"] == "qetakit-suite-1"
@@ -600,6 +604,19 @@ class TestOutputHandling:
                              "--output", "relative.txt")
         assert code == 0
         assert (tmp_path / "relative.txt").exists()
+        # an absolute output is written where it points
+        target = tmp_path / "absolute" / "eta.txt"
+        target.parent.mkdir()
+        monkeypatch.setenv("QETAKIT_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+        assert run_cli(capsys, "series", "eta", "--order", "2",
+                       "--output", str(target))[0] == 0
+        assert target.exists()
+        # an empty directory leaves a relative output in the working one
+        monkeypatch.setenv("QETAKIT_OUTPUT_DIR", "")
+        monkeypatch.chdir(target.parent)
+        assert run_cli(capsys, "series", "eta", "--order", "2",
+                       "--output", "here.txt")[0] == 0
+        assert (target.parent / "here.txt").exists()
 
 
 def _readme_commands():

@@ -1,13 +1,18 @@
 """The narrative demos run to completion against the package in ``src/``
 and print their golden output, and the README's library tour runs."""
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import qetakit
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,6 +37,27 @@ def test_demo_exits_zero(demo):
     # every demo is deterministic, so its stdout is pinned byte for byte
     golden = ROOT / "tests" / "golden" / f"demo_{demo.name[:2]}.txt"
     assert proc.stdout == golden.read_text()
+
+
+#: Names that left the package: none may be reached or shown again.
+REMOVED_NAMES = (
+    "_inverse_numerators", "wronskian_entry_precision", "chi_d",
+    "lattice_exponent", "macdonald_rhs", "general_rhs",
+    "characters_for_wronskian", "wronskian_of_characters", "IDENTITY_NAMES",
+    "rat_floor", "_over_common_denominator", "_resolve_output",
+    "default_manifest_text")
+
+
+def test_removed_names_stay_removed():
+    modules = [qetakit] + [
+        importlib.import_module(f"qetakit.{info.name}")
+        for info in pkgutil.iter_modules(qetakit.__path__)]
+    assert [(module.__name__, name) for module in modules
+            for name in REMOVED_NAMES if hasattr(module, name)] == []
+    pattern = re.compile(r"\b(?:" + "|".join(REMOVED_NAMES) + r")\b")
+    shown = DEMOS + sorted((ROOT / "tests" / "golden").glob("demo_*.txt"))
+    assert [(path.name, found) for path in shown
+            for found in pattern.findall(path.read_text())] == []
 
 
 def test_classical_demo_finds_product_equal_to_sum():

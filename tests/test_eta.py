@@ -169,6 +169,11 @@ class TestEtaPower:
     def test_power_zero_is_one(self):
         assert eta_power(0, 5) == QSeries.one(5)
 
+    @pytest.mark.parametrize("order", [Rational(1, 3), 1, Rational(7, 2), 40])
+    def test_power_zero_is_one_at_every_order(self, order):
+        # Miller's recurrence at m = 0 gives f = 1, precision included
+        assert eta_power(0, order) == QSeries.one(order)
+
     def test_negative_power_names_the_least_exponent_accepted(self):
         with pytest.raises(ValueError, match="exponent must be >= 0$"):
             eta_power(-1, 5)
@@ -178,7 +183,8 @@ class TestEtaPower:
         series = eta_power(276, 10)
         assert series.is_zero and series.precision == 10
 
-    @pytest.mark.parametrize("order", [0, -1, Rational(-1, 48)])
+    @pytest.mark.parametrize("order", [0, -1, Rational(-1, 48),
+                                       Rational(-1, 2)])
     def test_power_zero_below_precision_zero_is_empty(self, order):
         # eta^0 = 1 starts at 0, so nothing is known below order <= 0
         assert eta_power(0, order) == QSeries.zero(order)

@@ -403,6 +403,10 @@ class TestWindows:
             for headroom in (-1, 0, Rational(1, 3), 1, Rational(5, 2), 6, 11,
                              17):
                 order = base + headroom
+                if headroom <= 0:  # at or below the sum's leading exponent
+                    with pytest.raises(ValueError, match="must exceed"):
+                        macdonald_terms(k, order)
+                    continue
                 assert macdonald_terms(k, order) == walk_leaf_weights(
                     *macdonald_walk_windows(k, order)), (k, headroom)
 
@@ -593,6 +597,16 @@ class TestEmpiricalConstant:
             assert (report.constant, report.match, report.first_mismatch,
                     report.terms_compared) == (None, False, Rational(1, 24),
                                                len(eta.terms()))
+
+    def test_reports_are_labelled_by_the_verification(self):
+        eta = eta_series(10)
+        for report in (empirical_constant(eta, eta, 10),
+                       empirical_constant(eta, QSeries.zero(10), 10)):
+            assert (report.identity, report.params) == ("ratio", {})
+        report = verify_identity("denominator", s=5, t=2, order=12)
+        assert (report.identity, report.params) == (
+            "denominator", {"s": 2, "t": 5})
+        assert report.match
 
     def test_nothing_to_compare(self):
         with pytest.raises(ValueError, match="no comparable terms"):

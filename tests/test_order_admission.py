@@ -16,12 +16,13 @@ import pytest
 import qetakit
 from qetakit import (IDENTITIES, QSeries, Rational, character_chi_form,
                      character_double_sum, character_product_2k1,
-                     eisenstein_g2, eta_power, euler_inverse, euler_product,
-                     general_terms, jacobi_cube_series, macdonald_terms,
-                     make_model, named_series, normalized_character,
+                     coprime_models, eisenstein_g2, eta_power, euler_inverse,
+                     euler_product, general_terms, identity_lowest_exponent,
+                     jacobi_cube_series, macdonald_terms, make_model,
+                     named_series, normalized_character,
                      pentagonal_sum_series, verify_identity, weber_series,
                      weight_label)
-from qetakit.rationals import order_above, rational
+from qetakit.rationals import largest_int_below, order_above, rational
 from qetakit.suite import run_suite
 
 ISING = make_model(3, 4)
@@ -51,7 +52,11 @@ ENTRY_POINTS = {
     "normalized_character": (
         lambda order: normalized_character(ISING, SIGMA, order),
         SIGMA.h_bar + Rational(1, 24)),
-    "general_terms": (lambda order: general_terms(ISING, order), 0),
+    # the sum of (ns - mt)^2 / 48 over Ising's labels: (1 + 4 + 25)/48
+    "general_terms": (lambda order: general_terms(ISING, order),
+                      Rational(5, 8)),
+    "macdonald_terms": (lambda order: macdonald_terms(2, order),
+                        Rational(1, 4)),
     "lattice rhs": (lambda order: IDENTITIES["macdonald"].rhs(order, k=2),
                     Rational(1, 4)),
     "verify_identity": (lambda order: verify_identity("weber", order=order),
@@ -89,6 +94,29 @@ def test_rational_returns_a_fraction_unchanged():
         assert rational(given) == expected
     with pytest.raises(TypeError, match="floating point"):
         rational(0.5)
+
+
+@pytest.mark.parametrize("x, expected", [
+    (3, 2), (-3, -4), (Rational(7, 2), 3), (Rational(-7, 2), -4),
+    (Rational(6, 2), 2)])
+def test_largest_int_below(x, expected):
+    assert largest_int_below(x) == expected
+    assert type(largest_int_below(x)) is int
+
+
+def test_lattice_walks_admit_above_the_entry_lead():
+    # each walk's own lead is the entry's power/24, so a verification never
+    # hands a walk an order it rejects
+    for model in coprime_models(60):
+        lead = identity_lowest_exponent("denominator", s=model.s, t=model.t)
+        with pytest.raises(ValueError, match=f"must exceed {lead}$"):
+            general_terms(model, lead)
+        assert general_terms(model, lead + Rational(1, 1000)) is not None
+    for k in range(2, 9):
+        lead = identity_lowest_exponent("macdonald", k=k)
+        with pytest.raises(ValueError, match=f"must exceed {lead}$"):
+            macdonald_terms(k, lead)
+        assert macdonald_terms(k, lead + Rational(1, 1000)) is not None
 
 
 def test_order_above_is_the_one_order_admission_rule():

@@ -58,6 +58,18 @@ class TestVandermonde:
         expected = ((xs[1] - xs[0]) * (xs[2] - xs[0]) * (xs[2] - xs[1]))
         assert vandermonde(xs) == expected
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 6])
+    def test_matches_the_nested_loop_product(self, k):
+        ints = [3, -1, 8, 0, 5, -4][:k]
+        for xs in (ints, [Fraction(x, 7) for x in ints],
+                   ints[:-1] + ints[:1]):
+            expected = 1
+            for i in range(len(xs)):
+                for j in range(i):
+                    expected *= xs[i] - xs[j]
+            got = vandermonde(iter(xs))
+            assert got == expected and type(got) is type(expected), xs
+
 
 class TestWronskian:
     def test_single_entry(self):
