@@ -7,20 +7,19 @@ agree coefficient by coefficient.
 """
 
 from qetakit import (Rational, character_chi_form, character_double_sum,
-                     character_product_2k1, distinct_weights, make_model,
-                     mu_count, normalized_character, strange_sum_2k1,
-                     strange_sum_general)
+                     character_product, distinct_weights, make_model,
+                     mu_count, normalized_character, strange_sum_general)
 
 # ---------------------------------------------------------------------------
 # The (2,5) model: two characters with Rogers-Ramanujan product shapes.
 # ---------------------------------------------------------------------------
 model = make_model(2, 5)
 print(f"model {model}")
-for i, label in enumerate(distinct_weights(model), start=1):
+for label in distinct_weights(model):
     print(f"  (m,n)=({label.m},{label.n})  h={label.h}  h-c/24={label.h_bar}")
     double = character_double_sum(model, label, 12)
     chi = character_chi_form(model, label, 12)
-    product = character_product_2k1(model.k, i, 12)
+    product = character_product(model, label, 12)
     print("   double sum :", double)
     print("   indicator  :", chi)
     print("   product    :", product)
@@ -46,7 +45,7 @@ print("weights:", sorted(label.h for label in distinct_weights(ising)))
 # ---------------------------------------------------------------------------
 print("\nweight sums against their closed forms:")
 for k in range(1, 7):
-    value = strange_sum_2k1(k)
+    value = strange_sum_general(2, 2 * k + 1)
     assert value == Rational(2 * k * (k - 1), 24)
     print(f"   (2,{2 * k + 1}): sum h_bar = {value} = 2k(k-1)/24")
 for s, t in ((3, 4), (3, 5), (4, 5)):

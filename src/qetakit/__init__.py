@@ -27,15 +27,14 @@ from .minimal_models import (
     WeightLabel,
     character_chi_form,
     character_double_sum,
-    character_product_2k1,
+    character_product,
     chi_numerator,
-    chi_support,
+    chi_signs,
     coprime_models,
     distinct_weights,
     make_model,
     mu_count,
     normalized_character,
-    strange_sum_2k1,
     strange_sum_general,
     weight_label,
 )

@@ -30,7 +30,7 @@ import time
 from .eta import NAMED_SERIES, named_series
 from .identities import IDENTITIES, audit_identity, verify_identity
 from .minimal_models import (character_chi_form, character_double_sum,
-                             character_product_2k1, make_model, weight_label)
+                             character_product, make_model, weight_label)
 from .rationals import parse_order
 from .suite import adhoc_manifest, load_manifest, run_suite
 
@@ -38,6 +38,10 @@ from .suite import adhoc_manifest, load_manifest, run_suite
 #: ``--<param>`` option of ``verify``.
 _PARAMS = tuple(dict.fromkeys(
     param for entry in IDENTITIES.values() for param in entry.params))
+
+#: The builder of each ``char --form``, first the default.
+_CHARACTER_FORMS = {"double": character_double_sum, "chi": character_chi_form,
+                    "product": character_product}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +73,10 @@ def _cmd_series(args):
 def _cmd_char(args):
     order = parse_order(args.order)
     model = make_model(args.s, args.t)
-    label = weight_label(model, args.m, args.n)
-    if args.form == "double":
-        series = character_double_sum(model, label, order)
-    elif args.form == "chi":
-        series = character_chi_form(model, label, order)
-    else:
-        if model.s != 2 or args.m != 1:
-            raise ValueError("--form product needs s = 2 and m = 1")
-        series = character_product_2k1(model.k, args.n, order)
+    # (m, n) of (s, t) with s > t is the label (n, m) of the model (t, s)
+    m, n = (args.m, args.n) if args.s < args.t else (args.n, args.m)
+    series = _CHARACTER_FORMS[args.form](model, weight_label(model, m, n),
+                                         order)
     _emit(series.to_text(), args.output)
     return 0
 
@@ -150,7 +149,7 @@ def build_parser():
     for param in ("s", "t", "m", "n"):
         p_char.add_argument(f"--{param}", type=int, required=True)
     p_char.add_argument("--order", default="20")
-    p_char.add_argument("--form", choices=("double", "chi", "product"),
+    p_char.add_argument("--form", choices=_CHARACTER_FORMS,
                         default="double")
     p_char.add_argument("--output")
     p_char.set_defaults(func=_cmd_char)

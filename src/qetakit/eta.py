@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache, partial
-from math import isqrt
+from math import ceil, isqrt
 
 from .rationals import Rational, largest_int_below, order_above, rational
 from .series import PrecisionError, QSeries
@@ -92,17 +92,13 @@ def _euler_product_cached(count):
     return _binomial_product(1, range(1, count), -1, count)
 
 
-def _integer_count(order):
-    # the least integer at or above every exponent below order: a series
-    # exact below it, truncated to order, is exact below order
-    return largest_int_below(order) + 1
-
-
 def euler_product(order):
     """``prod_{i>=1} (1 - q^i)`` with all exponents < order exact; the
     order must exceed its leading exponent 0."""
     order = order_above(order, 0)
-    return _euler_product_cached(_integer_count(order)).truncate(order)
+    # ceil(order) is at or above every exponent below order: a series exact
+    # below it, truncated to order, is exact below order
+    return _euler_product_cached(ceil(order)).truncate(order)
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +113,7 @@ def euler_inverse(order):
     order, which must exceed its leading exponent 0; it is built to at
     least precision 1."""
     order = max(order_above(order, 0), 1)
-    return _euler_inverse_cached(_integer_count(order)).truncate(order)
+    return _euler_inverse_cached(ceil(order)).truncate(order)
 
 
 def eta_series(order):
@@ -151,7 +147,7 @@ def eta_power(exponent, order):
         return QSeries.zero(order)
     if m == 1:
         return eta_series(order)
-    count = largest_int_below(order - Rational(m, 24)) + 1
+    count = ceil(order - Rational(m, 24))
     # (j, g_j, (m + 1) j g_j) for the nonzero g_j with 1 <= j < count: the
     # sign of v at j = (v^2 - 1)/24
     pentagonal = []

@@ -87,7 +87,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .eta import ETA_EXPONENT, WEBER_F2_EXPONENT, WEBER_F_EXPONENT, \
     eta_power, euler_product, jacobi_cube_series, theta_window, weber_series
-from .minimal_models import _chi_signs, chi_numerator, distinct_weights, \
+from .minimal_models import chi_numerator, chi_signs, distinct_weights, \
     make_model, character_double_sum, normalized_character
 from .rationals import Rational, largest_int_below, order_above, rat_str, \
     rational
@@ -151,7 +151,7 @@ def _model_windows(model, cap):
     """One :func:`~qetakit.eta.theta_window` per distinct weight of
     ``model``: the v >= 1 in its label's signed residue classes mod 2st
     whose square is at most ``cap``."""
-    return [theta_window(2 * model.s * model.t, _chi_signs(model, label), cap)
+    return [theta_window(2 * model.s * model.t, chi_signs(model, label), cap)
             for label in distinct_weights(model)]
 
 

@@ -96,27 +96,22 @@ def distinct_weights(model):
     raise RuntimeError(f"could not collect k={model.k} labels for {model}")
 
 
-def chi_support(model, label):
-    """Residue classes mod 2st carrying indicator +1 and -1.
+def chi_signs(model, label):
+    """The residue indicator of a label: each residue class mod 2st that
+    carries a sign, mapped to that sign +-1.
 
-    Raises when the two sign classes collide, which signals a label outside
+    Raises when the +1 and -1 classes collide, which signals a label outside
     the valid range rather than a summable configuration.
     """
     s, t = model.s, model.t
     modulus = 2 * s * t
     a = label.n * s - label.m * t
     b = label.n * s + label.m * t
-    plus = frozenset((a % modulus, -a % modulus))
-    minus = frozenset((b % modulus, -b % modulus))
+    plus = {a % modulus, -a % modulus}
+    minus = {b % modulus, -b % modulus}
     if plus & minus:
         raise ValueError(f"degenerate chi: residue classes overlap for "
                          f"(m,n)=({label.m},{label.n}) of {model}")
-    return plus, minus
-
-
-def _chi_signs(model, label):
-    """The indicator of a label as a residue -> +-1 map mod 2st."""
-    plus, minus = chi_support(model, label)
     return dict.fromkeys(plus, 1) | dict.fromkeys(minus, -1)
 
 
@@ -173,7 +168,7 @@ def chi_numerator(model, label, precision):
     """The chi-form numerator ``sum_{r >= 1} chi(r) q^(r^2/(4st))`` of a
     label, with the residue-indicator signs, exact below ``precision``."""
     st = model.s * model.t
-    return unary_theta(2 * st, _chi_signs(model, label), 4 * st, precision)
+    return unary_theta(2 * st, chi_signs(model, label), 4 * st, precision)
 
 
 def character_chi_form(model, label, order):
@@ -187,25 +182,23 @@ def character_chi_form(model, label, order):
     return (numer * euler_inverse(rel)).shift(-ETA_EXPONENT)
 
 
-def character_product_2k1(k, i, order):
-    """Infinite-product character for the s = 2 family.
+def character_product(model, label, order):
+    """Infinite-product character of a label (1, i) of an s = 2 model
+    (2, 2k+1).
 
     Retains the factors ``1/(1 - q^n)`` for n not congruent to 0, i, -i
     modulo 2k+1, as the inverse of one binomial product; equal to both
     other character forms.  The labels i and 2k+1-i exclude the same
     residues and name the same character.
     """
-    k, i = operator.index(k), operator.index(i)
-    if k < 1 or not 1 <= i <= 2 * k:
-        raise ValueError(f"need k >= 1 and 1 <= i <= 2k, got k={k}, i={i}")
-    model = make_model(2, 2 * k + 1)
-    label = weight_label(model, 1, i)
+    _check_label(model, label)
+    if model.s != 2:
+        raise ValueError(f"the product form needs s = 2, not {model}")
     hbar = label.h_bar
     rel = order_above(order, hbar) - hbar
-    modulus = 2 * k + 1
-    excluded = {0, i, modulus - i}
+    excluded = {0, label.n, model.t - label.n}
     steps = [n for n in range(1, largest_int_below(rel) + 1)
-             if n % modulus not in excluded]
+             if n % model.t not in excluded]
     return _binomial_product(1, steps, -1, rel).invert().shift(hbar)
 
 
@@ -216,14 +209,6 @@ def normalized_character(model, label, order):
     lead = label.h_bar + ETA_EXPONENT
     rel = order_above(order, lead) - lead
     return _double_sum_numerator(model, label, rel).shift(lead)
-
-
-def strange_sum_2k1(k):
-    """Sum of h_bar over the k distinct weights of the (2, 2k+1) model."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return strange_sum_general(2, 2 * k + 1)
 
 
 def strange_sum_general(s, t):

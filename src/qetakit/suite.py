@@ -79,9 +79,13 @@ def load_manifest(path=None):
 def validate_job(job):
     """Raise ValueError unless ``job`` is an object naming an identity, the
     params it takes (:func:`~qetakit.identities.identity_params`) and an
-    order in the grammar of :func:`~qetakit.rationals.parse_order`."""
+    order in the grammar of :func:`~qetakit.rationals.parse_order`, and no
+    other key."""
     if not isinstance(job, dict) or "identity" not in job or "order" not in job:
         raise ValueError(f"malformed manifest job: {job!r}")
+    unknown = [key for key in job if key not in ("identity", "params", "order")]
+    if unknown:
+        raise ValueError(f"manifest job {job!r}: unknown key {unknown[0]!r}")
     params = job.get("params")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"manifest job {job!r}: params must be an object")

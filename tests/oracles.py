@@ -9,7 +9,7 @@ elimination of the derivative matrix, and Gaussian elimination over
 the series oracles use only the public ``QSeries`` constructors, views and
 ring operators (the Bareiss oracle also the package's reduction to
 distinct leading exponents, which it does not test), the residue
-indicator reads the package's sign classes (``chi_support``) one integer
+indicator reads the package's residue signs (``chi_signs``) one integer
 at a time, the s = 2 product character multiplies one geometric series
 per retained factor, the eta power is the package's eta series raised
 by repeated squaring (series products, none of the power recurrence it
@@ -418,15 +418,9 @@ def scale_by_matrix(matrix, entries):
 
 def chi_indicator(model, label, r):
     """The +-1/0 residue-class indicator of a label at an integer r."""
-    from qetakit import chi_support
+    from qetakit import chi_signs
 
-    plus, minus = chi_support(model, label)
-    rem = int(r) % (2 * model.s * model.t)
-    if rem in plus:
-        return 1
-    if rem in minus:
-        return -1
-    return 0
+    return chi_signs(model, label).get(int(r) % (2 * model.s * model.t), 0)
 
 
 def character_product_geometric(k, i, order):

@@ -24,11 +24,11 @@ import pytest
 from qetakit import (IDENTITIES, QSeries, Rational,
                      abel_log_derivative_check, c_k_constant,
                      character_chi_form, character_double_sum,
-                     character_product_2k1, coprime_models, distinct_weights,
+                     character_product, coprime_models, distinct_weights,
                      eisenstein_g2, eta_power, eta_series, euler_product,
                      jacobi_cube_series, make_model, mu_count,
-                     pentagonal_sum_series, rational, strange_sum_2k1,
-                     strange_sum_general, verify_identity, wronskian)
+                     pentagonal_sum_series, rational, strange_sum_general,
+                     verify_identity, wronskian)
 from qetakit.suite import load_manifest, run_suite
 
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
@@ -165,12 +165,12 @@ def test_criterion_8_cross_formula_characters():
     order = 40
     ok = True
     for model in coprime_models(60):
-        for i, label in enumerate(distinct_weights(model), start=1):
+        for label in distinct_weights(model):
             double = character_double_sum(model, label, order)
             chi = character_chi_form(model, label, order)
             ok &= double.equal_up_to(chi, order)
             if model.s == 2:
-                prod = character_product_2k1(model.k, i, order)
+                prod = character_product(model, label, order)
                 ok &= double.equal_up_to(prod, order)
     report_criterion(8, "three-way character agreement, st<=60, order 40",
                      ok, time.monotonic() - started)
@@ -180,7 +180,8 @@ def test_criterion_9_strange_formulas():
     started = time.monotonic()
     ok = True
     for k in range(1, 13):
-        ok &= strange_sum_2k1(k) == Rational(2 * k * (k - 1), 24)
+        ok &= strange_sum_general(2, 2 * k + 1) == \
+            Rational(2 * k * (k - 1), 24)
     for model in coprime_models(100):
         s, t = model.s, model.t
         value = strange_sum_general(s, t)

@@ -13,7 +13,7 @@ import pytest
 
 import qetakit
 from qetakit import (QSeries, VerificationReport, character_double_sum,
-                     make_model, rational, weight_label)
+                     coprime_models, make_model, rational, weight_label)
 from qetakit.cli import build_parser, main
 from qetakit.identities import IDENTITIES
 from qetakit.suite import (load_manifest, model_grid_jobs, run_suite,
@@ -119,6 +119,22 @@ class TestCharCommand:
         assert series["3", "product"] == series["2", "product"]
         for key in series:
             assert series[key].equal_up_to(series["2", "product"], 9)
+
+    def test_swapped_model_takes_the_swapped_label(self, capsys):
+        # (m, n) of (s, t) is the label (n, m) of (t, s): every form prints
+        # the same text and exit code for both, over every grid label
+        def run(s, t, m, n, form):
+            return run_cli(capsys, "char", "--s", str(s), "--t", str(t),
+                           "--m", str(m), "--n", str(n), "--order", "6",
+                           "--form", form)
+
+        cases = [(model.s, model.t, m, n, form)
+                 for model in coprime_models(40) for m in range(1, model.s)
+                 for n in range(1, model.t)
+                 for form in ("double", "chi", "product")]
+        assert len(cases) == 954
+        assert [(s, t, m, n, form) for s, t, m, n, form in cases
+                if run(t, s, n, m, form) != run(s, t, m, n, form)] == []
 
     def test_invalid_model(self, capsys):
         code, _, err = run_cli(capsys, "char", "--s", "4", "--t", "6",
@@ -493,6 +509,11 @@ class TestSuiteCommand:
          "unknown param 'k' for euler"),
         ({"identity": "macdonald", "params": {"k": 1}, "order": "10"},
          "requires k >= 2"),
+        # a misspelt key is named, not ignored
+        ({"identity": "denominator", "params": {"s": 2, "t": 5},
+          "order": "5", "oder": "50"}, "unknown key 'oder'"),
+        ({"identity": "euler", "parms": {"k": 3}, "order": "10"},
+         "unknown key 'parms'"),
     ])
     def test_invalid_job_exits_2_before_any_job_runs(self, capsys, tmp_path,
                                                      monkeypatch, bad_job,

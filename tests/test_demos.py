@@ -45,7 +45,8 @@ REMOVED_NAMES = (
     "lattice_exponent", "macdonald_rhs", "general_rhs",
     "characters_for_wronskian", "wronskian_of_characters", "IDENTITY_NAMES",
     "rat_floor", "_over_common_denominator", "_resolve_output",
-    "default_manifest_text")
+    "default_manifest_text", "character_product_2k1", "strange_sum_2k1",
+    "chi_support", "_chi_signs", "_integer_count")
 
 
 def test_removed_names_stay_removed():

@@ -130,7 +130,8 @@ any_jobs = st.one_of(
         optional={"params": st.one_of(
             st.none(), st.just([]),
             st.dictionaries(st.sampled_from(["k", "s", "t", "x"]),
-                            st.sampled_from(JSON_VALUES), max_size=3))}),
+                            st.sampled_from(JSON_VALUES), max_size=3)),
+            "oder": st.sampled_from(JSON_ORDERS)}),
     st.sampled_from(["euler", {"identity": "euler"}, {"order": "3"}]),
 )
 

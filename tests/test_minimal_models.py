@@ -5,10 +5,9 @@ from math import gcd
 import pytest
 
 from qetakit import (QSeries, Rational, character_chi_form,
-                     character_double_sum, character_product_2k1,
+                     character_double_sum, character_product,
                      coprime_models, distinct_weights, eta_series,
-                     make_model, mu_count,
-                     normalized_character, rational, strange_sum_2k1,
+                     make_model, mu_count, normalized_character, rational,
                      strange_sum_general, weber_series, weight_label)
 from qetakit.minimal_models import (MinimalModel, WeightLabel,
                                      _double_sum_numerator)
@@ -208,8 +207,8 @@ class TestCharacters:
     def test_product_form_matches(self):
         for k, t in ((2, 5), (3, 7)):
             model = make_model(2, t)
-            for i, label in enumerate(distinct_weights(model), start=1):
-                p = character_product_2k1(k, i, 30)
+            for label in distinct_weights(model):
+                p = character_product(model, label, 30)
                 d = character_double_sum(model, label, 30)
                 assert p.equal_up_to(d, 30)
 
@@ -220,10 +219,10 @@ class TestCharacters:
         for k in range(1, 7):
             model = make_model(2, 2 * k + 1)
             for i in range(1, 2 * k + 1):
-                hbar = weight_label(model, 1, i).h_bar
+                label = weight_label(model, 1, i)
                 for extra in ("1/7", "3/2", "47/4", 30):
-                    order = hbar + rational(extra)
-                    assert (character_product_2k1(k, i, order)
+                    order = label.h_bar + rational(extra)
+                    assert (character_product(model, label, order)
                             == character_product_geometric(k, i, order)), \
                         (k, i, extra)
 
@@ -232,13 +231,21 @@ class TestCharacters:
         for k in range(1, 5):
             model = make_model(2, 2 * k + 1)
             for i in range(1, k + 1):
-                mirror = character_product_2k1(k, 2 * k + 1 - i, 20)
-                assert mirror == character_product_2k1(k, i, 20)
-                assert mirror.equal_up_to(character_double_sum(
-                    model, weight_label(model, 1, 2 * k + 1 - i), 20), 20)
-        for k, i in ((1, 0), (1, 3), (3, 7), (0, 1)):
-            with pytest.raises(ValueError, match="1 <= i <= 2k"):
-                character_product_2k1(k, i, 20)
+                label = weight_label(model, 1, 2 * k + 1 - i)
+                mirror = character_product(model, label, 20)
+                assert mirror == character_product(
+                    model, weight_label(model, 1, i), 20)
+                assert mirror.equal_up_to(
+                    character_double_sum(model, label, 20), 20)
+        for k, i in ((1, 0), (1, 3), (3, 7)):
+            with pytest.raises(ValueError, match="label out of range"):
+                weight_label(make_model(2, 2 * k + 1), 1, i)
+        ising = make_model(3, 4)
+        with pytest.raises(ValueError, match="product form needs s = 2"):
+            character_product(ising, weight_label(ising, 1, 1), 20)
+        foreign = weight_label(make_model(2, 7), 1, 2)
+        with pytest.raises(ValueError, match="does not belong"):
+            character_product(make_model(2, 5), foreign, 20)
 
     def test_foreign_label_rejected(self):
         other = weight_label(make_model(3, 4), 1, 2)
@@ -333,7 +340,7 @@ class TestNormalizedCharacters:
 
 class TestStrangeSums:
     def test_k2_value(self):
-        assert strange_sum_2k1(2) == Rational(1, 6)
+        assert strange_sum_general(2, 5) == Rational(1, 6)
 
     def test_ising_both_closed_forms(self):
         value = strange_sum_general(3, 4)
@@ -342,13 +349,14 @@ class TestStrangeSums:
         assert value == Rational(2 * a * (a - 1), 24)
 
     def test_degenerate_single_module(self):
-        assert strange_sum_2k1(1) == 0
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            strange_sum_2k1(0)
+        assert strange_sum_general(2, 3) == 0
+        with pytest.raises(ValueError, match="not a minimal model"):
+            strange_sum_general(2, 1)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_s2_closed_form(self, k):
-        assert strange_sum_2k1(k) == Rational(2 * k * (k - 1), 24)
+        assert strange_sum_general(2, 2 * k + 1) == \
+            Rational(2 * k * (k - 1), 24)
 
     def test_general_closed_forms(self):
         for model in coprime_models(100):

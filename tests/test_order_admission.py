@@ -15,7 +15,7 @@ import pytest
 
 import qetakit
 from qetakit import (IDENTITIES, QSeries, Rational, character_chi_form,
-                     character_double_sum, character_product_2k1,
+                     character_double_sum, character_product,
                      coprime_models, eisenstein_g2, eta_power, euler_inverse,
                      euler_product, general_terms, identity_lowest_exponent,
                      jacobi_cube_series, macdonald_terms, make_model,
@@ -47,8 +47,9 @@ ENTRY_POINTS = {
         lambda order: character_double_sum(ISING, SIGMA, order), SIGMA.h_bar),
     "character_chi_form": (
         lambda order: character_chi_form(ISING, SIGMA, order), SIGMA.h_bar),
-    "character_product_2k1": (
-        lambda order: character_product_2k1(2, 1, order), LEE_YANG.h_bar),
+    "character_product": (
+        lambda order: character_product(make_model(2, 5), LEE_YANG, order),
+        LEE_YANG.h_bar),
     "normalized_character": (
         lambda order: normalized_character(ISING, SIGMA, order),
         SIGMA.h_bar + Rational(1, 24)),

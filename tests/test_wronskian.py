@@ -16,7 +16,7 @@ from qetakit import (QSeries, Rational, abel_log_derivative_check,
                      weber_series, wronskian)
 from qetakit import series as series_module
 from qetakit.identities import IDENTITIES, verify_identity
-from qetakit.minimal_models import chi_support
+from qetakit.minimal_models import chi_signs
 from qetakit.wronskian import _distinct_leading_exponents, _jacobi_recursion
 
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
@@ -329,8 +329,7 @@ def _model_vectors(model, headroom):
     ``headroom`` above its leading exponent."""
     labels = distinct_weights(model)
     st4 = 4 * model.s * model.t
-    lows = [Rational(min(plus | minus) ** 2, st4)
-            for plus, minus in (chi_support(model, lab) for lab in labels)]
+    lows = [Rational(min(chi_signs(model, lab)) ** 2, st4) for lab in labels]
     yield [chi_numerator(model, lab, low + headroom)
            for lab, low in zip(labels, lows)]
     base = sum(lab.h_bar for lab in labels)
