@@ -15,9 +15,14 @@ squaring of eta is its test oracle.  The residue-class windows of
 :mod:`qetakit.minimal_models` and the lattice sums of
 :mod:`qetakit.identities`.  The binomial product :func:`euler_product` is
 kept as the independent side of the ``euler`` identity, and Weber's
-products stay products.  Both binomial products are built as balanced
-product trees, binomial times binomial at the leaves and long times long
-above them.  Every infinite sum or product is cut at the analytically
+products stay products.  In a binomial product exact below P, every step
+is below ``top = ceil(P grid)``, and any two factors whose steps are at
+least ``ceil(top/2)`` multiply to an exponent at or past P, so those
+factors are one linear series; the other factors form a balanced product
+tree, binomial times binomial at the leaves and long times long above
+them, and the linear series is multiplied in at the root.  The Euler and
+Weber products are cached per integer count and truncated to the order
+asked for.  Every infinite sum or product is cut at the analytically
 forced bound: the first omitted factor or summand cannot touch any
 exponent below the requested order, so all reported coefficients are
 exact.
@@ -68,22 +73,35 @@ def _binomial_product(grid, steps, sign, precision):
     """``prod_n (1 + sign q^(n/grid))`` over the positive ``steps``, exact
     below ``precision``; PrecisionError unless every step lies below it.
 
-    The factors are multiplied pairwise, level by level, as a balanced
-    product tree: the leaves are binomial times binomial, and the upper
-    levels are long times long, which the Kronecker kernel multiplies.
+    Every step is below ``top = ceil(P grid)``, so a product of two or more
+    factors with steps at or above ``half = ceil(top/2)`` has exponent at
+    least ``2 half/grid >= P``: below P those factors are the one linear
+    series ``1 + sign sum q^(n/grid)``, summed with multiplicity.  The
+    factors below ``half`` are multiplied pairwise, level by level, as a
+    balanced product tree: the leaves are binomial times binomial, and the
+    upper levels are long times long, which the Kronecker kernel
+    multiplies.  The linear series is multiplied in once, at the root.
     Every factor starts at q^0, so each product is exact below
-    ``precision`` and the tree gives the same series as a left fold.
+    ``precision`` and the result is the same series as a left fold.
     """
     P = rational(precision)
     steps = list(steps)
     if not Rational(max(steps, default=0), grid) < P:
         raise PrecisionError("term beyond precision")
-    level = [QSeries._from_numerators(grid, 0, {0: 1, n: sign}, 1, P)
-             for n in steps] or [QSeries.one(P)]
+    half = (ceil(P * grid) + 1) // 2
+    linear = {0: 1}
+    level = []
+    for n in steps:
+        if n < half:
+            level.append(QSeries._from_numerators(grid, 0, {0: 1, n: sign},
+                                                  1, P))
+        else:
+            linear[n] = linear.get(n, 0) + sign
     while len(level) > 1:
         odd = level[-1:] if len(level) % 2 else []
         level = [x * y for x, y in zip(level[::2], level[1::2])] + odd
-    return level[0]
+    linear = QSeries._from_numerators(grid, 0, linear, 1, P)
+    return level[0] * linear if level else linear
 
 
 @lru_cache(maxsize=None)
@@ -214,20 +232,31 @@ _WEBER = {"f": (WEBER_F_EXPONENT, 2, 1), "f1": (WEBER_F_EXPONENT, 2, -1),
           "f2": (WEBER_F2_EXPONENT, 1, 1)}
 
 
+@lru_cache(maxsize=None)
+def _weber_cached(key, count):
+    # Weber's product without its q^prefix, exact below the integer count:
+    # the steps n = 1, 1 + grid, 1 + 2 grid, ... with n/grid below count
+    _, grid, sign = _WEBER[key]
+    return _binomial_product(grid, range(1, grid * count, grid), sign, count)
+
+
 def weber_series(which, order):
     """One of Weber's three product functions, exact below order.
 
     ``which`` is ``"f"`` (plus signs, half-integer steps), ``"f1"`` (minus
     signs, half-integer steps) or ``"f2"`` (plus signs, integer steps).
+    Each product is built once per integer count, the least integer at or
+    above the order minus the leading exponent, and cached; every order
+    with that count is a truncation of it, so at an integer order the
+    ``weber`` identity's columns f and ``(f - f1)/2`` share one build of f.
     """
     key = str(which).lower()
     if key not in _WEBER:
         raise ValueError(f"unknown Weber function {which!r} (use f, f1 or f2)")
-    prefix, grid, sign = _WEBER[key]
+    prefix = _WEBER[key][0]
     rel = order_above(order, prefix) - prefix
-    # the steps n = 1, 1 + grid, 1 + 2 grid, ... with n/grid below rel
-    steps = range(1, largest_int_below(grid * rel) + 1, grid)
-    return _binomial_product(grid, steps, sign, rel).shift(prefix)
+    # ceil(rel) is at or above every exponent below rel, as in euler_product
+    return _weber_cached(key, ceil(rel)).truncate(rel).shift(prefix)
 
 
 #: The builder of every name of :data:`NAMED_SERIES` but ``eta^M``.

@@ -81,16 +81,19 @@ def largest_int_below(x) -> int:
     return math.ceil(x) - 1
 
 
-_CHUNK = 10 ** 4000
+#: ``str`` and ``int`` refuse more than 4300 decimal digits by default, so
+#: wider ints are written and read in chunks of this many digits.
+CHUNK_DIGITS = 4000
+CHUNK = 10 ** CHUNK_DIGITS
 
 
 def _int_str(n) -> str:
-    """Decimal digits of the int ``n``, of any size: ``str`` refuses ints of
-    more than 4300 digits by default, so wider ones go in chunks of 4000."""
-    if abs(n) < _CHUNK:
+    """Decimal digits of the int ``n``, of any size, in chunks of
+    :data:`CHUNK_DIGITS`."""
+    if abs(n) < CHUNK:
         return str(n)
-    high, low = divmod(abs(n), _CHUNK)
-    return "-" * (n < 0) + _int_str(high) + str(low).zfill(4000)
+    high, low = divmod(abs(n), CHUNK)
+    return "-" * (n < 0) + _int_str(high) + str(low).zfill(CHUNK_DIGITS)
 
 
 def rat_str(x) -> str:

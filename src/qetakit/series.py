@@ -56,7 +56,8 @@ from collections.abc import Mapping
 from itertools import repeat
 from math import floor, gcd, lcm
 
-from .rationals import Rational, largest_int_below, rational
+from .rationals import (CHUNK, CHUNK_DIGITS, Rational, largest_int_below,
+                        rat_str, rational)
 
 
 class PrecisionError(ValueError):
@@ -68,6 +69,8 @@ class NotInvertibleError(ArithmeticError):
 
 
 _HEADER_RE = re.compile(r"^D=(\d+) P=(-?\d+(?:/\d+)?)$")
+#: A number of the text format: sign, numerator and optional denominator.
+_NUMBER_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 #: A product whose shorter factor has at most this many terms runs the
 #: schoolbook loop; longer factors go through Kronecker substitution.  For
@@ -589,14 +592,35 @@ class QSeries:
     # ------------------------------------------------------------------
 
     def to_text(self):
-        """Interchange text format: header line then exponent/coefficient lines."""
-        lines = [f"D={self.grid_denominator} P={self.precision}"]
-        lines.extend(f"{e} {c}" for e, c in self.terms())
+        """Interchange text format: header line then exponent/coefficient
+        lines, every number in full (:func:`~qetakit.rationals.rat_str`)."""
+        lines = [f"D={self.grid_denominator} P={rat_str(self.precision)}"]
+        lines.extend(f"{rat_str(e)} {rat_str(c)}" for e, c in self.terms())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        """Parse the :meth:`to_text` format."""
+        """Parse the :meth:`to_text` format.  ``int`` may refuse more than
+        4300 digits, so numerators and denominators are read in chunks of
+        :data:`~qetakit.rationals.CHUNK_DIGITS` digits."""
+
+        def digits(run):
+            head = len(run) % CHUNK_DIGITS or CHUNK_DIGITS
+            value = int(run[:head])
+            for i in range(head, len(run), CHUNK_DIGITS):
+                value = value * CHUNK + int(run[i:i + CHUNK_DIGITS])
+            return value
+
+        def number(token):
+            m = _NUMBER_RE.fullmatch(token)
+            if m is None:
+                raise ValueError(f"bad number {token!r} in series text")
+            sign, p, q = m.groups("1")
+            p, q = digits(p), digits(q)
+            if not q:
+                raise ValueError(f"zero denominator in {token!r}")
+            return Rational(-p if sign else p, q)
+
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty series text")
@@ -608,10 +632,10 @@ class QSeries:
         terms = []
         for ln in lines[1:]:
             se, sc = ln.split()
-            e = rational(se)
+            e = number(se)
             if D % e.denominator:
                 raise ValueError(f"exponent {se} is off the declared grid 1/{D}")
-            terms.append((e, rational(sc)))
+            terms.append((e, number(sc)))
         return cls.from_terms(terms, P)
 
     def __eq__(self, other):
@@ -631,10 +655,10 @@ class QSeries:
         parts = []
         for e, c in self.terms()[:max_terms]:
             if e == 0:
-                term = f"{c}"
+                term = rat_str(c)
             else:
-                mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                term = f"{mag}q^({e})"
+                mag = "" if c == 1 else ("-" if c == -1 else f"{rat_str(c)}*")
+                term = f"{mag}q^({rat_str(e)})"
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):
@@ -645,7 +669,7 @@ class QSeries:
             parts.append("+ ...")
         if not parts:
             parts.append("0")
-        parts.append(f"+ O(q^({self.precision}))")
+        parts.append(f"+ O(q^({rat_str(self.precision)}))")
         return " ".join(parts)
 
     def __str__(self):

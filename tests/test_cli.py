@@ -679,6 +679,19 @@ def test_console_entry_point():
     assert "match=true" in proc.stdout
 
 
+def test_module_entry_point_runs_the_suite():
+    # python -m qetakit is the qetakit command
+    package_root = os.path.dirname(os.path.dirname(qetakit.__file__))
+    path = os.pathsep.join(filter(None, (package_root,
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qetakit", "verify", "suite"],
+        capture_output=True, check=False, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden"
+                           / "suite_1.txt").read_bytes()
+
+
 def _loaded_by_import(module):
     """Whether ``import qetakit`` in a fresh interpreter loads ``module``."""
     package_root = os.path.dirname(os.path.dirname(qetakit.__file__))

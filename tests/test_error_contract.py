@@ -20,6 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qetakit import QSeries, Rational, eta_power
 from qetakit.cli import main
 from qetakit.identities import IDENTITIES, Identity
 from qetakit.rationals import rat_str, rational
@@ -344,6 +345,21 @@ def test_a_constant_of_more_than_4300_digits_is_printed(form, tmp_path):
     expected = IDENTITIES["denominator"].predicted(s=10, t=13)
     assert len(printed) > 4300
     assert printed == full_decimal(expected)
+
+
+def test_a_coefficient_of_more_than_4300_digits_is_printed():
+    # the last coefficient of eta^(10^30) below q^(10^30/24 + 200) has
+    # 5598 digits; the text format prints it in full and reads it back
+    m = 10 ** 30
+    order = Rational(m, 24) + 200
+    code, out, err = run(["series", f"eta^{m}", "--order", rat_str(order)])
+    assert (code, err) == (0, "")
+    expected = eta_power(m, order)
+    exponent, coefficient = expected.terms()[-1]
+    printed = out.splitlines()[-1].split()
+    assert printed == [rat_str(exponent), full_decimal(coefficient.numerator)]
+    assert len(printed[1]) > 4300
+    assert QSeries.from_text(out) == expected
 
 
 @pytest.mark.parametrize("value", [

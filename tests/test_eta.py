@@ -290,6 +290,9 @@ def test_binomial_product_of_any_step_subset(grid, sign, precision, data):
     top = largest_int_below(grid * precision)
     steps = data.draw(st.lists(st.integers(1, top), unique=True, max_size=40)
                       if top else st.just([]))
+    # a step may repeat
+    steps += data.draw(st.lists(st.sampled_from(steps), max_size=10)
+                       if steps else st.just([]))
     assert (_binomial_product(grid, steps, sign, precision)
             == binomial_oracle(grid, steps, sign, precision))
 
@@ -303,6 +306,30 @@ def test_binomial_product_steps_must_lie_below_the_precision():
         _binomial_product(1, [], -1, 0)
     assert _binomial_product(2, [7, 1, 3], 1, Rational(15, 4)) == (
         binomial_oracle(2, [1, 3, 7], 1, Rational(15, 4)))
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_product_across_the_linear_half(grid, sign):
+    # every step is below top = ceil(P grid), and the steps at or above
+    # h = ceil(top/2) become one linear series: sets on both sides of h,
+    # at h - 1, h and top - 1, with repeated steps on either side
+    for order in (Rational(7), Rational(15, 2), 9 + Rational(1, 3),
+                  Rational(40), 41 + Rational(1, 48)):
+        top = math.ceil(order * grid)
+        h = (top + 1) // 2
+        for steps in ([h - 1], [h], [h - 1, h], [h, h], [top - 1] * 3,
+                      [h - 1, h - 1, h, top - 1, top - 1],
+                      [1, 1, 2, h - 1, h, h, top - 1],
+                      list(range(h - 2, top)) * 2,
+                      list(range(1, top)) + [1, h - 1, h, top - 1]):
+            expected = binomial_oracle(grid, steps, sign, order)
+            for ordered in (steps, steps[::-1]):
+                got = _binomial_product(grid, ordered, sign, order)
+                assert got == expected, (grid, sign, order, ordered)
+        for steps in ([top], [h, top], [1, h - 1, top + 1]):
+            with pytest.raises(PrecisionError):
+                _binomial_product(grid, steps, sign, order)
 
 
 def test_euler_cache_builds_once_per_integer_count():
@@ -352,3 +379,40 @@ def test_only_verify_euler_builds_the_binomial_product(monkeypatch):
     for order in ("12", "23/2", "47/4", "12", "13"):
         assert verify_identity("euler", order=rational(order)).match
     assert builds == [12, 13]
+
+
+def test_weber_builds_each_product_once_per_count(monkeypatch):
+    # at an integer order the columns f and (f - f1)/2 share f's count
+    from qetakit import eta
+
+    builds = []
+    product = eta._binomial_product
+
+    def counted(grid, steps, sign, precision):
+        builds.append((grid, sign, precision))
+        return product(grid, steps, sign, precision)
+
+    monkeypatch.setattr(eta, "_binomial_product", counted)
+    eta._weber_cached.cache_clear()
+    assert verify_identity("weber", order=20).match
+    assert sorted(builds) == [(1, 1, 20), (2, -1, 20), (2, 1, 20)]
+
+
+@pytest.mark.parametrize("which", ["f", "f1", "f2"])
+def test_weber_series_is_the_truncated_cached_product(which):
+    from qetakit import eta
+
+    prefix, grid, sign = eta._WEBER[which]
+    eta._weber_cached.cache_clear()
+    counts = set()
+    for n in range(-1, 48 * 12):
+        order = Rational(n, 48)
+        if order <= prefix:
+            continue
+        rel = order - prefix
+        steps = range(1, largest_int_below(grid * rel) + 1, grid)
+        expected = _binomial_product(grid, steps, sign, rel).shift(prefix)
+        got = weber_series(which, order)
+        assert got == expected and got.precision == order, order
+        counts.add(math.ceil(rel))
+    assert eta._weber_cached.cache_info().misses == len(counts)

@@ -237,6 +237,28 @@ class TestSerialization:
                                            (2, -5)], 4)):
             assert QSeries.from_text(series.to_text()) == series
 
+    def test_roundtrip_of_wide_coefficients(self):
+        # str and int refuse more than 4300 digits by default; the text
+        # format and the display print every digit, and from_text reads
+        # them back
+        wide = 10 ** 4999 + 7
+        thin = Rational(-1, 3 * 10 ** 4500)
+        series = QSeries.from_terms(
+            [(0, wide), (rational("1/2"), thin), (2, -5)], 4)
+        wide_text = "1" + "0" * 4998 + "7"
+        thin_text = "1/3" + "0" * 4500
+        text = series.to_text()
+        assert text == f"D=2 P=4\n0 {wide_text}\n1/2 -{thin_text}\n2 -5\n"
+        assert QSeries.from_text(text) == series
+        shown = f"{wide_text} - {thin_text}*q^(1/2) - 5*q^(2) + O(q^(4))"
+        assert str(series) == shown
+        assert repr(series) == f"QSeries({shown})"
+        for bad in (f"{wide_text}x", "0.5", "+1", "1e3"):
+            with pytest.raises(ValueError, match="bad number"):
+                QSeries.from_text(f"D=2 P=3\n0 {bad}\n")
+        with pytest.raises(ValueError, match="zero denominator"):
+            QSeries.from_text(f"D=1 P=3\n0 {wide_text}/{'0' * 5000}\n")
+
     def test_bad_header(self):
         with pytest.raises(ValueError, match="bad series header"):
             QSeries.from_text("hello\n")
