@@ -18,14 +18,15 @@ kept as the independent side of the ``euler`` identity, and Weber's
 products stay products.  In a binomial product exact below P, every step
 is below ``top = ceil(P grid)``, and any two factors whose steps are at
 least ``ceil(top/2)`` multiply to an exponent at or past P, so those
-factors are one linear series; the other factors form a balanced product
-tree, binomial times binomial at the leaves and long times long above
-them, and the linear series is multiplied in at the root.  The Euler and
-Weber products are cached per integer count and truncated to the order
-asked for.  Every infinite sum or product is cut at the analytically
-forced bound: the first omitted factor or summand cannot touch any
-exponent below the requested order, so all reported coefficients are
-exact.
+factors are one linear series.  The other factors are one packed integer
+``sum c_i B^i``, one shift and one add per factor, whose digits are wide
+enough for the largest coefficient (``2^m`` for m factors, or a partition
+bound when no step repeats), and the linear series is multiplied in once,
+at the root.  The Euler and Weber products are cached per integer count
+and truncated to the order asked for.  Every infinite sum or product is
+cut at the analytically forced bound: the first omitted factor or summand
+cannot touch any exponent below the requested order, so all reported
+coefficients are exact.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache, partial
 from math import ceil, isqrt
 
 from .rationals import Rational, largest_int_below, order_above, rational
-from .series import PrecisionError, QSeries
+from .series import PrecisionError, QSeries, _binomial_numerators
 
 ETA_EXPONENT = Rational(1, 24)
 WEBER_F_EXPONENT = Rational(-1, 48)
@@ -77,31 +78,30 @@ def _binomial_product(grid, steps, sign, precision):
     factors with steps at or above ``half = ceil(top/2)`` has exponent at
     least ``2 half/grid >= P``: below P those factors are the one linear
     series ``1 + sign sum q^(n/grid)``, summed with multiplicity.  The
-    factors below ``half`` are multiplied pairwise, level by level, as a
-    balanced product tree: the leaves are binomial times binomial, and the
-    upper levels are long times long, which the Kronecker kernel
-    multiplies.  The linear series is multiplied in once, at the root.
-    Every factor starts at q^0, so each product is exact below
-    ``precision`` and the result is the same series as a left fold.
+    factors below ``half`` are one packed integer, one shift and one add
+    per factor, cut to the ``min(top, sum + 1)`` steps their product can
+    reach below P (:func:`~qetakit.series._binomial_numerators`).  The two
+    halves are multiplied once, at the root, and the result is the same
+    series as a left fold.
     """
     P = rational(precision)
     steps = list(steps)
     if not Rational(max(steps, default=0), grid) < P:
         raise PrecisionError("term beyond precision")
-    half = (ceil(P * grid) + 1) // 2
+    top = ceil(P * grid)
+    half = (top + 1) // 2
+    low = []
     linear = {0: 1}
-    level = []
     for n in steps:
         if n < half:
-            level.append(QSeries._from_numerators(grid, 0, {0: 1, n: sign},
-                                                  1, P))
+            low.append(n)
         else:
             linear[n] = linear.get(n, 0) + sign
-    while len(level) > 1:
-        odd = level[-1:] if len(level) % 2 else []
-        level = [x * y for x, y in zip(level[::2], level[1::2])] + odd
     linear = QSeries._from_numerators(grid, 0, linear, 1, P)
-    return level[0] * linear if level else linear
+    if not low:
+        return linear
+    packed = _binomial_numerators(low, sign, min(top, sum(low) + 1))
+    return QSeries._from_numerators(grid, 0, packed, 1, P) * linear
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +182,9 @@ def eta_power(exponent, order):
             if c:
                 total += (weight - n * g) * c
         f[n], rem = divmod(total, n)
-        assert not rem, "Miller's power recurrence must divide exactly"
+        if rem:
+            raise AssertionError(
+                "Miller's power recurrence must divide exactly")
     return QSeries._from_numerators(
         24, m, {24 * n: c for n, c in enumerate(f) if c}, 1, order)
 

@@ -36,7 +36,11 @@ fixed-width digit per stride, and multiplied once; the digits of the
 product are read back with a bias that makes signed digits non-negative.
 Both loops also take a list of factor pairs and return the sum of their
 products, read back once (:func:`_products`), which the Wronskian kernel
-uses on bare step -> numerator maps.
+uses on bare step -> numerator maps.  A product of binomials ``prod (1 +-
+q^n)`` is packed the same way, but grown in place: one shift and one add
+per factor on one integer cut to the digits that are kept, with digits as
+wide as a bound on its coefficients, and read back once
+(:func:`_binomial_numerators`).
 
 One integer long division, :func:`_quotient_numerators`, divides.  It
 serves :meth:`QSeries.invert`, whose dividend is the constant map ``{0:
@@ -54,7 +58,7 @@ import sys
 from array import array
 from collections.abc import Mapping
 from itertools import repeat
-from math import floor, gcd, lcm
+from math import floor, gcd, isqrt, lcm
 
 from .rationals import (CHUNK, CHUNK_DIGITS, Rational, largest_int_below,
                         rat_str, rational)
@@ -77,8 +81,9 @@ _NUMBER_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 #: two dense factors of n terms the two cost the same at n = 16 to 20,
 #: whether the numerators have 4, 20 or 100 bits (Python 3.11, 2-vCPU
 #: Intel Xeon); the schoolbook loop stays faster when either factor is
-#: short, as at the low levels of the binomial product trees in
-#: :mod:`qetakit.eta`, whose upper levels go through Kronecker substitution.
+#: short.  A product of binomials ``1 +- q^n`` multiplies no factor pair:
+#: it is one packed integer, one shift and one add per factor
+#: (:func:`_binomial_numerators`).
 SCHOOLBOOK_TERMS = 16
 
 #: Array typecodes of the unsigned machine words, by size in bytes; a packed
@@ -176,6 +181,35 @@ def _schoolbook_product(pairs, cap):
     return {s: c for s, c in acc.items() if c}
 
 
+def _digit_width(bits):
+    """Bytes of a packed digit of at least ``bits`` bits, rounded up to a
+    machine word where one is that wide."""
+    width = (bits + 7) // 8
+    return min((w for w in _WORD_CODES if w >= width), default=width)
+
+
+def _digit_bias(count, width):
+    """``B/2`` at each of the lowest ``count`` digits, ``B =
+    2**(8*width)``: the top bit of every digit."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _signed_digits(value, count, width, bias, stride):
+    """step ``i * stride`` -> digit i of the lowest ``count`` signed
+    base-``B`` digits of ``value``, zero digits left out; every digit has
+    magnitude below ``B/2`` and ``bias`` is :func:`_digit_bias`.
+
+    Adding the bias makes every digit non-negative without carries, so the
+    digits are read from the low bits alone, once, and the bias taken off
+    each.
+    """
+    half = 1 << (8 * width - 1)
+    low = (value + bias) & ((1 << (8 * width * count)) - 1)
+    return {i * stride: d - half
+            for i, d in enumerate(_int_to_words(low, count, width))
+            if d != half}
+
+
 def _kronecker_product(pairs, cap):
     """The same sum as :func:`_schoolbook_product` by one big-integer
     multiply per pair and one read-back; no factor has a step above
@@ -197,21 +231,45 @@ def _kronecker_product(pairs, cap):
         top = max(top, max(xs) + max(ys))
     stride = stride or 1
     count = min(cap, top) // stride + 1
-    width = (bound.bit_length() + 8) // 8
-    width = min((w for w in _WORD_CODES if w >= width), default=width)
-    half = 1 << (8 * width - 1)
+    width = _digit_width(bound.bit_length() + 1)
     # the top bit of each of the sum's digits: the sign bits of a packed
     # factor, which has no more digits, and the bias that makes the sum's
     # digits non-negative
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    bias = _digit_bias(count, width)
     total = 0
     for xs, ys in pairs:
         px = _pack(xs, stride, width, bias)
         total += px * px if xs is ys else px * _pack(ys, stride, width, bias)
-    low = (total + bias) & ((1 << (8 * width * count)) - 1)
-    return {i * stride: d - half
-            for i, d in enumerate(_int_to_words(low, count, width))
-            if d != half}
+    return _signed_digits(total, count, width, bias, stride)
+
+
+def _binomial_numerators(steps, sign, count):
+    """step -> numerator of ``prod_n (1 + sign q^n)`` over the positive int
+    ``steps``, up to step ``count - 1``, in one packed integer.
+
+    The product is held as ``sum c_i B^i`` with ``B = 2**(8*width)``, kept
+    below ``B^count``: a factor is one shift and one add or subtract,
+    ``v +- (v << n*8*width)``, cut back to ``count`` digits, and the signed
+    digits are read back once (:func:`_signed_digits`).  Cutting is exact
+    because ``q -> B`` maps the product below ``q^count`` to the integer
+    modulo ``B^count``; only the final digits must fit.  A coefficient of m
+    factors is at most ``2^m`` in magnitude (their absolute values sum to
+    that), and, when no step repeats, a coefficient below ``q^N`` counts
+    partitions of a number below N into distinct parts, so it is at most
+    ``p(N) < e^(pi sqrt(2N/3)) < 2^(4 isqrt(N) + 4)``.  The partition
+    bound is wrong for repeated steps: the coefficients of ``(1 + q)^m``
+    are binomial.  Two spare bits hold the sign and the bias.
+    """
+    m = len(steps)
+    bits = m if len(set(steps)) < m else min(m, 4 * isqrt(count) + 4)
+    width = _digit_width(bits + 2)
+    shift = 8 * width
+    mask = (1 << (shift * count)) - 1
+    combine = operator.add if sign > 0 else operator.sub
+    value = 1
+    for n in sorted(steps):
+        value = combine(value, value << (n * shift)) & mask
+    return _signed_digits(value, count, width, _digit_bias(count, width), 1)
 
 
 def _products(pairs, cap):

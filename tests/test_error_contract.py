@@ -9,6 +9,7 @@ params), and every order
 is at most 12, so each example runs in milliseconds.
 """
 
+import ast
 import io
 import json
 import os
@@ -16,10 +17,12 @@ import sys
 import tempfile
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qetakit
 from qetakit import QSeries, Rational, eta_power
 from qetakit.cli import main
 from qetakit.identities import IDENTITIES, Identity
@@ -374,3 +377,13 @@ def test_wide_ints_print_in_full(value):
     fraction = rational(value) / (3 ** 9000)
     assert rat_str(fraction) == (f"{full_decimal(fraction.numerator)}/"
                                  f"{full_decimal(fraction.denominator)}")
+
+
+def test_no_check_in_the_package_is_a_bare_assert():
+    # python -O strips assert statements; an exactness check must raise
+    stray = []
+    for path in sorted(Path(qetakit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        stray += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert stray == []

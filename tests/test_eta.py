@@ -332,6 +332,44 @@ def test_binomial_product_across_the_linear_half(grid, sign):
                 _binomial_product(grid, steps, sign, order)
 
 
+@pytest.mark.parametrize("grid", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("steps,precision", [
+    ([1] * 100, 60), ([1, 2] * 60, 50), ([3] * 40 + [1] * 40, 70)])
+def test_binomial_product_of_heavily_repeated_steps(grid, sign, steps,
+                                                    precision):
+    # the coefficients of (1 + q)^100 reach C(100, 50), far past the
+    # distinct-part partition bound that serves steps without repeats
+    assert (_binomial_product(grid, steps, sign, precision)
+            == binomial_oracle(grid, steps, sign, precision))
+
+
+def test_binomial_product_makes_one_product_at_the_root(monkeypatch):
+    from qetakit import eta
+
+    products = []
+    series_products = series_module._products
+
+    def counting_products(pairs, cap):
+        products.append(len(pairs))
+        return series_products(pairs, cap)
+
+    monkeypatch.setattr(series_module, "_products", counting_products)
+    eta._euler_product_cached.cache_clear()
+    eta._weber_cached.cache_clear()
+    # both halves have factors: the packed lower half times the linear
+    # upper half, and no other product
+    euler_product(450)
+    assert products == [1]
+    weber_series("f", 110)
+    assert products == [1, 1]
+    # every step in the upper half, or none at all: no product
+    for steps in ([5, 6, 6, 9], []):
+        got = _binomial_product(1, steps, -1, 10)
+        assert got == binomial_oracle(1, steps, -1, 10)
+    assert products == [1, 1]
+
+
 def test_euler_cache_builds_once_per_integer_count():
     from qetakit import eta
 
