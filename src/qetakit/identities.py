@@ -99,8 +99,8 @@ from .wronskian import vandermonde, wronskian
 #: tuples are enumerated, which is faster while few of them contribute.
 #: It stays at 18 for the denominator sum of (5,8) at order 35, a job of
 #: the lattice-sums benchmark workload: above 19.25 that sum would switch
-#: to tuples, which take about twice its Wronskian (18 ms against 9.4 ms,
-#: Python 3.11, 2-vCPU Intel Xeon).  A new sweep waits for a benchmark
+#: to tuples, which take more than twice its Wronskian (18 ms against 7.6
+#: ms, Python 3.11, 2-vCPU Intel Xeon).  A new sweep waits for a benchmark
 #: workload of large-k sums.
 LATTICE_DETERMINANT_HEADROOM = 18
 

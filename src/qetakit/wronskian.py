@@ -18,15 +18,24 @@ Sylvester (Jacobi) identity for Wronskians gives,
   leading exponent).  Most of an entry's size is a common
   Vandermonde-type factor, so the scalars take it and only the primitive
   parts are multiplied and divided: step d computes ``X = M_d theta M_j -
-  M_j theta M_d`` as one two-pair product read back once, divides it by
-  ``M_(d-1)`` by integer long division into ``Q / e`` (see
-  :func:`qetakit.series._quotient_numerators`) and takes the content c
-  of ``Q`` out, so that ``lambda_j <- lambda_d lambda_j c / (D e
-  lambda_(d-1))``.  The division is exact, as in Bareiss'
-  integer-preserving elimination (Math. Comp. 22, 1968): by the identity
-  above the quotient is again a minor, so its numerators are as narrow as
-  the entries', where the inverse of ``M_(d-1)`` has numerators about ten
-  times wider; ``e`` is 1 unless the contents taken out leave the
+  M_j theta M_d`` for every later j, divides it by ``M_(d-1)`` into ``Q /
+  e`` in one call of :func:`qetakit.series._step_quotients`, and takes
+  the content c of ``Q`` out, so that ``lambda_j <- lambda_d lambda_j c /
+  (D e lambda_(d-1))``.  A step whose products take Kronecker
+  substitution packs ``M_d`` and ``theta M_d`` once and sums each ``X``
+  in one integer; while its digits are at most 32 bytes wide
+  (:data:`qetakit.series.PACKED_DIVISION_BYTES`), that integer is divided
+  by one multiply by the 2-adic inverse of the packed ``M_(d-1)``.  The
+  result is kept only when its digits times the divisor's stay below half
+  a digit, so that ``Q M_(d-1)`` and ``X`` agree digit by digit as
+  polynomials and ``Q`` is the exact, integral quotient; every other
+  division (a non-integral quotient, one too wide for the digits, a step
+  of short products or of wider digits) is the integer long division of
+  :func:`qetakit.series._quotient_numerators`.  The division is exact, as
+  in Bareiss' integer-preserving elimination (Math. Comp. 22, 1968): by
+  the identity above the quotient is again a minor, so its numerators are
+  as narrow as the entries', where the inverse of ``M_(d-1)`` has
+  numerators about ten times wider; ``e`` is 1 unless the contents taken out leave the
   quotient an integer map over a constant.  The result is ``lambda_(k-1)
   M_(k-1)``, the very series the whole entries give.  No scalar but that
   one is ever needed, and it telescopes: each step multiplies by its
@@ -80,7 +89,7 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 
 from .rationals import Rational, largest_int_below
-from .series import QSeries, _products, _quotient_numerators
+from .series import QSeries, _step_quotients
 
 
 def vandermonde(values):
@@ -125,8 +134,9 @@ def _jacobi_recursion(columns, lows):
     """``(c, m)`` with ``c * m`` the Wronskian of nonzero columns with the
     distinct leading exponents ``lows``: step p turns every later entry
     into ``W(f_0..f_p, f_j)`` from ``W(f_0..f_(p-1), f_j)`` by one fused
-    two-pair product and, from step 1 on, one exact long division by the
-    primitive map of the pivot of step p - 1 (k(k-1) product pairs and
+    two-pair product and, from step 1 on, one exact division by the
+    primitive map of the pivot of step p - 1, all in one call of
+    :func:`~qetakit.series._step_quotients` (k(k-1) product pairs and
     (k-1)(k-2)/2 divisions; nothing is inverted).  Every entry is a
     primitive key -> int map on one grid, cut at one last key ``cap``: a
     quotient's key m reads its inputs at keys up to m only, so products
@@ -169,19 +179,16 @@ def _jacobi_recursion(columns, lows):
 
     base = 0
     for p in range(k - 1):
-        pivot = v[p]
         if p and 0 not in v[p - 1]:
             raise AssertionError(
                 f"divisor {p} does not start at q^{Rational(base, D)}")
         minus_d_pivot = {i: -c for i, c in theta(p).items()}
-        for j in range(p + 1, k):
-            pairs = [(xs, ys) for xs, ys in ((pivot, theta(j)),
-                                             (v[j], minus_d_pivot))
-                     if xs and ys]
-            x = _products(pairs, cap) if pairs else {}
-            if p:
-                x, d = _quotient_numerators(x, v[p - 1], cap)
-                den *= d
+        later = range(p + 1, k)
+        quotients = _step_quotients(v[p], minus_d_pivot,
+                                    [(v[j], theta(j)) for j in later],
+                                    v[p - 1] if p else None, cap)
+        for j, (x, d) in zip(later, quotients):
+            den *= d
             content, v[j] = _primitive(x)
             num *= content
         base += offsets[p]

@@ -344,6 +344,55 @@ def test_binomial_product_of_heavily_repeated_steps(grid, sign, steps,
             == binomial_oracle(grid, steps, sign, precision))
 
 
+def test_distinct_binomial_bits_cover_the_distinct_partitions():
+    # q(n), the partitions of n into distinct parts, for n <= 2000: the
+    # coefficients of prod (1 + q^k); below q^count every one of them is
+    # less than 2^bits(count) in magnitude
+    top = 2000
+    counts = [1] + [0] * top
+    for k in range(1, top + 1):
+        for n in range(top, k - 1, -1):
+            counts[n] += counts[n - k]
+    assert counts[:8] == [1, 1, 1, 2, 2, 3, 4, 5]
+    assert counts[100] == distinct_partition_count(100)
+    largest = 0
+    for count in range(1, top + 2):
+        largest = max(largest, counts[count - 1])
+        bits = series_module._distinct_binomial_bits(count)
+        assert largest < 1 << bits, count
+        # pi sqrt(N/3) / ln 2 bits or more, N = count - 1
+        assert bits >= math.pi * math.sqrt((count - 1) / 3) / math.log(2)
+
+
+def _digit_bytes(bits):
+    # the digit width of the packed product: the bound plus sign and bias
+    return series_module._digit_width(bits + 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_numerators_where_the_digit_width_changes(sign):
+    # every step below the count, each once: the digits are sized by the
+    # distinct-part bound, so build at both counts around each change of
+    # width, and every other step too; with repeats, by the factor count m
+    bits = series_module._distinct_binomial_bits
+    changes = [c for c in range(2, 600)
+               if _digit_bytes(bits(c)) != _digit_bytes(bits(c - 1))]
+    assert [_digit_bytes(bits(c)) for c in changes] == [2, 4, 8, 9]
+    for change in changes:
+        for count in (change - 1, change):
+            for steps in (range(1, count), range(1, count, 2)):
+                assert (series_module._binomial_numerators(
+                    list(steps), sign, count)
+                    == binomial_factors_poly(steps, sign, count)), count
+    for m in (6, 7, 14, 15, 30, 31, 62, 63, 70, 71):
+        for steps in ([1] * m, [1, 2] * (m // 2) + [3] * (m % 2),
+                      [2] * (m - 1) + [5]):
+            count = sum(steps) + 1
+            assert len(steps) == m
+            assert (series_module._binomial_numerators(steps, sign, count)
+                    == binomial_factors_poly(steps, sign, count)), steps
+
+
 def test_binomial_product_makes_one_product_at_the_root(monkeypatch):
     from qetakit import eta
 

@@ -8,7 +8,9 @@ numerators beyond 2**64 and runs of one sign, and lengths on both sides of
 the schoolbook/Kronecker cutoff.  Comparison below a bound must agree
 with the term-by-term comparison of ``oracles`` on the common grid.  The
 Wronskian kernel's long division of step maps must give the quotient that
-the oracles' inverse and product give, over its least common denominator.
+the oracles' inverse and product give, over its least common denominator,
+and one step of the recursion, packed and divided in the packed integer,
+must give what the products and the long division give.
 """
 
 import random
@@ -472,3 +474,202 @@ def test_operations_leave_their_inputs_numerators_alone():
     wronskian([eta, eta.shift(1), eta.shift(2)])
     wronskian(inputs[:3])
     assert [x._num for x in inputs] == before
+
+
+# ----------------------------------------------------------------------
+# one step of the Wronskian recursion: shared packs and exact division
+# in the packed integer
+# ----------------------------------------------------------------------
+
+def step_by_products(pivot, minus_d_pivot, entries, divisor, cap):
+    """The reference for ``_step_quotients``: per entry, the fused sum by
+    ``_products`` and, unless ``divisor`` is None, its long division."""
+    out = []
+    for y, dy in entries:
+        x = fused_products([(pivot, dy), (y, minus_d_pivot)], cap)
+        out.append((x, 1) if divisor is None else
+                   series_module._quotient_numerators(x, divisor, cap))
+    return out
+
+
+@st.composite
+def recursion_steps(draw):
+    """``(pivot, minus_d_pivot, entries, divisor, cap)`` as the Wronskian
+    recursion passes them to ``_step_quotients``: maps on one stride (1, 2
+    or 3), possibly empty, mostly past the schoolbook cutoff, numerators
+    small or beyond 2**64; the divisor's ``c0`` is +-1, odd, even or
+    +-2**70, or there is no divisor (step 0).  When the pivot and every
+    ``y`` are multiples of the divisor, every quotient is integral;
+    otherwise most are not."""
+    stride = draw(st.sampled_from((1, 2, 3)))
+    cap = draw(st.integers(0, 150))
+
+    def drawn():
+        num = draw(step_maps(cap // stride))
+        return {s * stride: c for s, c in num.items()}
+
+    divisor = drawn()
+    divisor[0] = draw(st.sampled_from((1, -1, 3, -7, 2, -12, 2 ** 70,
+                                       -(2 ** 70), 2 ** 70 + 1)))
+    pivot, minus_d_pivot = drawn(), drawn()
+    entries = [(drawn(), drawn()) for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(("exact", "exact", "any", "step 0")))
+    if kind == "step 0":
+        divisor = None
+    elif kind == "exact":
+        pivot = products_by_mul([(divisor, pivot)], cap)
+        entries = [(products_by_mul([(divisor, y)], cap), dy)
+                   for y, dy in entries]
+    return pivot, minus_d_pivot, entries, divisor, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(recursion_steps())
+def test_step_matches_products_and_long_division(step):
+    assert series_module._step_quotients(*step) == step_by_products(*step)
+
+
+def spy_divisions(monkeypatch):
+    """Counts of the long divisions and of the 2-adic inverses, one per
+    step that divides in the packed integer."""
+    calls = {"long": 0, "inverse": 0}
+    for key, name in (("long", "_quotient_numerators"),
+                      ("inverse", "_inverse_mod_power_of_two")):
+        def counted(*args, _key=key, _original=getattr(series_module, name)):
+            calls[_key] += 1
+            return _original(*args)
+        monkeypatch.setattr(series_module, name, counted)
+    return calls
+
+
+RUN = {i: (-1) ** (i // 4) * (i + 3) for i in range(24)}
+
+
+@pytest.mark.parametrize("c0", [1, -1, 5, 2, -12, 2 ** 70, -(2 ** 70)])
+def test_integral_quotients_are_divided_in_the_packed_integer(monkeypatch,
+                                                              c0):
+    # both the pivot and y are multiples of the divisor: one inverse for the
+    # step, and no long division
+    cap = 40
+    divisor = {0: c0, 1: 3, 5: -1, 9: 7}
+    pivot = products_by_mul([(divisor, RUN)], cap)
+    entries = [(products_by_mul([(divisor, shifted(RUN, n, cap))], cap),
+                shifted(minus(RUN), 2 * n, cap)) for n in range(4)]
+    step = (pivot, minus(RUN), entries, divisor, cap)
+    expected = step_by_products(*step)
+    calls = spy_divisions(monkeypatch)
+    assert series_module._step_quotients(*step) == expected
+    assert calls == {"long": 0, "inverse": 1}
+    assert all(d == 1 for _, d in expected)
+
+
+def test_non_integral_quotients_go_to_the_long_division(monkeypatch):
+    # c0 = 3: y is no multiple of the divisor, so its quotient is not
+    # integral; with c0 = 2**70 the low 70 bits of its sum do not vanish
+    cap = 30
+    for c0 in (3, 2 ** 70):
+        divisor = {0: c0, 2: 1}
+        pivot = products_by_mul([(divisor, RUN)], cap)
+        step = (pivot, minus(RUN), [(pivot, RUN), (RUN, RUN)], divisor, cap)
+        expected = step_by_products(*step)
+        assert expected[0][1] == 1 and expected[1][1] > 1
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_divisions(patch)
+            assert series_module._step_quotients(*step) == expected
+        assert calls == {"long": 1, "inverse": 1}
+
+
+def test_a_sum_off_the_divisor_by_one_is_not_divided_in_the_packed_integer(
+        monkeypatch):
+    # c0 = 2: the sum is divisor * pivot' * RUN + 1, odd at step 0, so its
+    # quotient is not integral, although the sum less its low bit would
+    # divide to a narrow integral map
+    cap = 30
+    divisor = {0: 2, 1: -1, 4: 3}
+    pivot = products_by_mul([(divisor, RUN)], cap)
+    step = (pivot, {0: 1}, [({0: 1}, RUN)], divisor, cap)
+    expected = step_by_products(*step)
+    assert expected[0][1] > 1
+    calls = spy_divisions(monkeypatch)
+    assert series_module._step_quotients(*step) == expected
+    assert calls == {"long": 1, "inverse": 1}
+
+
+def test_a_divisor_wider_than_the_sums_sets_the_digit_width(monkeypatch):
+    # the sums need 2-byte digits, the divisor's 2**70 needs 9 bytes: the
+    # quotient RUN^2 (1 - 2^70 q + 2^140 q^2 - ...) is integral but far
+    # too wide, so it comes from the long division
+    cap = 30
+    divisor = {0: 1, 1: 2 ** 70}
+    step = (RUN, minus(RUN), [({}, RUN), (RUN, {})], divisor, cap)
+    expected = step_by_products(*step)
+    calls = spy_divisions(monkeypatch)
+    assert series_module._step_quotients(*step) == expected
+    assert calls == {"long": 2, "inverse": 1}
+
+
+def test_empty_dividends_divide_to_the_empty_map(monkeypatch):
+    # an entry with no pair, and one whose two products cancel
+    cap = 30
+    divisor = {0: -3, 1: 1}
+    step = (RUN, minus(RUN), [({}, {}), (RUN, RUN), (RUN, {})], divisor,
+            cap)
+    expected = step_by_products(*step)
+    assert expected[:2] == [({}, 1), ({}, 1)] and expected[2][1] > 1
+    calls = spy_divisions(monkeypatch)
+    assert series_module._step_quotients(*step) == expected
+    assert calls == {"long": 1, "inverse": 1}
+
+
+def test_steps_wider_than_the_limit_use_the_long_division(monkeypatch):
+    # numerators near 2**130: every digit is wider than 32 bytes, so no
+    # inverse is built and each entry is read back and long-divided
+    cap = 30
+    wide = {i: c << 130 for i, c in RUN.items()}
+    divisor = {0: 1, 3: -2}
+    pivot = products_by_mul([(divisor, wide)], cap)
+    step = (pivot, minus(wide), [(pivot, RUN), (wide, wide)], divisor, cap)
+    expected = step_by_products(*step)
+    widths = []
+    digit_width = series_module._digit_width
+    monkeypatch.setattr(series_module, "_digit_width",
+                        lambda bits: widths.append(digit_width(bits))
+                        or widths[-1])
+    calls = spy_divisions(monkeypatch)
+    assert series_module._step_quotients(*step) == expected
+    assert widths[0] > series_module.PACKED_DIVISION_BYTES
+    assert calls == {"long": 2, "inverse": 0}
+
+
+def test_a_quotient_too_wide_for_the_digits_goes_to_the_long_division(
+        monkeypatch):
+    # 1/(1 - 2q) = sum 2^n q^n, so the second entry's quotient doubles with
+    # every step while the step's digits stay as wide as the first entry's
+    # sum needs: from some cap on its digits need one byte more, then
+    # more.  Only quotients that pass the digit check may come from the
+    # packed integer; every other one, the quotient one byte too wide for
+    # the digits among them, must come from the long division, so no cap
+    # gives a wrong map.
+    divisor = {0: 1, 1: -2}
+    small = {i: i % 5 - 2 or 1 for i in range(20)}
+    big = {i: (1 << 80) + i for i in range(20)}
+    one_byte_over = 0
+    for cap in range(19, 121):
+        pivot = products_by_mul([(divisor, small)], cap)
+        entries = [({}, big), (small, {})]
+        step = (pivot, small, entries, divisor, cap)
+        expected = step_by_products(*step)
+        widths = []
+        with pytest.MonkeyPatch.context() as patch:
+            digit_width = series_module._digit_width
+            patch.setattr(series_module, "_digit_width",
+                          lambda bits: widths.append(digit_width(bits))
+                          or widths[-1])
+            calls = spy_divisions(patch)
+            assert series_module._step_quotients(*step) == expected, cap
+        q, d = expected[1]
+        need = max(map(abs, q.values())) * 2 * min(len(q), 2)
+        half = 1 << (8 * widths[0] - 1)
+        assert d == 1 and calls["long"] == (need >= half), cap
+        one_byte_over += half <= need < half << 8
+    assert one_byte_over >= 8

@@ -22,6 +22,7 @@ from qetakit.wronskian import _distinct_leading_exponents, _jacobi_recursion
 from oracles import (matrix_determinant, random_series, scale_by_matrix,
                      wronskian_bareiss, wronskian_subset_minor,
                      wronskian_vandermonde_expand)
+from test_series_kernel import spy_divisions
 
 # the package re-exports the function wronskian under its module's name
 wronskian_module = sys.modules["qetakit.wronskian"]
@@ -232,77 +233,97 @@ class TestKernelAgainstOracles:
             IDENTITIES["wronskian_raw"].built_columns(Rational(1, 10), s=2,
                                                       t=5)
 
-    @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (3, 5, 4),
-                                       (4, 7, 9), (5, 8, 14)])
-    def test_products_are_quadratic_in_k(self, monkeypatch, s, t, k):
-        model = make_model(s, t)
-        base = sum(lab.h_bar for lab in distinct_weights(model))
-        vec = IDENTITIES["wronskian_raw"].built_columns(base + 4, s=s, t=t)
+    @pytest.mark.parametrize("s,t,k,packed", [
+        (2, 5, 2, False), (3, 4, 3, False), (3, 5, 4, False),
+        (4, 7, 9, False), (5, 8, 14, False), (5, 8, 14, True)],
+        ids=["2-5-2", "3-4-3", "3-5-4", "4-7-9", "5-8-14", "5-8-14-packed"])
+    def test_products_are_quadratic_in_k(self, monkeypatch, s, t, k, packed):
+        vec = _kernel_case(s, t, packed)
         assert len(vec) == k
         products = 0
-        series_products = wronskian_module._products
+        step_quotients = wronskian_module._step_quotients
 
-        def counting_products(pairs, cap):
+        def counting_step(pivot, minus_d_pivot, entries, divisor, cap):
             nonlocal products
-            products += len(pairs)
-            return series_products(pairs, cap)
+            products += sum(bool(xs and ys) for y, dy in entries
+                            for xs, ys in ((pivot, dy), (y, minus_d_pivot)))
+            return step_quotients(pivot, minus_d_pivot, entries, divisor,
+                                  cap)
 
-        monkeypatch.setattr(wronskian_module, "_products", counting_products)
+        monkeypatch.setattr(wronskian_module, "_step_quotients",
+                            counting_step)
+        calls = spy_divisions(monkeypatch)
         wronskian(vec)
         monkeypatch.undo()
-        # two product pairs per entry and step, read back as one fused
+        # two product pairs per entry and step, summed into one fused
         # difference and divided exactly by the previous pivot, so no third
         # pair by its inverse: k(k-1) in all; Bareiss elimination needs 548
         # for k = 9 and the subset-minor expansion k * (2^(k-1) - 1) = 2295
         assert products == k * (k - 1)
+        assert (calls["inverse"] > 0) == packed
 
-    @pytest.mark.parametrize("s,t,k", [(2, 5, 2), (3, 4, 3), (4, 7, 9)])
-    def test_divides_by_every_pivot_but_the_last(self, monkeypatch, s, t, k):
-        vec = IDENTITIES["wronskian_raw"].built_columns(10, s=s, t=t)
+    @pytest.mark.parametrize("s,t,k,packed", [
+        (2, 5, 2, False), (3, 4, 3, False), (4, 7, 9, False),
+        (5, 8, 14, True)], ids=["2-5-2", "3-4-3", "4-7-9", "5-8-14-packed"])
+    def test_divides_by_every_pivot_but_the_last(self, monkeypatch, s, t, k,
+                                                 packed):
+        vec = (_kernel_case(s, t, packed) if packed else
+               IDENTITIES["wronskian_raw"].built_columns(10, s=s, t=t))
         assert len(vec) == k
         divisors = []
         inverts = 0
-        quotient_numerators = wronskian_module._quotient_numerators
+        step_quotients = wronskian_module._step_quotients
         invert = QSeries.invert
 
-        def counting_quotient(num, divisor, cap):
-            divisors.append(divisor)
-            return quotient_numerators(num, divisor, cap)
+        def counting_step(pivot, minus_d_pivot, entries, divisor, cap):
+            if divisor is not None:
+                divisors.extend([divisor] * len(entries))
+            return step_quotients(pivot, minus_d_pivot, entries, divisor,
+                                  cap)
 
         def counting_invert(self):
             nonlocal inverts
             inverts += 1
             return invert(self)
 
-        monkeypatch.setattr(wronskian_module, "_quotient_numerators",
-                            counting_quotient)
+        monkeypatch.setattr(wronskian_module, "_step_quotients",
+                            counting_step)
         monkeypatch.setattr(QSeries, "invert", counting_invert)
+        calls = spy_divisions(monkeypatch)
         wronskian(vec)
         monkeypatch.undo()
         # every later entry of steps 1 .. k-2 is one exact division by the
-        # pivot of the step before: k - 2 divisors, (k-1)(k-2)/2 divisions,
-        # and nothing is inverted
+        # pivot of the step before, whichever route divides it: k - 2
+        # divisors, (k-1)(k-2)/2 divisions, and nothing is inverted
         assert len({id(d) for d in divisors}) == k - 2
         assert len(divisors) == (k - 1) * (k - 2) // 2
         assert inverts == 0
+        # the packed route divides some of them in the packed integer
+        if packed:
+            assert calls["long"] < len(divisors)
+        else:
+            assert calls["long"] == len(divisors)
 
     def test_non_integral_quotients_are_scaled_lazily(self, monkeypatch):
         # the primitive parts of (5,8) at order 35 leave three quotients an
-        # integer map over 19, 11 and 29; the report must be the one the
-        # benchmark expects, constant included
+        # integer map over 19, 11 and 29: exactly those are not integral,
+        # and they come from the long division, while the packed route
+        # divides others; the report must be the one the benchmark
+        # expects, constant included
         denominators = []
-        quotient_numerators = wronskian_module._quotient_numerators
+        quotient_numerators = series_module._quotient_numerators
 
         def recording(num, divisor, cap):
             q, d = quotient_numerators(num, divisor, cap)
             denominators.append(d)
             return q, d
 
-        monkeypatch.setattr(wronskian_module, "_quotient_numerators",
+        monkeypatch.setattr(series_module, "_quotient_numerators",
                             recording)
         report = verify_identity("denominator", s=5, t=8, order=35)
         monkeypatch.undo()
-        assert any(d > 1 for d in denominators)
+        assert [d for d in denominators if d > 1] == [19, 11, 29]
+        assert len(denominators) < 13 * 12 // 2
         assert report.match
         assert report.constant == \
             IDENTITIES["denominator"].predicted(s=5, t=8)
@@ -321,6 +342,17 @@ class TestKernelAgainstOracles:
         with pytest.raises(AssertionError,
                            match="divisor 2 does not start at q\\^0"):
             _jacobi_recursion(columns, [0, 0, 2, 3])
+
+
+def _kernel_case(s, t, packed):
+    """Columns for the kernel-counting tests: the raw characters at
+    headroom 4, whose steps all run the schoolbook loop, or the chi
+    numerators at headroom 20, whose later steps are packed."""
+    if packed:
+        return next(_model_vectors(make_model(s, t), 20))
+    model = make_model(s, t)
+    base = sum(lab.h_bar for lab in distinct_weights(model))
+    return IDENTITIES["wronskian_raw"].built_columns(base + 4, s=s, t=t)
 
 
 def _model_vectors(model, headroom):
@@ -374,6 +406,17 @@ class TestKernelAgainstBareiss:
         for vec in _model_vectors(model, 4):
             assert wronskian(vec) == wronskian_bareiss(vec)
 
+    @pytest.mark.parametrize("model", [m for m in coprime_models(60)
+                                       if 4 <= m.k <= 8],
+                             ids=lambda m: f"{m.s},{m.t}")
+    def test_model_vectors_on_the_packed_route(self, monkeypatch, model):
+        # at headroom 4 no step of these models packs; at headroom 20 the
+        # later steps divide in the packed integer
+        calls = spy_divisions(monkeypatch)
+        for vec in _model_vectors(model, 20):
+            assert wronskian(vec) == wronskian_bareiss(vec)
+        assert calls["inverse"] > 0
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(series_vectors())
     def test_property(self, vec):
@@ -419,24 +462,35 @@ class TestContentSplit:
         # (5,8), k = 14, chi numerators at headroom 20: multiplying whole
         # entries passes numerators of up to 768 bits to the product loops,
         # and so does a product by the primitive inverse of a pivot 327
-        # bits; the exact quotients have at most about 140
-        chi = next(_model_vectors(make_model(5, 8), 20))
-        widest = 0
+        # bits; the exact quotients have at most about 140.  The packed
+        # steps pack every operand (and the divisor) through _pack
+        chi = _kernel_case(5, 8, packed=True)
+        widest = {}
+
+        def record(name, num):
+            bits = max(abs(c).bit_length() for c in num.values())
+            widest[name] = max(widest.get(name, 0), bits)
 
         def recording(original):
             def product(pairs, cap):
-                nonlocal widest
                 for xs, ys in pairs:
-                    for c in (*xs.values(), *ys.values()):
-                        widest = max(widest, abs(c).bit_length())
+                    record(original.__name__, xs)
+                    record(original.__name__, ys)
                 return original(pairs, cap)
             return product
 
+        def recording_pack(num, stride, width, signs):
+            record("_pack", num)
+            return pack(num, stride, width, signs)
+
+        pack = series_module._pack
         for name in ("_schoolbook_product", "_kronecker_product"):
             monkeypatch.setattr(series_module, name,
                                 recording(getattr(series_module, name)))
+        monkeypatch.setattr(series_module, "_pack", recording_pack)
         wronskian(chi)
-        assert 0 < widest < 200
+        assert set(widest) == {"_schoolbook_product", "_pack"}
+        assert 0 < max(widest.values()) < 200
 
     @pytest.mark.parametrize("model", coprime_models(70),
                              ids=lambda m: f"{m.s},{m.t}")
